@@ -1,0 +1,142 @@
+//! Cross-commit goldens for the fault path.
+//!
+//! Every other differential in this repo compares two arms built from the
+//! *same* commit, so a refactor that shifts both arms together passes them
+//! all. These digests were recorded from the code as it stood before the
+//! fault path was unified (one environment-surgery routine, one lifecycle
+//! core) and must not move: the service's final fingerprint after a seeded
+//! churn script, and the adaptive runtime's full [`ChaosReport`] after a
+//! seeded fault schedule — every event outcome, cost bit, protocol timing
+//! and cache counter.
+//!
+//! The inputs go through `f64::ln` (exponential inter-fault gaps), so the
+//! digests are pinned for the x86-64 Linux toolchain CI builds with. A
+//! mismatch prints the whole digested text; compare it against a checkout
+//! of the previous commit to see what moved.
+
+use dsq::prelude::*;
+use dsq::server::chaos::run_plain;
+use dsq::server::{generate_script, ScriptConfig, ServiceConfig};
+use dsq::sim::chaos::{ChaosRunner, Fault, FaultConfig, FaultSchedule, TimedFault};
+
+/// 64-bit FNV-1a.
+fn digest(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn assert_golden(what: &str, text: &str, expected: u64) {
+    let got = digest(text);
+    assert_eq!(
+        got, expected,
+        "{what} moved: digest {got:#018x}, golden {expected:#018x}\n{text}"
+    );
+}
+
+/// The soak test's fault mix: with the default crash-heavy weights the
+/// population bleeds out and the tail of the run pins nothing.
+fn rejoin_favoring() -> FaultConfig {
+    FaultConfig {
+        crash_weight: 0.25,
+        correlated_weight: 0.05,
+        rejoin_weight: 0.50,
+        degrade_weight: 0.20,
+        ..FaultConfig::default()
+    }
+}
+
+fn service_fingerprint(script: &ScriptConfig) -> String {
+    let cfg = ServiceConfig::default();
+    let lines = generate_script(&cfg, script);
+    run_plain(&cfg, &lines).unwrap().fingerprint
+}
+
+#[test]
+fn service_fingerprint_after_the_default_script_is_pinned() {
+    assert_golden(
+        "default-script service fingerprint",
+        &service_fingerprint(&ScriptConfig::default()),
+        0xbc95_05cc_92dd_b7cd,
+    );
+}
+
+#[test]
+fn service_fingerprint_after_a_churn_heavy_script_is_pinned() {
+    // Enough faults over enough queries that crashes lose, park and
+    // re-queue slots, rejoins un-park them and degrades dirty them.
+    let script = ScriptConfig {
+        seed: 7,
+        queries: 12,
+        replans: 4,
+        unregisters: 2,
+        faults: FaultConfig {
+            events: 40,
+            mean_gap_ms: 200.0,
+            ..rejoin_favoring()
+        },
+        ..ScriptConfig::default()
+    };
+    assert_golden(
+        "churn-script service fingerprint",
+        &service_fingerprint(&script),
+        0x7972_1e51_48f3_8353,
+    );
+}
+
+fn chaos_setup() -> (Environment, Workload) {
+    let net = TransitStubConfig::paper_64().generate(23).network;
+    let env = Environment::build(net, 16);
+    let wl = WorkloadGenerator::new(
+        WorkloadConfig {
+            streams: 10,
+            queries: 8,
+            joins_per_query: 2..=3,
+            ..WorkloadConfig::default()
+        },
+        71,
+    )
+    .generate(&env.network);
+    (env, wl)
+}
+
+#[test]
+fn chaos_report_on_paper_64_is_pinned() {
+    let (env, wl) = chaos_setup();
+    let cfg = FaultConfig {
+        events: 120,
+        mean_gap_ms: 1_000.0,
+        ..rejoin_favoring()
+    };
+    let schedule = FaultSchedule::generate(&env, &cfg, 9);
+    let report = ChaosRunner::default().run(env, &wl.catalog, &wl.queries, &schedule);
+    assert_golden(
+        "paper_64 ChaosReport",
+        &format!("{report:#?}"),
+        0x7a1b_45a5_1708_59d4,
+    );
+}
+
+#[test]
+fn chaos_report_crashing_every_member_is_pinned() {
+    // The handcrafted schedule that reaches the overlay floor: the last
+    // two crashes are forfeited, not excised.
+    let (env, wl) = chaos_setup();
+    let faults = env
+        .hierarchy
+        .active_nodes()
+        .into_iter()
+        .enumerate()
+        .map(|(i, n)| TimedFault {
+            at_ms: (i as f64 + 1.0) * 100.0,
+            fault: Fault::Crash(n),
+        })
+        .collect();
+    let schedule = FaultSchedule { faults };
+    let report = ChaosRunner::default().run(env, &wl.catalog, &wl.queries, &schedule);
+    assert_golden(
+        "crash-everything ChaosReport",
+        &format!("{report:#?}"),
+        0xd132_8a00_ab08_dd81,
+    );
+}
