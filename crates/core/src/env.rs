@@ -1,8 +1,9 @@
 //! The optimization environment: network, distances, embedding, hierarchy.
 
 use crate::load::LoadModel;
+use dsq_hierarchy::membership::{self, JoinOutcome};
 use dsq_hierarchy::{Hierarchy, HierarchyConfig};
-use dsq_net::{CostSpace, DistanceMatrix, Metric, Network, NodeId};
+use dsq_net::{CostSpace, DistanceMatrix, LinkRepair, Metric, Network, NodeId};
 use std::sync::{Arc, RwLock};
 
 /// Everything the optimizers need to know about the physical substrate,
@@ -141,6 +142,89 @@ impl Environment {
                 self.plan_cache.is_enabled(),
             )),
         }
+    }
+}
+
+/// Fewest overlay members a crash may leave behind: [`Environment::crash_node`]
+/// refuses to excise a node at this population — a two-member overlay is
+/// the smallest the membership machinery supports without forfeiting the
+/// partition structure entirely, so schedulers give the victim's queries up
+/// (or skip the report) instead.
+pub const OVERLAY_FLOOR: usize = 2;
+
+/// Fault surgery: the one place a crash, a rejoin or a link-cost change is
+/// applied to an environment. Each routine leaves hierarchy, distances and
+/// hierarchy statistics consistent and retires exactly the memoized subplans
+/// the change could have reached, so the adaptive runtime, the chaos runner
+/// and the planning service cannot apply different fault rules. All three
+/// are pure functions of `(self, arguments)` — snapshot recovery replays
+/// them against a freshly built environment.
+impl Environment {
+    /// Run one membership operation and retire the subplans planned against
+    /// the clusters it changed.
+    fn membership_surgery<T>(
+        &mut self,
+        op: impl FnOnce(&mut Hierarchy, &DistanceMatrix) -> T,
+    ) -> T {
+        let before = self.hierarchy.snapshot();
+        let out = op(&mut self.hierarchy, &self.dm);
+        let delta = before.diff(&self.hierarchy.snapshot());
+        self.plan_cache.retire_membership(&self.hierarchy, &delta);
+        out
+    }
+
+    /// Excise a crashed node from the overlay (coordinator re-election
+    /// happens inside). Returns `false`, leaving the environment untouched,
+    /// when `node` is not an active member or the overlay is at
+    /// [`OVERLAY_FLOOR`].
+    pub fn crash_node(&mut self, node: NodeId) -> bool {
+        if !self.hierarchy.is_active(node) || self.hierarchy.active_nodes().len() <= OVERLAY_FLOOR {
+            return false;
+        }
+        self.membership_surgery(|h, dm| membership::remove_node(h, dm, node))
+            .expect("guarded: node active, above floor");
+        true
+    }
+
+    /// Rejoin a recovered node through the membership protocol, contacting
+    /// its nearest active member as a recovering machine would. `None`
+    /// (environment untouched) when `node` already is a member.
+    pub fn rejoin_node(&mut self, node: NodeId) -> Option<JoinOutcome> {
+        if self.hierarchy.is_active(node) {
+            return None;
+        }
+        let via = *self
+            .hierarchy
+            .active_nodes()
+            .iter()
+            .min_by(|&&a, &&b| {
+                self.dm
+                    .get(a, node)
+                    .total_cmp(&self.dm.get(b, node))
+                    .then(a.0.cmp(&b.0))
+            })
+            .expect("overlay is never empty");
+        Some(self.membership_surgery(|h, dm| membership::add_node(h, dm, node, via)))
+    }
+
+    /// Set the cost of link `a`–`b` and bring the distance matrix (repaired
+    /// incrementally under [`Self::metric`]; bit-identical to a fresh
+    /// [`DistanceMatrix::build`]), the subplan cache and the hierarchy's
+    /// cost statistics up to date. Returns how the matrix was repaired, or
+    /// `None` (environment untouched) when there is no such link.
+    pub fn reprice_link(&mut self, a: NodeId, b: NodeId, new_cost: f64) -> Option<LinkRepair> {
+        let old_w = self.metric.weight(self.network.find_link(a, b)?);
+        self.network.set_link_cost(a, b, new_cost);
+        let (new_dm, repair) = self
+            .dm
+            .repaired_after_link_change(&self.network, a, b, old_w);
+        // Pair-aware: an entry goes only if two nodes it consulted moved
+        // apart, so a drift on a far-away link — or a no-op re-pricing —
+        // leaves the cache intact.
+        self.plan_cache.retire_metric(&self.dm, &new_dm);
+        self.dm = new_dm;
+        self.hierarchy.refresh_statistics(&self.dm);
+        Some(repair)
     }
 }
 

@@ -71,7 +71,7 @@ pub use cache::{
     catalog_dirty_streams, metric_dirty_nodes, EntryDeps, InvalidationMode, PlanCache, PlanKey,
 };
 pub use engine::{ClusterPlanner, InputKind, PlannerInput, PlannerOutput};
-pub use env::Environment;
+pub use env::{Environment, OVERLAY_FLOOR};
 pub use load::LoadModel;
 pub use optimal::{Optimal, PlacementError};
 pub use parallel::{

@@ -10,20 +10,14 @@
 use std::collections::{BTreeMap, HashSet};
 
 use dsq_core::{optimize_all, optimize_dirty, Environment, ParallelConfig, TopDown};
-use dsq_hierarchy::membership;
-use dsq_net::{DistanceMatrix, LinkRepair, NodeId};
+use dsq_net::{LinkRepair, NodeId};
 use dsq_obs::Value;
 use dsq_query::{Catalog, Deployment, Query, QueryId, ReuseRegistry, StreamId};
+use dsq_sim::failures::{classify_crash, data_available, degraded, CrashAction};
 
 use crate::config::ServiceConfig;
 use crate::journal::JournalEntry;
 use crate::protocol::FaultReq;
-
-/// Fewest overlay members the service will keep: crash reports that would
-/// shrink the hierarchy below this floor are skipped (and counted), not
-/// applied — a two-member overlay is the smallest the membership machinery
-/// supports without forfeiting the partition structure entirely.
-pub const OVERLAY_FLOOR: usize = 2;
 
 /// Lifecycle of a registered query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,121 +156,44 @@ pub enum Surgery {
     Crashed(NodeId),
     /// Node re-added to the overlay.
     Rejoined(NodeId),
-    /// Link cost changed, distance matrix rebuilt.
+    /// Link cost changed, distance matrix repaired.
     Degraded,
 }
 
-/// How the `Degrade` arm repairs the distance matrix.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RepairStrategy {
-    /// Incremental single-link repair: only rows whose shortest paths used
-    /// the changed link are re-relaxed. Falls back to a full rebuild when
-    /// the weight *decreases* past its alternatives (or the link vanished) —
-    /// the only case where the server still pays a full APSP on `Degrade`.
-    #[default]
-    Incremental,
-    /// Always rebuild the full matrix. Kept as the differential control arm
-    /// (`tests/fault_surgery.rs` proves both arms bit-identical); never the
-    /// live default.
-    FullRebuild,
-}
-
-/// Apply one fault report to the environment only (no query bookkeeping),
-/// using the default [`RepairStrategy::Incremental`] degrade repair.
+/// Apply one fault report to the environment only (no query bookkeeping):
+/// bounds-check the wire-supplied node ids, then hand over to the shared
+/// surgery on [`Environment`]. Used by the live drain path and by snapshot
+/// reconstruction, which re-applies the fault history to a freshly built
+/// environment — so this must stay a pure function of `(env, fault)`.
 pub fn apply_fault_surgery(env: &mut Environment, fault: &FaultReq) -> Surgery {
-    apply_fault_surgery_with(env, fault, RepairStrategy::Incremental)
-}
-
-/// Apply one fault report to the environment only (no query bookkeeping).
-/// Shared between the live drain path and snapshot reconstruction, which
-/// re-applies the fault history to a freshly built environment — so this
-/// must stay a pure function of `(env, fault)`. Both repair strategies
-/// produce bit-identical matrices, so snapshot replay may use either.
-pub fn apply_fault_surgery_with(
-    env: &mut Environment,
-    fault: &FaultReq,
-    repair: RepairStrategy,
-) -> Surgery {
-    match fault {
-        FaultReq::Crash(n) => {
-            let node = NodeId(*n);
-            if node.index() >= env.network.len() || !env.hierarchy.is_active(node) {
-                return Surgery::Skipped;
-            }
-            if env.hierarchy.active_nodes().len() <= OVERLAY_FLOOR {
-                return Surgery::Skipped; // below the floor the overlay forfeits
-            }
-            let before = env.hierarchy.snapshot();
-            membership::remove_node(&mut env.hierarchy, &env.dm, node)
-                .expect("guarded: node active, above floor");
-            let delta = before.diff(&env.hierarchy.snapshot());
-            env.plan_cache.retire_membership(&env.hierarchy, &delta);
-            Surgery::Crashed(node)
+    let nodes = env.network.len();
+    let known = |n: u32| (n as usize) < nodes;
+    match *fault {
+        FaultReq::Crash(n) if known(n) && env.crash_node(NodeId(n)) => {
+            return Surgery::Crashed(NodeId(n));
         }
-        FaultReq::Rejoin(n) => {
-            let node = NodeId(*n);
-            if node.index() >= env.network.len() || env.hierarchy.is_active(node) {
-                return Surgery::Skipped;
-            }
-            // The rejoining node contacts its nearest active member, as the
-            // chaos runner does.
-            let via = *env
-                .hierarchy
-                .active_nodes()
-                .iter()
-                .min_by(|&&a, &&b| {
-                    env.dm
-                        .get(a, node)
-                        .total_cmp(&env.dm.get(b, node))
-                        .then(a.0.cmp(&b.0))
-                })
-                .expect("overlay is never empty");
-            let before = env.hierarchy.snapshot();
-            membership::add_node(&mut env.hierarchy, &env.dm, node, via);
-            let delta = before.diff(&env.hierarchy.snapshot());
-            env.plan_cache.retire_membership(&env.hierarchy, &delta);
-            Surgery::Rejoined(node)
+        FaultReq::Rejoin(n) if known(n) && env.rejoin_node(NodeId(n)).is_some() => {
+            return Surgery::Rejoined(NodeId(n));
         }
-        FaultReq::Degrade { a, b, factor_milli } => {
-            let (a, b) = (NodeId(*a), NodeId(*b));
-            if *factor_milli == 0
-                || a.index() >= env.network.len()
-                || b.index() >= env.network.len()
-            {
-                return Surgery::Skipped;
-            }
-            let Some(link) = env.network.find_link(a, b) else {
-                return Surgery::Skipped;
-            };
-            let new_cost = link.cost * (*factor_milli as f64 / 1000.0);
-            let old_w = env.metric.weight(link);
-            env.network.set_link_cost(a, b, new_cost);
-            let new_dm = match repair {
-                RepairStrategy::FullRebuild => {
-                    dsq_obs::counter("server.degrade_rebuilds", 1);
-                    DistanceMatrix::build(&env.network, env.metric)
-                }
-                RepairStrategy::Incremental => {
-                    let (dm, outcome) =
-                        env.dm.repaired_after_link_change(&env.network, a, b, old_w);
-                    // Obs-only accounting: deliberately NOT in
-                    // `ServiceCounters`, so the two strategies keep
-                    // identical fingerprints in the differential tests.
-                    match outcome {
-                        LinkRepair::Incremental { rows } => {
-                            dsq_obs::counter("server.degrade_rows_repaired", rows as u64);
-                        }
-                        LinkRepair::Rebuilt => dsq_obs::counter("server.degrade_rebuilds", 1),
+        FaultReq::Degrade { a, b, factor_milli } if factor_milli != 0 && known(a) && known(b) => {
+            let (a, b) = (NodeId(a), NodeId(b));
+            if let Some(link) = env.network.find_link(a, b) {
+                let new_cost = link.cost * (factor_milli as f64 / 1000.0);
+                // Obs-only accounting (not `ServiceCounters`): the matrix
+                // is repaired incrementally, and pays a full APSP only when
+                // the weight decreased past its alternatives.
+                match env.reprice_link(a, b, new_cost).expect("link found above") {
+                    LinkRepair::Incremental { rows } => {
+                        dsq_obs::counter("server.degrade_rows_repaired", rows as u64);
                     }
-                    dm
+                    LinkRepair::Rebuilt => dsq_obs::counter("server.degrade_rebuilds", 1),
                 }
-            };
-            env.plan_cache.retire_metric(&env.dm, &new_dm);
-            env.dm = new_dm;
-            env.hierarchy.refresh_statistics(&env.dm);
-            Surgery::Degraded
+                return Surgery::Degraded;
+            }
         }
+        _ => {}
     }
+    Surgery::Skipped
 }
 
 /// The deterministic service state machine.
@@ -298,9 +215,6 @@ pub struct ServiceCore {
     pub now_ms: u64,
     /// Deterministic counters.
     pub counters: ServiceCounters,
-    /// Degrade repair strategy (incremental by default; tests pin the
-    /// full-rebuild control arm against it).
-    pub repair: RepairStrategy,
     /// Fault entries applied so far, in order — the part of the journal a
     /// snapshot cannot summarize (the environment is path-dependent), so
     /// snapshots carry it verbatim for replay.
@@ -336,7 +250,6 @@ impl ServiceCore {
             epoch: 0,
             now_ms: 0,
             counters: ServiceCounters::default(),
-            repair: RepairStrategy::default(),
             fault_log: Vec::new(),
             entries_applied: 0,
             pending_shed: 0,
@@ -352,17 +265,6 @@ impl ServiceCore {
         self.counters.shed += 1;
         self.pending_shed += 1;
         dsq_obs::counter("server.requests_shed", 1);
-    }
-
-    /// Is every stream origin and the sink currently an overlay member?
-    fn data_available(&self, query: &Query) -> bool {
-        if !self.env.hierarchy.is_active(query.sink) {
-            return false;
-        }
-        query
-            .sources
-            .iter()
-            .all(|&s| self.env.hierarchy.is_active(self.catalog.stream(s).node))
     }
 
     /// Validate a registration against the catalog/topology (admission-time
@@ -499,7 +401,7 @@ impl ServiceCore {
             if !matches!(slot.status, SlotStatus::Pending | SlotStatus::Parked) {
                 continue;
             }
-            if !self.data_available(&slot.query) {
+            if !data_available(&self.env.hierarchy, &self.catalog, &slot.query) {
                 if slot.status == SlotStatus::Pending {
                     park.push(id);
                 }
@@ -659,22 +561,18 @@ impl ServiceCore {
 
     /// Apply one fault report: environment surgery, then reclassify slots.
     fn apply_fault(&mut self, fault: &FaultReq) {
-        let surgery = apply_fault_surgery_with(&mut self.env, fault, self.repair);
+        let surgery = apply_fault_surgery(&mut self.env, fault);
         self.fault_log.push(JournalEntry::Fault {
             fault: fault.clone(),
             at_ms: self.now_ms,
         });
-        match surgery {
-            Surgery::Skipped => {
-                self.counters.faults_skipped += 1;
-                dsq_obs::counter("server.faults_skipped", 1);
-                return;
-            }
-            _ => {
-                self.counters.faults_applied += 1;
-                dsq_obs::counter("server.faults_applied", 1);
-            }
+        if surgery == Surgery::Skipped {
+            self.counters.faults_skipped += 1;
+            dsq_obs::counter("server.faults_skipped", 1);
+            return;
         }
+        self.counters.faults_applied += 1;
+        dsq_obs::counter("server.faults_applied", 1);
         match surgery {
             Surgery::Crashed(node) => {
                 // Adverts hosted on the dead node stop being served until
@@ -682,46 +580,23 @@ impl ServiceCore {
                 // retired outright (their surviving operators are torn
                 // down too).
                 self.registry.host_crashed(node);
-                let mut retire: Vec<u32> = Vec::new();
                 for (&id, slot) in self.slots.iter_mut() {
                     if slot.status == SlotStatus::Lost {
                         continue;
                     }
-                    if slot.query.sink == node {
-                        // Results are undeliverable: terminally lost.
-                        slot.status = SlotStatus::Lost;
-                        slot.deployment = None;
-                        slot.stale = false;
-                        slot.dirty = false;
-                        retire.push(id);
-                    } else if slot
-                        .query
-                        .sources
-                        .iter()
-                        .any(|&s| self.catalog.stream(s).node == node)
-                    {
-                        // A source went dark: park until the origin rejoins.
-                        slot.status = SlotStatus::Parked;
-                        slot.deployment = None;
-                        slot.stale = false;
-                        slot.dirty = false;
-                        retire.push(id);
-                    } else if slot
-                        .deployment
-                        .as_ref()
-                        .is_some_and(|d| d.placement.contains(&node))
-                    {
-                        // The plan routed through the dead node: it is not
-                        // safe to keep serving, so back to pending (never
-                        // served stale).
-                        slot.status = SlotStatus::Pending;
-                        slot.deployment = None;
-                        slot.stale = false;
-                        slot.dirty = true;
-                        retire.push(id);
-                    }
-                }
-                for id in retire {
+                    let action =
+                        classify_crash(&self.catalog, &slot.query, slot.deployment.as_ref(), node);
+                    slot.status = match action {
+                        CrashAction::Keep => continue,
+                        CrashAction::Lost => SlotStatus::Lost,
+                        CrashAction::Park => SlotStatus::Parked,
+                        // Never served stale: back to the queue, replanned
+                        // by the next drain wave.
+                        CrashAction::Replan => SlotStatus::Pending,
+                    };
+                    slot.deployment = None;
+                    slot.stale = false;
+                    slot.dirty = action == CrashAction::Replan;
                     self.registry.retire_query(QueryId(id));
                 }
             }
@@ -742,12 +617,12 @@ impl ServiceCore {
                         continue;
                     };
                     d.recompute_cost(&self.env.dm);
-                    if d.cost > slot.baseline_cost * (1.0 + threshold) + 1e-12 {
+                    if degraded(d.cost, slot.baseline_cost, threshold) {
                         slot.dirty = true;
                     }
                 }
             }
-            Surgery::Skipped => unreachable!(),
+            Surgery::Skipped => unreachable!("returned above"),
         }
     }
 

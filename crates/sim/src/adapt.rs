@@ -8,9 +8,11 @@
 //! updated distances, and any whose cost degraded beyond a configurable
 //! threshold is re-optimized and migrated.
 
+use crate::failures::{
+    classify_crash, data_available, degraded, CrashAction, FailureReport, RecoveryReport,
+};
 use dsq_core::{catalog_dirty_streams, Environment, InvalidationMode};
-use dsq_hierarchy::HierarchySnapshot;
-use dsq_net::{DistanceMatrix, Metric, NodeId};
+use dsq_net::NodeId;
 use dsq_query::{Catalog, Deployment, Query, QueryId, ReuseRegistry};
 
 /// A runtime link-cost change (congestion, re-pricing, failure-as-cost).
@@ -65,9 +67,10 @@ pub struct AdaptiveRuntime {
     /// Join window length used to estimate operator state sizes.
     pub window: f64,
     /// How stale memoized subplans are retired when conditions change:
-    /// [`InvalidationMode::Scoped`] (the default) computes a dirty set from
-    /// the actual change and retires only the entries it can reach;
-    /// [`InvalidationMode::Flush`] is the conservative full flush.
+    /// [`InvalidationMode::Scoped`] (the default) retires only the entries
+    /// the actual change can reach; [`InvalidationMode::Flush`] then drops
+    /// the rest as well — the always-sound reference arm the differential
+    /// harnesses compare against, not a product setting.
     pub invalidation: InvalidationMode,
     /// Catalog as of the last observed data conditions; the baseline that
     /// [`Self::handle_data_changes`] diffs against to scope retirement.
@@ -136,27 +139,14 @@ impl AdaptiveRuntime {
         self.last_catalog = Some(catalog.clone());
     }
 
-    /// Pre-surgery hierarchy fingerprint, taken only when scoped
-    /// retirement will want to diff against it.
-    fn membership_baseline(&self) -> Option<HierarchySnapshot> {
-        match self.invalidation {
-            InvalidationMode::Scoped => Some(self.env.hierarchy.snapshot()),
-            InvalidationMode::Flush => None,
-        }
-    }
-
-    /// Retire memoized subplans made stale by hierarchy surgery: scoped to
-    /// the clusters whose content actually changed when a pre-surgery
-    /// baseline is available, a full flush otherwise.
-    fn retire_membership(&self, before: Option<HierarchySnapshot>) {
-        match before {
-            Some(before) => {
-                let delta = before.diff(&self.env.hierarchy.snapshot());
-                self.env
-                    .plan_cache
-                    .retire_membership(&self.env.hierarchy, &delta);
-            }
-            None => self.env.plan_cache.invalidate(),
+    /// The one place the reference arm differs. Every change has already
+    /// retired the entries it could reach (that is what the shared fault
+    /// surgery and the catalog diff do); [`InvalidationMode::Flush`] then
+    /// drops whatever survived, so the differential harness compares scoped
+    /// retirement against a cache that can never serve a stale entry.
+    fn flush_if_reference_arm(&self) {
+        if self.invalidation == InvalidationMode::Flush {
+            self.env.plan_cache.invalidate();
         }
     }
 
@@ -171,9 +161,15 @@ impl AdaptiveRuntime {
     /// advertised as derived streams for later reuse.
     pub fn install(&mut self, query: Query, deployment: Deployment) {
         self.registry.register_deployment(&query, &deployment);
-        self.baseline_cost.push(deployment.cost);
+        let baseline = deployment.cost;
+        self.stand(query, deployment, baseline);
+    }
+
+    /// Append one standing deployment judged against `baseline`.
+    fn stand(&mut self, query: Query, deployment: Deployment, baseline: f64) {
         self.queries.push(query);
         self.deployments.push(deployment);
+        self.baseline_cost.push(baseline);
     }
 
     /// Standing deployments.
@@ -197,234 +193,128 @@ impl AdaptiveRuntime {
     }
 
     /// Handle the crash of a physical node: fail over its coordinator
-    /// roles, deactivate it in the overlay and redeploy or retire the
+    /// roles, excise it from the overlay and redeploy, park or retire the
     /// affected queries (see [`crate::failures`]). `replan` receives the
     /// repaired environment, in which the node is no longer a member.
+    ///
+    /// At the overlay floor ([`dsq_core::OVERLAY_FLOOR`]) the node cannot
+    /// be excised — the machine is gone, but its membership slot must
+    /// survive — so every query touching it is forfeited without
+    /// replanning and the report says so
+    /// ([`FailureReport::last_member_forfeit`]).
     pub fn handle_node_failure(
         &mut self,
-        catalog: &dsq_query::Catalog,
-        node: dsq_net::NodeId,
+        catalog: &Catalog,
+        node: NodeId,
         mut replan: impl FnMut(&Environment, &Query) -> Option<Deployment>,
-    ) -> crate::failures::FailureReport {
-        use crate::failures::{unrecoverable, uses_node, FailureReport};
+    ) -> FailureReport {
         let mut report = FailureReport {
             cost_before: self.total_cost(),
+            coordinator_roles_failed_over: self.env.hierarchy.coordinator_roles(node).len(),
             ..Default::default()
         };
 
-        // 1. Hierarchy repair: record the roles being failed over, then
-        //    deactivate the node (coordinator re-election happens inside).
-        //    A one-member overlay cannot be repaired — there is nothing to
-        //    fail over to — so the affected queries are forfeited below
-        //    instead of replanned.
-        report.coordinator_roles_failed_over = self.env.hierarchy.coordinator_roles(node).len();
-        let membership_before = self.membership_baseline();
-        let overlay_repaired = if self.env.hierarchy.is_active(node) {
-            use dsq_hierarchy::MembershipError;
-            match dsq_hierarchy::membership::remove_node(
-                &mut self.env.hierarchy,
-                &self.env.dm,
-                node,
-            ) {
-                Ok(()) => true,
-                Err(MembershipError::LastMember) => false,
-                Err(e @ MembershipError::NotAMember(_)) => {
-                    unreachable!("guarded by is_active: {e}")
-                }
-            }
-        } else {
-            // Already excised (e.g. a repeated crash report): the standing
-            // deployments can still be repaired against the current overlay.
-            true
-        };
-        report.last_member_forfeit = !overlay_repaired;
-        // Hierarchy membership (possibly) changed: retire the memoized
-        // subplans the surgery reached — just the crashed node's ancestor
-        // chain in scoped mode, everything in flush mode. No surgery (the
-        // node was already excised, or is the overlay's last member) means
-        // an empty delta, so scoped mode keeps the whole cache.
+        // 1. Hierarchy repair. An already-excised node (a repeated crash
+        //    report) needs none: the standing deployments can still be
+        //    repaired against the current overlay.
         let retired_before = self.env.plan_cache.retired();
-        self.retire_membership(membership_before);
+        let overlay_repaired = !self.env.hierarchy.is_active(node) || self.env.crash_node(node);
+        self.flush_if_reference_arm();
         report.cache_retired = self.env.plan_cache.retired() - retired_before;
+        report.last_member_forfeit = !overlay_repaired;
 
         // The crashed node's operators stop producing: their adverts must
         // not be served to later planning passes (rejoin reinstates them).
         self.registry.host_crashed(node);
 
-        // 2. Classify standing deployments.
-        enum Action {
-            Keep,
-            Lost,
-            Park,
-            Replan,
-        }
-        let actions: Vec<Action> = self
-            .deployments
-            .iter()
-            .zip(&self.queries)
-            .map(|(d, q)| {
-                if !uses_node(d, node) {
-                    Action::Keep
-                } else if !overlay_repaired || q.sink == node {
-                    Action::Lost
-                } else if unrecoverable(d, q, catalog, node) {
-                    // A source stream's origin crashed: its data stops
-                    // flowing, but resumes if the node ever rejoins — park
-                    // the query for retry on later membership changes
-                    // instead of forfeiting it forever.
-                    Action::Park
-                } else {
-                    Action::Replan
-                }
-            })
-            .collect();
-
-        // 3. Replan the recoverable ones against the repaired environment.
-        let to_replan = actions
-            .iter()
-            .filter(|a| matches!(a, Action::Replan))
-            .count();
-        if to_replan > 0 {
-            dsq_obs::counter("adapt.queries_replanned", to_replan as u64);
-        }
-        self.queries_replanned += to_replan as u64;
-        let replacements: Vec<Option<Deployment>> = actions
-            .iter()
-            .zip(&self.queries)
-            .map(|(a, q)| match a {
-                Action::Replan => replan(&self.env, q),
-                _ => None,
-            })
-            .collect();
-
-        // 4. Apply: retire lost queries (accounting for their forfeited
-        //    service), park the unplaceable ones, install replacements.
-        let mut queries = Vec::new();
-        let mut deployments = Vec::new();
-        let mut baselines = Vec::new();
-        for (i, action) in actions.into_iter().enumerate() {
+        // 2. Classify every standing deployment and act on it: untouched
+        //    ones stand as they were, the rest are torn down and retired
+        //    (accounting for their forfeited service), parked, or replanned
+        //    against the repaired environment.
+        let standing = std::mem::take(&mut self.queries)
+            .into_iter()
+            .zip(std::mem::take(&mut self.deployments))
+            .zip(std::mem::take(&mut self.baseline_cost));
+        let mut replanned = 0u64;
+        for ((q, d), baseline) in standing {
+            let mut action = classify_crash(catalog, &q, Some(&d), node);
+            if action == CrashAction::Keep {
+                self.stand(q, d, baseline);
+                continue;
+            }
+            if !overlay_repaired {
+                action = CrashAction::Lost;
+            }
+            // Its operators are torn down whatever happens next.
+            self.registry.retire_query(q.id);
             match action {
-                Action::Keep => {
-                    queries.push(self.queries[i].clone());
-                    baselines.push(self.baseline_cost[i]);
-                    deployments.push(self.deployments[i].clone());
+                CrashAction::Keep => unreachable!("stood above"),
+                CrashAction::Lost => {
+                    report.lost.push(q.id);
+                    report.forfeited_cost += d.cost;
                 }
-                Action::Lost => {
-                    report.lost.push(self.queries[i].id);
-                    report.forfeited_cost += self.deployments[i].cost;
-                    self.registry.retire_query(self.queries[i].id);
+                CrashAction::Park => {
+                    report.source_parked.push(q.id);
+                    report.parked_cost += d.cost;
+                    self.parked.push(q);
                 }
-                Action::Park => {
-                    report.source_parked.push(self.queries[i].id);
-                    report.parked_cost += self.deployments[i].cost;
-                    self.registry.retire_query(self.queries[i].id);
-                    self.parked.push(self.queries[i].clone());
-                }
-                Action::Replan => match &replacements[i] {
-                    Some(new_d) => {
-                        report.redeployed.push(self.queries[i].id);
-                        report.redeploy_cost_delta += new_d.cost - self.deployments[i].cost;
-                        // The old operators are torn down and the repaired
-                        // deployment's are advertised in their place.
-                        self.registry.retire_query(self.queries[i].id);
-                        self.registry.register_deployment(&self.queries[i], new_d);
-                        queries.push(self.queries[i].clone());
-                        // A replacement is a *repair*, not a re-baselining:
-                        // keep measuring degradation against the cost the
-                        // query was originally admitted at, otherwise a bad
-                        // emergency placement silently becomes the new
-                        // normal and adaptation stops firing for it.
-                        baselines.push(self.baseline_cost[i]);
-                        deployments.push(new_d.clone());
+                CrashAction::Replan => {
+                    replanned += 1;
+                    match replan(&self.env, &q) {
+                        Some(new_d) => {
+                            report.redeployed.push(q.id);
+                            report.redeploy_cost_delta += new_d.cost - d.cost;
+                            self.registry.register_deployment(&q, &new_d);
+                            // A replacement is a *repair*, not a
+                            // re-baselining: keep measuring degradation
+                            // against the cost the query was originally
+                            // admitted at, otherwise a bad emergency
+                            // placement silently becomes the new normal and
+                            // adaptation stops firing for it.
+                            self.stand(q, new_d, baseline);
+                        }
+                        None => {
+                            report.unplaced.push(q.id);
+                            report.parked_cost += d.cost;
+                            self.parked.push(q);
+                        }
                     }
-                    None => {
-                        report.unplaced.push(self.queries[i].id);
-                        report.parked_cost += self.deployments[i].cost;
-                        self.registry.retire_query(self.queries[i].id);
-                        self.parked.push(self.queries[i].clone());
-                    }
-                },
+                }
             }
         }
-        self.queries = queries;
-        self.deployments = deployments;
-        self.baseline_cost = baselines;
+        self.note_replans(replanned);
         report.cost_after = self.total_cost();
+        let parked = report.unplaced.len() + report.source_parked.len();
         dsq_obs::counter("adapt.node_failures", 1);
         dsq_obs::counter("adapt.redeployed", report.redeployed.len() as u64);
         dsq_obs::counter("adapt.lost", report.lost.len() as u64);
-        dsq_obs::counter(
-            "adapt.parked",
-            (report.unplaced.len() + report.source_parked.len()) as u64,
-        );
+        dsq_obs::counter("adapt.parked", parked as u64);
+        if report.last_member_forfeit {
+            dsq_obs::counter("adapt.forfeited", report.lost.len() as u64);
+        }
         dsq_obs::observe("adapt.redeploy_cost_delta", report.redeploy_cost_delta);
         dsq_obs::event("adapt.node_failure", || {
             vec![
                 ("node", node.0.into()),
                 ("redeployed", report.redeployed.len().into()),
                 ("lost", report.lost.len().into()),
-                (
-                    "parked",
-                    (report.unplaced.len() + report.source_parked.len()).into(),
-                ),
+                ("parked", parked.into()),
                 ("cost_delta", report.redeploy_cost_delta.into()),
             ]
         });
         report
     }
 
-    /// Forfeit every standing deployment that touches `node` without any
-    /// hierarchy surgery or replanning: the last-resort path for when the
-    /// overlay is at its minimum population and the node cannot be excised
-    /// (the machine is gone, but its membership slot must survive). Used by
-    /// the chaos harness to record such events as forfeited instead of
-    /// aborting the run.
-    pub fn forfeit_node_queries(
-        &mut self,
-        node: dsq_net::NodeId,
-    ) -> crate::failures::FailureReport {
-        use crate::failures::{uses_node, FailureReport};
-        let mut report = FailureReport {
-            cost_before: self.total_cost(),
-            last_member_forfeit: true,
-            ..Default::default()
-        };
-        self.registry.host_crashed(node);
-        let mut queries = Vec::new();
-        let mut deployments = Vec::new();
-        let mut baselines = Vec::new();
-        for i in 0..self.deployments.len() {
-            if uses_node(&self.deployments[i], node) {
-                report.lost.push(self.queries[i].id);
-                report.forfeited_cost += self.deployments[i].cost;
-                self.registry.retire_query(self.queries[i].id);
-            } else {
-                queries.push(self.queries[i].clone());
-                deployments.push(self.deployments[i].clone());
-                baselines.push(self.baseline_cost[i]);
-            }
+    /// Account `n` replanning invocations (lifetime total + obs counter).
+    fn note_replans(&mut self, n: u64) {
+        if n > 0 {
+            dsq_obs::counter("adapt.queries_replanned", n);
         }
-        self.queries = queries;
-        self.deployments = deployments;
-        self.baseline_cost = baselines;
-        report.cost_after = self.total_cost();
-        dsq_obs::counter("adapt.forfeited", report.lost.len() as u64);
-        report
-    }
-
-    /// Is every node the query needs for *data* — each source stream's
-    /// origin and the result sink — an active overlay member? A parked
-    /// query failing this check cannot be replanned no matter what the
-    /// optimizer does, so the retry pass skips it without an attempt.
-    fn data_available(&self, catalog: &Catalog, q: &Query) -> bool {
-        self.env.hierarchy.is_active(q.sink)
-            && q.sources
-                .iter()
-                .all(|&s| self.env.hierarchy.is_active(catalog.stream(s).node))
+        self.queries_replanned += n;
     }
 
     /// Re-attempt placement of every parked query whose data is available
-    /// again (see [`Self::data_available`]); successfully placed ones are
+    /// again (see [`data_available`]); successfully placed ones are
     /// (re)installed with their new cost as the baseline. Returns the ids
     /// that found a home.
     pub fn retry_parked(
@@ -433,11 +323,10 @@ impl AdaptiveRuntime {
         mut replan: impl FnMut(&Environment, &Query) -> Option<Deployment>,
     ) -> Vec<QueryId> {
         let mut placed = Vec::new();
-        let mut still_parked = Vec::new();
         let mut attempts = 0u64;
         for q in std::mem::take(&mut self.parked) {
-            if !self.data_available(catalog, &q) {
-                still_parked.push(q);
+            if !data_available(&self.env.hierarchy, catalog, &q) {
+                self.parked.push(q);
                 continue;
             }
             attempts += 1;
@@ -446,42 +335,33 @@ impl AdaptiveRuntime {
                     placed.push(q.id);
                     self.install(q, d);
                 }
-                None => still_parked.push(q),
+                None => self.parked.push(q),
             }
         }
-        if attempts > 0 {
-            dsq_obs::counter("adapt.queries_replanned", attempts);
-        }
-        self.queries_replanned += attempts;
-        self.parked = still_parked;
+        self.note_replans(attempts);
         placed
     }
 
     /// Handle the recovery of a previously failed node: rejoin it to the
-    /// overlay via the membership protocol (contacting active member `via`)
-    /// and retry the parked queries, whose placement (or source data) may
-    /// now be available again on the enlarged overlay.
+    /// overlay via the membership protocol (contacting its nearest active
+    /// member) and retry the parked queries, whose placement (or source
+    /// data) may now be available again on the enlarged overlay.
     pub fn handle_node_recovery(
         &mut self,
         catalog: &Catalog,
-        node: dsq_net::NodeId,
-        via: dsq_net::NodeId,
+        node: NodeId,
         replan: impl FnMut(&Environment, &Query) -> Option<Deployment>,
-    ) -> crate::failures::RecoveryReport {
-        let membership_before = self.membership_baseline();
-        let outcome =
-            dsq_hierarchy::membership::add_node(&mut self.env.hierarchy, &self.env.dm, node, via);
-        // Scoped: only the rejoined node's new ancestor chain gained a
-        // member, so only entries reaching those clusters retire.
+    ) -> RecoveryReport {
         let retired_before = self.env.plan_cache.retired();
-        self.retire_membership(membership_before);
+        let join_messages = self.env.rejoin_node(node).map_or(0, |o| o.messages);
+        self.flush_if_reference_arm();
         let cache_retired = self.env.plan_cache.retired() - retired_before;
         // Adverts hosted on the rejoined node are servable again (unless
         // their origin query is gone for good).
         self.registry.host_rejoined(node);
         let redeployed = self.retry_parked(catalog, replan);
-        crate::failures::RecoveryReport {
-            join_messages: outcome.messages,
+        RecoveryReport {
+            join_messages,
             redeployed,
             still_parked: self.parked.len(),
             cache_retired,
@@ -494,76 +374,32 @@ impl AdaptiveRuntime {
     /// placement, fresh statistics — and those whose cost degraded past the
     /// threshold are re-optimized, subject to the same migration-horizon
     /// gate as link changes.
+    ///
+    /// Data changes move what a query *should* cost (they can also make a
+    /// deployment cheaper), so every deployment that stands through the
+    /// pass adopts its re-estimated cost as the new baseline and later
+    /// drift is measured from reality.
     pub fn handle_data_changes(
         &mut self,
-        catalog: &dsq_query::Catalog,
-        mut replan: impl FnMut(&Environment, &Query) -> Option<Deployment>,
+        catalog: &Catalog,
+        replan: impl FnMut(&Environment, &Query) -> Option<Deployment>,
     ) -> MigrationReport {
         // The catalog's rates/selectivities feed the cache keys and the
         // cached costs. With a baseline catalog on hand, only the entries
         // covering a stream whose statistics actually moved are stale;
         // without one (first observation) everything might be.
-        match (self.invalidation, self.last_catalog.take()) {
-            (InvalidationMode::Scoped, Some(old)) => {
+        match self.last_catalog.replace(catalog.clone()) {
+            Some(old) => {
                 let dirty = catalog_dirty_streams(&old, catalog);
                 self.env.plan_cache.retire_catalog(&dirty);
             }
-            _ => self.env.plan_cache.invalidate(),
+            None => self.env.plan_cache.invalidate(),
         }
-        self.last_catalog = Some(catalog.clone());
-        let mut report = MigrationReport::default();
-        for (i, d) in self.deployments.iter_mut().enumerate() {
-            *d = d.reestimate(&self.queries[i], catalog, &self.env.dm);
+        self.flush_if_reference_arm();
+        for (d, q) in self.deployments.iter_mut().zip(&self.queries) {
+            *d = d.reestimate(q, catalog, &self.env.dm);
         }
-        report.cost_before = self.total_cost();
-
-        let mut replanned = 0u64;
-        for i in 0..self.deployments.len() {
-            let degraded =
-                self.deployments[i].cost > self.baseline_cost[i] * (1.0 + self.threshold) + 1e-12;
-            if !degraded {
-                // Data changes can also make a deployment cheaper; adopt the
-                // re-estimated cost as the new baseline so later drift is
-                // measured from reality.
-                self.baseline_cost[i] = self.deployments[i].cost;
-                continue;
-            }
-            replanned += 1;
-            if let Some(new_d) = replan(&self.env, &self.queries[i]) {
-                if new_d.cost >= self.deployments[i].cost {
-                    self.baseline_cost[i] = self.deployments[i].cost;
-                    continue;
-                }
-                let plan = crate::migrate::plan_migration(
-                    &self.deployments[i],
-                    &new_d,
-                    &self.env.dm,
-                    self.window,
-                );
-                let adopt = match self.migration_horizon {
-                    Some(h) => plan.worthwhile(h),
-                    None => true,
-                };
-                if adopt {
-                    report.migrated.push(self.queries[i].id);
-                    report.state_transfer_cost += plan.state_transfer_cost;
-                    report.plans.push(plan);
-                    self.registry.retire_query(self.queries[i].id);
-                    self.registry.register_deployment(&self.queries[i], &new_d);
-                    self.baseline_cost[i] = new_d.cost;
-                    self.deployments[i] = new_d;
-                } else {
-                    report.skipped_unprofitable.push(self.queries[i].id);
-                    self.baseline_cost[i] = self.deployments[i].cost;
-                }
-            }
-        }
-        if replanned > 0 {
-            dsq_obs::counter("adapt.queries_replanned", replanned);
-        }
-        self.queries_replanned += replanned;
-        report.cost_after = self.total_cost();
-        report
+        self.reoptimize_degraded(true, replan)
     }
 
     /// Apply link changes, detect degraded deployments and re-trigger
@@ -577,73 +413,68 @@ impl AdaptiveRuntime {
     pub fn handle_changes(
         &mut self,
         changes: &[LinkChange],
-        mut replan: impl FnMut(&Environment, &Query) -> Option<Deployment>,
+        replan: impl FnMut(&Environment, &Query) -> Option<Deployment>,
     ) -> MigrationReport {
         for ch in changes {
-            let applied = self.env.network.set_link_cost(ch.a, ch.b, ch.new_cost);
-            assert!(applied, "link change references a missing link");
+            self.env
+                .reprice_link(ch.a, ch.b, ch.new_cost)
+                .expect("link change references a missing link");
         }
-        // Refresh the distance view and the hierarchy's cost statistics,
-        // and retire the memoized subplans costed against distances that
-        // actually moved. Retirement is pair-aware: an entry goes only if
-        // two of the nodes *it consulted* moved apart, so a drift on some
-        // far-away link — or a no-op refresh that rebuilt identical
-        // distances — leaves the cache intact across monitor rounds.
-        let new_dm = DistanceMatrix::build(&self.env.network, Metric::Cost);
-        match self.invalidation {
-            InvalidationMode::Scoped => {
-                self.env.plan_cache.retire_metric(&self.env.dm, &new_dm);
-            }
-            InvalidationMode::Flush => self.env.plan_cache.invalidate(),
-        }
-        self.env.dm = new_dm;
-        self.env.hierarchy.refresh_statistics(&self.env.dm);
-
-        let mut report = MigrationReport::default();
+        self.flush_if_reference_arm();
         for d in &mut self.deployments {
             d.recompute_cost(&self.env.dm);
         }
-        report.cost_before = self.total_cost();
+        self.reoptimize_degraded(false, replan)
+    }
 
+    /// Re-optimize every standing deployment whose freshly re-costed cost
+    /// [`degraded`] past the threshold, adopting a replacement only when it
+    /// improves on the standing one and its state transfer pays for itself
+    /// within the migration horizon. With `rebaseline_standing`, each
+    /// deployment that stands through the pass (not degraded, or degraded
+    /// with its replacement declined) is re-baselined at its current cost.
+    fn reoptimize_degraded(
+        &mut self,
+        rebaseline_standing: bool,
+        mut replan: impl FnMut(&Environment, &Query) -> Option<Deployment>,
+    ) -> MigrationReport {
+        let mut report = MigrationReport {
+            cost_before: self.total_cost(),
+            ..Default::default()
+        };
         let mut replanned = 0u64;
         for i in 0..self.deployments.len() {
-            let degraded =
-                self.deployments[i].cost > self.baseline_cost[i] * (1.0 + self.threshold) + 1e-12;
-            if !degraded {
-                continue;
-            }
-            replanned += 1;
-            if let Some(new_d) = replan(&self.env, &self.queries[i]) {
-                if new_d.cost >= self.deployments[i].cost {
+            let standing_cost = self.deployments[i].cost;
+            if degraded(standing_cost, self.baseline_cost[i], self.threshold) {
+                replanned += 1;
+                let Some(new_d) = replan(&self.env, &self.queries[i]) else {
                     continue;
-                }
-                let plan = crate::migrate::plan_migration(
-                    &self.deployments[i],
-                    &new_d,
-                    &self.env.dm,
-                    self.window,
-                );
-                let adopt = match self.migration_horizon {
-                    Some(h) => plan.worthwhile(h),
-                    None => true,
                 };
-                if adopt {
-                    report.migrated.push(self.queries[i].id);
-                    report.state_transfer_cost += plan.state_transfer_cost;
-                    report.plans.push(plan);
-                    self.registry.retire_query(self.queries[i].id);
-                    self.registry.register_deployment(&self.queries[i], &new_d);
-                    self.baseline_cost[i] = new_d.cost;
-                    self.deployments[i] = new_d;
-                } else {
+                if new_d.cost < standing_cost {
+                    let plan = crate::migrate::plan_migration(
+                        &self.deployments[i],
+                        &new_d,
+                        &self.env.dm,
+                        self.window,
+                    );
+                    if self.migration_horizon.is_none_or(|h| plan.worthwhile(h)) {
+                        report.migrated.push(self.queries[i].id);
+                        report.state_transfer_cost += plan.state_transfer_cost;
+                        report.plans.push(plan);
+                        self.registry.retire_query(self.queries[i].id);
+                        self.registry.register_deployment(&self.queries[i], &new_d);
+                        self.baseline_cost[i] = new_d.cost;
+                        self.deployments[i] = new_d;
+                        continue;
+                    }
                     report.skipped_unprofitable.push(self.queries[i].id);
                 }
             }
+            if rebaseline_standing {
+                self.baseline_cost[i] = standing_cost;
+            }
         }
-        if replanned > 0 {
-            dsq_obs::counter("adapt.queries_replanned", replanned);
-        }
-        self.queries_replanned += replanned;
+        self.note_replans(replanned);
         report.cost_after = self.total_cost();
         report
     }
@@ -825,6 +656,37 @@ mod tests {
         assert!(tight.migrated.is_empty());
         assert_eq!(tight.skipped_unprofitable.len(), free.migrated.len());
         assert_eq!(tight.state_transfer_cost, 0.0);
+    }
+
+    #[test]
+    fn link_change_keeps_a_latency_environment_on_delay_distances() {
+        // Regression: the runtime used to rebuild distances with a
+        // hard-coded `Metric::Cost`, silently switching a response-time
+        // environment to cost distances after its first link change.
+        let net = TransitStubConfig::paper_64().generate(17).network;
+        let mut rt = AdaptiveRuntime::new(Environment::build_latency(net, 16), 0.2);
+        let a = rt.env.network.nodes().next().unwrap();
+        let b = rt.env.network.neighbors(a)[0].to;
+        let old = rt.env.network.find_link(a, b).unwrap().cost;
+        rt.handle_changes(
+            &[LinkChange {
+                a,
+                b,
+                new_cost: old * 3.0,
+            }],
+            |_, _| None,
+        );
+        assert_eq!(rt.env.dm.metric(), dsq_net::Metric::DelayMs);
+        let fresh = dsq_net::DistanceMatrix::build(&rt.env.network, dsq_net::Metric::DelayMs);
+        for u in rt.env.network.nodes() {
+            for v in rt.env.network.nodes() {
+                assert_eq!(
+                    rt.env.dm.get(u, v).to_bits(),
+                    fresh.get(u, v).to_bits(),
+                    "distance ({u:?},{v:?}) left the delay metric"
+                );
+            }
+        }
     }
 
     #[test]

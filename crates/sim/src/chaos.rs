@@ -15,7 +15,7 @@
 
 use crate::adapt::{AdaptiveRuntime, LinkChange};
 use crate::emulab::{EmulabModel, LossyProtocol, RetryPolicy};
-use dsq_core::{Environment, InvalidationMode, Optimizer, SearchStats, TopDown};
+use dsq_core::{Environment, InvalidationMode, Optimizer, SearchStats, TopDown, OVERLAY_FLOOR};
 use dsq_net::NodeId;
 use dsq_query::{Catalog, Deployment, Query, QueryId, ReuseRegistry};
 use rand::seq::SliceRandom;
@@ -173,7 +173,7 @@ impl FaultSchedule {
         up: &mut Vec<NodeId>,
         down: &mut Vec<NodeId>,
     ) -> Option<Fault> {
-        if up.len() <= 2 {
+        if up.len() <= OVERLAY_FLOOR {
             return None;
         }
         let &n = up.choose(rng).unwrap();
@@ -189,10 +189,10 @@ impl FaultSchedule {
         down: &mut Vec<NodeId>,
     ) -> Option<Fault> {
         let domain = domains.choose(rng)?;
-        // Only members still up can crash, and at least two nodes must
+        // Only members still up can crash, and the overlay floor must
         // survive the whole event.
         let mut victims: Vec<NodeId> = domain.iter().copied().filter(|n| up.contains(n)).collect();
-        let spare = up.len().saturating_sub(2);
+        let spare = up.len().saturating_sub(OVERLAY_FLOOR);
         victims.truncate(spare);
         if victims.is_empty() {
             return None;
@@ -265,9 +265,9 @@ pub struct ChaosReport {
     /// (the query was parked, not dropped).
     pub instantiation_failures: usize,
     /// Queries forfeited because a crash hit the overlay's two-member
-    /// floor: the node's machine is gone but its membership slot cannot be
-    /// excised (see [`dsq_hierarchy::MembershipError::LastMember`]), so its
-    /// queries are recorded as lost without replanning.
+    /// floor ([`OVERLAY_FLOOR`]): the node's machine is gone but its
+    /// membership slot cannot be excised, so its queries are recorded as
+    /// lost without replanning.
     pub forfeited: usize,
     /// Queries still installed when the run ended.
     pub final_installed: usize,
@@ -469,23 +469,8 @@ impl ChaosRunner {
                     return out;
                 }
                 out.kind = "rejoin";
-                // Contact the nearest live overlay member, as a recovering
-                // node would.
-                let via = *rt
-                    .env
-                    .hierarchy
-                    .active_nodes()
-                    .iter()
-                    .min_by(|&&a, &&b| {
-                        rt.env
-                            .dm
-                            .get(a, *n)
-                            .total_cmp(&rt.env.dm.get(b, *n))
-                            .then(a.0.cmp(&b.0))
-                    })
-                    .expect("overlay is never empty");
                 let mut repair = RepairTally::default();
-                let recovery = rt.handle_node_recovery(catalog, *n, via, |env, q| {
+                let recovery = rt.handle_node_recovery(catalog, *n, |env, q| {
                     instantiate(env, catalog, q, protocol, &mut repair)
                 });
                 out.redeployed = recovery.redeployed.len();
@@ -514,8 +499,10 @@ impl ChaosRunner {
 
     /// Crash one node through the failure path; [`CrashEffect::Skipped`]
     /// when inapplicable (already dead), [`CrashEffect::Forfeited`] when the
-    /// overlay sits at the two-member floor and the node's queries were
-    /// given up instead of the run aborting on an irreparable hierarchy.
+    /// overlay sits at its floor and the node's queries were given up
+    /// instead of the run aborting on an irreparable hierarchy. Generated
+    /// schedules never cross the floor, but handcrafted ones can (e.g.
+    /// crash-everything).
     fn crash_one(
         &self,
         rt: &mut AdaptiveRuntime,
@@ -527,24 +514,6 @@ impl ChaosRunner {
     ) -> CrashEffect {
         if !rt.env.hierarchy.is_active(n) {
             return CrashEffect::Skipped;
-        }
-        if rt.env.hierarchy.active_nodes().len() <= 2 {
-            // Generated schedules never cross the floor, but handcrafted
-            // ones can (e.g. crash-everything): removing the node would
-            // strand the overlay (MembershipError::LastMember one step
-            // later), so forfeit its queries and keep the structure.
-            let fr = rt.forfeit_node_queries(n);
-            let expected = fr.cost_before - fr.forfeited_cost;
-            assert!(
-                (fr.cost_after - expected).abs() <= 1e-6 * fr.cost_before.max(1.0),
-                "cost accounting violated forfeiting at {n:?}: after {} vs expected {expected}",
-                fr.cost_after
-            );
-            out.lost += fr.lost.len();
-            report.forfeited += fr.lost.len();
-            report.lost.extend(fr.lost);
-            dsq_obs::counter("chaos.forfeited", 1);
-            return CrashEffect::Forfeited;
         }
         let mut repair = RepairTally::default();
         let fr = rt.handle_node_failure(catalog, n, |env, q| {
@@ -564,12 +533,19 @@ impl ChaosRunner {
         out.parked += fr.unplaced.len() + fr.source_parked.len();
         out.recovery_cost_delta += fr.redeploy_cost_delta;
         out.repair_ms += repair.time_ms;
-        report.lost.extend(fr.lost);
         report.redeployments += fr.redeployed.len();
         report.instantiation_failures += repair.instantiation_failures;
         report.protocol_retries += repair.retries;
         report.protocol_retry_ms += repair.retry_ms;
-        CrashEffect::Applied
+        let effect = if fr.last_member_forfeit {
+            report.forfeited += fr.lost.len();
+            dsq_obs::counter("chaos.forfeited", 1);
+            CrashEffect::Forfeited
+        } else {
+            CrashEffect::Applied
+        };
+        report.lost.extend(fr.lost);
+        effect
     }
 }
 
@@ -579,7 +555,7 @@ enum CrashEffect {
     Skipped,
     /// Normal path: hierarchy repaired, queries replanned.
     Applied,
-    /// Overlay at the two-member floor: queries forfeited, structure kept.
+    /// Overlay at its floor: queries forfeited, structure kept.
     Forfeited,
 }
 
@@ -633,8 +609,8 @@ fn check_invariants(rt: &AdaptiveRuntime, tf: &TimedFault) {
 fn check_invariants_final(rt: &AdaptiveRuntime) {
     rt.env.hierarchy.check_invariants();
     assert!(
-        rt.env.hierarchy.active_nodes().len() >= 2,
-        "overlay dropped below two members"
+        rt.env.hierarchy.active_nodes().len() >= OVERLAY_FLOOR,
+        "overlay dropped below its floor"
     );
     let standing: f64 = rt.deployments().iter().map(|d| d.cost).sum();
     assert!(
@@ -761,8 +737,8 @@ mod tests {
         // Handcrafted worst case the generator never emits: a schedule that
         // crashes every single overlay member. The runner must complete —
         // crashes at the two-member floor are recorded as `forfeited`
-        // (hierarchy/src/membership.rs would refuse the removal with
-        // MembershipError::LastMember) — rather than panicking mid-run.
+        // (`Environment::crash_node` refuses the removal) — rather than
+        // panicking mid-run.
         let (env, wl) = setup();
         let all = env.hierarchy.active_nodes();
         let population = all.len();

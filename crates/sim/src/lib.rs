@@ -19,6 +19,10 @@
 //!   re-costs standing deployments and re-triggers optimization for those
 //!   whose cost degraded beyond a threshold (the Middleware Layer of
 //!   IFLOW \[13\]).
+//! * [`failures`] — the query-lifecycle core: what a crash, a rejoin or a
+//!   degradation means for one registered query. [`adapt`], [`chaos`] and
+//!   the planning service schedule work over these rules and over the
+//!   environment surgery on [`dsq_core::Environment`].
 
 pub mod adapt;
 pub mod adverts;

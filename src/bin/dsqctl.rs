@@ -85,9 +85,6 @@ const USAGE: &str =
   --threads T    worker threads for `plan` (default: all cores)
   --no-parallel  plan queries one at a time (results are bit-identical)
   --no-cache     disable the shared subplan cache
-  --flush-invalidation
-                 retire the whole subplan cache on every adaptation in
-                 `chaos` instead of the scoped dirty sets (reference mode)
   --iters N      fuzz iterations (default 200)
   --max-nodes M  fuzz topology size ceiling (default 48)
   --wide-milli P per-mille chance a fuzz case samples a >32-stream (wide)
@@ -138,7 +135,6 @@ struct Opts {
     threads: Option<usize>,
     no_parallel: bool,
     no_cache: bool,
-    flush_invalidation: bool,
     iters: usize,
     max_nodes: usize,
     wide_milli: u64,
@@ -178,7 +174,6 @@ impl Opts {
             threads: None,
             no_parallel: false,
             no_cache: false,
-            flush_invalidation: false,
             iters: 200,
             max_nodes: 48,
             wide_milli: 50,
@@ -229,7 +224,6 @@ impl Opts {
                 }
                 "--no-parallel" => o.no_parallel = true,
                 "--no-cache" => o.no_cache = true,
-                "--flush-invalidation" => o.flush_invalidation = true,
                 "--iters" => o.iters = value("--iters").parse().expect("--iters: integer"),
                 "--max-nodes" => {
                     o.max_nodes = value("--max-nodes").parse().expect("--max-nodes: integer")
@@ -525,11 +519,6 @@ fn chaos(o: &Opts) -> ExitCode {
         ..FaultConfig::default()
     };
     let schedule = FaultSchedule::generate(&env, &cfg, o.seed);
-    let invalidation = if o.flush_invalidation {
-        dsq::core::InvalidationMode::Flush
-    } else {
-        dsq::core::InvalidationMode::Scoped
-    };
     let runner = ChaosRunner {
         policy: if o.drop > 0.0 {
             RetryPolicy::lossy(o.drop)
@@ -539,16 +528,15 @@ fn chaos(o: &Opts) -> ExitCode {
         protocol_seed: o.seed,
         threshold: 0.2,
         cache: !o.no_cache,
-        invalidation,
+        ..ChaosRunner::default()
     };
     println!(
-        "chaos: {} nodes, {} queries, {} events, drop probability {}, cache {} ({:?} invalidation)\n",
+        "chaos: {} nodes, {} queries, {} events, drop probability {}, cache {}\n",
         env.network.len(),
         wl.queries.len(),
         o.events,
         o.drop,
         if o.no_cache { "off" } else { "on" },
-        invalidation
     );
     let r = runner.run(env, &wl.catalog, &wl.queries, &schedule);
     println!(

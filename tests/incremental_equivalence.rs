@@ -77,10 +77,6 @@ fn apply_fault(rt: &mut AdaptiveRuntime, catalog: &Catalog, fault: &Fault) {
         if !rt.env.hierarchy.is_active(n) {
             return;
         }
-        if rt.env.hierarchy.active_nodes().len() <= 2 {
-            rt.forfeit_node_queries(n);
-            return;
-        }
         rt.handle_node_failure(catalog, n, |env, q| replan(env, catalog, q));
     };
     match fault {
@@ -94,20 +90,7 @@ fn apply_fault(rt: &mut AdaptiveRuntime, catalog: &Catalog, fault: &Fault) {
             if rt.env.hierarchy.is_active(*n) {
                 return;
             }
-            let via = *rt
-                .env
-                .hierarchy
-                .active_nodes()
-                .iter()
-                .min_by(|&&a, &&b| {
-                    rt.env
-                        .dm
-                        .get(a, *n)
-                        .total_cmp(&rt.env.dm.get(b, *n))
-                        .then(a.0.cmp(&b.0))
-                })
-                .expect("overlay is never empty");
-            rt.handle_node_recovery(catalog, *n, via, |env, q| replan(env, catalog, q));
+            rt.handle_node_recovery(catalog, *n, |env, q| replan(env, catalog, q));
         }
         Fault::DegradeLink { a, b, factor } => {
             let Some(link) = rt.env.network.find_link(*a, *b) else {
