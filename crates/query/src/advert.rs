@@ -44,7 +44,7 @@
 //! interchangeable; selection compatibility is checked with predicate
 //! subsumption ([`crate::predicate::selections_compatible`]).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::inputset::InputSet;
 use crate::plan::{Deployment, LeafSource, OperatorId};
@@ -175,6 +175,12 @@ struct AdvertSlot {
 }
 
 impl AdvertSlot {
+    /// Smallest covered stream (adverts cover at least two): the slot's
+    /// `by_stream` bucket key.
+    fn first_stream(&self) -> u32 {
+        self.stream.covered.as_slice()[0].0
+    }
+
     fn state(&self) -> AdvertState {
         if self.gone || self.host_down {
             AdvertState::Retired
@@ -188,6 +194,13 @@ impl AdvertSlot {
 
 /// Registry of every deployed operator and its advertised derived stream,
 /// with lifecycle management and a bounded Live set (see the module docs).
+///
+/// Slots are never dropped (ids are stable), so every operation that acts
+/// on *some* adverts finds them through an index instead of walking the
+/// slot vector. Each bucket lists slot indices in ascending order and is
+/// walked in that order — the order the historical full scan visited them
+/// — so candidate order, recency bumps and the choice among duplicate
+/// signatures do not depend on the indexing.
 #[derive(Clone, Debug, Default)]
 pub struct ReuseRegistry {
     slots: Vec<AdvertSlot>,
@@ -200,6 +213,36 @@ pub struct ReuseRegistry {
     stats: AdvertStats,
     /// Evicted adverts a probe would have matched, awaiting re-derivation.
     rederive_wanted: BTreeSet<DerivedId>,
+    /// Not-yet-`gone` slots of each origin query. Retirement is terminal,
+    /// so a retiring query takes its bucket with it.
+    by_origin: HashMap<QueryId, Vec<u32>>,
+    /// Every slot hosted on each node, keyed by node id. `gone` slots stay:
+    /// a crash or rejoin still flips their `host_down` flag, which the
+    /// fingerprint and snapshots record.
+    by_host: Vec<Vec<u32>>,
+    /// Not-yet-`gone` slots keyed by their smallest covered stream. An
+    /// advert a query can use covers a subset of its sources, so it sits in
+    /// the bucket of one of them; `gone` slots are inert to probes and to
+    /// duplicate suppression and drop out.
+    by_stream: Vec<Vec<u32>>,
+    /// The Live slots as `(last_used, slot index)`: the first element is
+    /// the eviction victim.
+    live_lru: BTreeSet<(u64, u32)>,
+}
+
+/// The bucket of a dense `id -> slot indices` table, empty when the table
+/// never grew that far.
+fn bucket(table: &[Vec<u32>], key: u32) -> &[u32] {
+    table.get(key as usize).map_or(&[], Vec::as_slice)
+}
+
+/// Append `idx` to `key`'s bucket, growing the table to reach it.
+fn bucket_push(table: &mut Vec<Vec<u32>>, key: u32, idx: u32) {
+    let key = key as usize;
+    if table.len() <= key {
+        table.resize_with(key + 1, Vec::new);
+    }
+    table[key].push(idx);
 }
 
 impl ReuseRegistry {
@@ -311,33 +354,31 @@ impl ReuseRegistry {
             // base advertisement already covers them.
             return None;
         }
-        let mut reinstate: Option<usize> = None;
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.stream.host != host
-                || s.stream.covered != covered
-                || !same_selection_set(&s.stream.selections, &selections)
-            {
-                continue;
+        // A twin — same signature and host — can only sit in the bucket of
+        // the smallest covered stream. Retired twins are dead history: a new
+        // operator with their signature gets a fresh advert below.
+        let mut visited = 0u64;
+        let twin = bucket(&self.by_stream, covered.as_slice()[0].0)
+            .iter()
+            .map(|&i| i as usize)
+            .find(|&i| {
+                visited += 1;
+                let s = &self.slots[i];
+                s.stream.host == host
+                    && s.stream.covered == covered
+                    && same_selection_set(&s.stream.selections, &selections)
+                    && s.state() != AdvertState::Retired
+            });
+        dsq_obs::counter("advert.slots_visited", visited);
+        if let Some(i) = twin {
+            if self.slots[i].state() == AdvertState::Live {
+                self.stats.suppressed += 1;
+                dsq_obs::counter("advert.suppressed", 1);
+                return None;
             }
-            match s.state() {
-                AdvertState::Live => {
-                    self.stats.suppressed += 1;
-                    dsq_obs::counter("advert.suppressed", 1);
-                    return None;
-                }
-                // The same stream is being materialized again: the evicted
-                // slot comes back under its original id instead of leaking
-                // a duplicate.
-                AdvertState::Evicted => {
-                    reinstate = Some(i);
-                    break;
-                }
-                // Retired slots are dead history; a new operator with the
-                // same signature gets a fresh advert below.
-                AdvertState::Retired => {}
-            }
-        }
-        if let Some(i) = reinstate {
+            // The same stream is being materialized again: the evicted slot
+            // comes back under its original id instead of leaking a
+            // duplicate.
             let id = self.slots[i].stream.id;
             self.rederive(id);
             return Some(id);
@@ -361,12 +402,30 @@ impl ReuseRegistry {
             evicted: false,
             last_used: self.clock,
         };
-        self.slots.push(slot);
+        self.push_slot(slot);
         self.stats.published += 1;
         self.stats.live += 1;
         dsq_obs::counter("advert.published", 1);
         self.enforce_budget();
         Some(id)
+    }
+
+    /// Append a slot and enter it into the indices — the one place slots
+    /// are created, for fresh adverts and snapshot restores alike.
+    fn push_slot(&mut self, slot: AdvertSlot) {
+        let idx = self.slots.len() as u32;
+        bucket_push(&mut self.by_host, slot.stream.host.0, idx);
+        if !slot.gone {
+            self.by_origin
+                .entry(slot.stream.origin)
+                .or_default()
+                .push(idx);
+            bucket_push(&mut self.by_stream, slot.first_stream(), idx);
+        }
+        if slot.state() == AdvertState::Live {
+            self.live_lru.insert((slot.last_used, idx));
+        }
+        self.slots.push(slot);
     }
 
     /// Evict the coldest live adverts until the live set fits the budget.
@@ -375,21 +434,14 @@ impl ReuseRegistry {
             return;
         }
         while self.stats.live as usize > self.budget {
-            let coldest = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.state() == AdvertState::Live)
-                .min_by_key(|(i, s)| (s.last_used, *i))
-                .map(|(i, _)| i)
-                .expect("live count > 0");
-            self.transition(coldest, |s| s.evicted = true);
+            let &(_, coldest) = self.live_lru.first().expect("live count > 0");
+            self.transition(coldest as usize, |s| s.evicted = true);
             dsq_obs::counter("advert.evicted", 1);
         }
     }
 
-    /// Apply a flag change to one slot, keeping the bucket gauges
-    /// conserved across the state transition.
+    /// Apply a lifecycle-flag change to one slot, keeping the bucket gauges
+    /// conserved and the Live ordering current across the state transition.
     fn transition(&mut self, idx: usize, f: impl FnOnce(&mut AdvertSlot)) {
         let before = self.slots[idx].state();
         f(&mut self.slots[idx]);
@@ -397,17 +449,35 @@ impl ReuseRegistry {
         if before == after {
             return;
         }
+        let key = (self.slots[idx].last_used, idx as u32);
         match before {
-            AdvertState::Live => self.stats.live -= 1,
+            AdvertState::Live => {
+                self.stats.live -= 1;
+                self.live_lru.remove(&key);
+            }
             AdvertState::Retired => self.stats.retired -= 1,
             AdvertState::Evicted => self.stats.evicted -= 1,
         }
         match after {
-            AdvertState::Live => self.stats.live += 1,
+            AdvertState::Live => {
+                self.stats.live += 1;
+                self.live_lru.insert(key);
+            }
             AdvertState::Retired => self.stats.retired += 1,
             AdvertState::Evicted => self.stats.evicted += 1,
         }
         debug_assert!(self.stats.conserved());
+    }
+
+    /// Stamp a Live slot with a fresh recency clock value (publish,
+    /// served probe hit, re-derivation).
+    fn touch(&mut self, idx: usize) {
+        self.clock += 1;
+        let slot = &mut self.slots[idx];
+        debug_assert_eq!(slot.state(), AdvertState::Live);
+        self.live_lru.remove(&(slot.last_used, idx as u32));
+        slot.last_used = self.clock;
+        self.live_lru.insert((slot.last_used, idx as u32));
     }
 
     /// Retire every advert published by `origin`'s deployments (the query
@@ -415,15 +485,22 @@ impl ReuseRegistry {
     /// torn down). Terminal: a later deployment of the same query publishes
     /// fresh adverts. Returns how many adverts changed state.
     pub fn retire_query(&mut self, origin: QueryId) -> usize {
+        let Some(owned) = self.by_origin.remove(&origin) else {
+            return 0;
+        };
+        dsq_obs::counter("advert.slots_visited", owned.len() as u64);
         let mut changed = 0;
-        for i in 0..self.slots.len() {
-            if self.slots[i].stream.origin == origin && !self.slots[i].gone {
-                let before = self.slots[i].state();
-                self.transition(i, |s| s.gone = true);
-                self.rederive_wanted.remove(&self.slots[i].stream.id);
-                if before != AdvertState::Retired {
-                    changed += 1;
-                }
+        for idx in owned {
+            let i = idx as usize;
+            let before = self.slots[i].state();
+            self.transition(i, |s| s.gone = true);
+            self.rederive_wanted.remove(&self.slots[i].stream.id);
+            let peers = &mut self.by_stream[self.slots[i].first_stream() as usize];
+            if let Ok(at) = peers.binary_search(&idx) {
+                peers.remove(at);
+            }
+            if before != AdvertState::Retired {
+                changed += 1;
             }
         }
         if changed > 0 {
@@ -436,15 +513,19 @@ impl ReuseRegistry {
     /// overlay). Reversed by [`Self::host_rejoined`] unless the origin
     /// query also went away. Returns how many adverts changed state.
     pub fn host_crashed(&mut self, node: NodeId) -> usize {
+        let hosted = bucket(&self.by_host, node.0).len();
+        dsq_obs::counter("advert.slots_visited", hosted as u64);
         let mut changed = 0;
-        for i in 0..self.slots.len() {
-            if self.slots[i].stream.host == node && !self.slots[i].host_down {
-                let before = self.slots[i].state();
-                self.transition(i, |s| s.host_down = true);
-                self.rederive_wanted.remove(&self.slots[i].stream.id);
-                if before != AdvertState::Retired {
-                    changed += 1;
-                }
+        for k in 0..hosted {
+            let i = self.by_host[node.0 as usize][k] as usize;
+            if self.slots[i].host_down {
+                continue;
+            }
+            let before = self.slots[i].state();
+            self.transition(i, |s| s.host_down = true);
+            self.rederive_wanted.remove(&self.slots[i].stream.id);
+            if before != AdvertState::Retired {
+                changed += 1;
             }
         }
         if changed > 0 {
@@ -457,20 +538,49 @@ impl ReuseRegistry {
     /// overlay (unless their origin query is gone — that retirement is
     /// terminal). Returns how many adverts changed state.
     pub fn host_rejoined(&mut self, node: NodeId) -> usize {
+        let hosted = bucket(&self.by_host, node.0).len();
+        dsq_obs::counter("advert.slots_visited", hosted as u64);
         let mut changed = 0;
-        for i in 0..self.slots.len() {
-            if self.slots[i].stream.host == node && self.slots[i].host_down {
-                let before = self.slots[i].state();
-                self.transition(i, |s| s.host_down = false);
-                if self.slots[i].state() != before {
-                    changed += 1;
-                }
+        for k in 0..hosted {
+            let i = self.by_host[node.0 as usize][k] as usize;
+            if !self.slots[i].host_down {
+                continue;
+            }
+            let before = self.slots[i].state();
+            self.transition(i, |s| s.host_down = false);
+            if self.slots[i].state() != before {
+                changed += 1;
             }
         }
         if changed > 0 {
             dsq_obs::counter("advert.reinstated", changed as u64);
         }
         changed
+    }
+
+    /// The slots whose covered streams are a subset of `query`'s sources,
+    /// ascending. Only the `by_stream` buckets of those sources are looked
+    /// at: a subset's smallest stream is one of them.
+    fn probe_candidates(&self, query: &Query) -> Vec<usize> {
+        let source_bits = InputSet::from_bits(query.sources.iter().map(|s| s.0 as usize));
+        let mut visited = 0;
+        let mut out = Vec::new();
+        for s in &query.sources {
+            let under = bucket(&self.by_stream, s.0);
+            visited += under.len();
+            out.extend(
+                under
+                    .iter()
+                    .map(|&i| i as usize)
+                    .filter(|&i| self.slots[i].bits.is_subset_of(&source_bits)),
+            );
+        }
+        // Buckets are ascending and disjoint; their union is not (and a
+        // malformed query may name a source twice).
+        out.sort_unstable();
+        out.dedup();
+        dsq_obs::counter("advert.slots_visited", visited as u64);
+        out
     }
 
     /// Derived streams usable for `query`, already converted into plan
@@ -496,13 +606,9 @@ impl ReuseRegistry {
         query: &Query,
         is_active: impl Fn(NodeId) -> bool,
     ) -> Vec<LeafSource> {
-        let source_bits = InputSet::from_bits(query.sources.iter().map(|s| s.0 as usize));
         let mut out = Vec::new();
-        for i in 0..self.slots.len() {
+        for i in self.probe_candidates(query) {
             let s = &self.slots[i];
-            if !s.bits.is_subset_of(&source_bits) {
-                continue;
-            }
             let required = restrict_selections(&query.selections, &s.stream.covered);
             if !selections_compatible(&s.stream.selections, &required) {
                 continue;
@@ -528,8 +634,7 @@ impl ReuseRegistry {
                 rate,
                 host: s.stream.host,
             });
-            self.clock += 1;
-            self.slots[i].last_used = self.clock;
+            self.touch(i);
         }
         self.stats.reuse_candidates_served += out.len() as u64;
         dsq_obs::counter("advert.reuse_candidates_served", out.len() as u64);
@@ -542,13 +647,9 @@ impl ReuseRegistry {
     /// This is the naive matching rule the reuse-matching ablation compares
     /// against.
     pub fn usable_for_exact(&mut self, query: &Query) -> Vec<LeafSource> {
-        let source_bits = InputSet::from_bits(query.sources.iter().map(|s| s.0 as usize));
         let mut out = Vec::new();
-        for i in 0..self.slots.len() {
+        for i in self.probe_candidates(query) {
             let s = &self.slots[i];
-            if !s.bits.is_subset_of(&source_bits) {
-                continue;
-            }
             let required = restrict_selections(&query.selections, &s.stream.covered);
             if !same_selection_set(&s.stream.selections, &required) {
                 continue;
@@ -567,8 +668,7 @@ impl ReuseRegistry {
                 rate: s.stream.rate,
                 host: s.stream.host,
             });
-            self.clock += 1;
-            self.slots[i].last_used = self.clock;
+            self.touch(i);
         }
         self.stats.reuse_candidates_served += out.len() as u64;
         out
@@ -602,8 +702,7 @@ impl ReuseRegistry {
             return false;
         }
         self.transition(idx, |s| s.evicted = false);
-        self.clock += 1;
-        self.slots[idx].last_used = self.clock;
+        self.touch(idx);
         self.rederive_wanted.remove(&id);
         self.stats.rederived += 1;
         dsq_obs::counter("advert.rederived", 1);
@@ -698,7 +797,13 @@ impl ReuseRegistry {
                 self.slots.len()
             ));
         }
-        self.slots.push(AdvertSlot {
+        if stream.covered.len() < 2 {
+            return Err(format!(
+                "advert {} covers fewer than two streams",
+                stream.id.0
+            ));
+        }
+        self.push_slot(AdvertSlot {
             bits: InputSet::from_stream_set(&stream.covered),
             stream,
             gone,
@@ -1135,6 +1240,28 @@ mod tests {
         assert_eq!(reg.live_len(), 64);
         assert_eq!(reg.stats().evicted, 0);
         assert!(reg.stats().conserved());
+    }
+
+    #[test]
+    fn restore_rejects_an_advert_that_could_not_have_been_published() {
+        // Adverts cover at least two streams (`advertise` refuses fewer);
+        // the stream index relies on it, so a snapshot line claiming
+        // otherwise is refused instead of indexed.
+        let mut reg = ReuseRegistry::new();
+        let stream = DerivedStream {
+            id: DerivedId(0),
+            operator: OperatorId(0),
+            covered: StreamSet::singleton(StreamId(3)),
+            selections: vec![],
+            rate: 1.0,
+            host: NodeId(0),
+            origin: QueryId(0),
+        };
+        let err = reg
+            .restore_slot(stream, false, false, false, 1)
+            .unwrap_err();
+        assert!(err.contains("fewer than two streams"), "{err}");
+        assert!(reg.is_empty());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! clients register, unregister and replan standing queries and report
 //! node/link faults over a JSONL protocol ([`protocol`]); the service
 //! batches admission bursts and applies each batch as a single
-//! [`dsq_core::optimize_all`] / [`dsq_core::optimize_dirty`] planning
-//! wave, handing plans off under a monotone epoch number.
+//! [`dsq_core::optimize_all`] planning wave over the queries that need a
+//! plan — standing queries are not handed to the planner — handing plans
+//! off under a monotone epoch number.
 //!
 //! Robustness is the point of the crate:
 //!

@@ -202,10 +202,16 @@ impl PlanningService {
         }
         if let Some(path) = self.snapshot_path() {
             // Snapshots are an optimization; failing to write one only
-            // costs recovery time, so errors are not fatal. Compaction runs
-            // only once the snapshot is durably on disk — a failed write
-            // must leave the full journal replayable.
-            if std::fs::write(&path, snapshot::write(&self.core)).is_ok() {
+            // costs recovery time, so errors are not fatal. The text goes
+            // to a sibling file and is renamed over the live snapshot, so
+            // a kill mid-write leaves the previous snapshot whole (like the
+            // journal, this guards against process death, not power loss).
+            // Compaction runs only once the rename has succeeded — until
+            // then the journal must still hold the prefix.
+            let tmp = PathBuf::from(format!("{}.tmp", path.display()));
+            let installed = std::fs::write(&tmp, snapshot::write(&self.core))
+                .and_then(|()| std::fs::rename(&tmp, &path));
+            if installed.is_ok() {
                 let _ = self.journal.compact(self.core.entries_applied);
             }
         }

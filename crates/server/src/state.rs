@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use dsq_core::{optimize_all, optimize_dirty, Environment, ParallelConfig, TopDown};
+use dsq_core::{optimize_all, Environment, ParallelConfig, TopDown};
 use dsq_net::{LinkRepair, NodeId};
 use dsq_obs::Value;
 use dsq_query::{Catalog, Deployment, Query, QueryId, ReuseRegistry, StreamId};
@@ -394,7 +394,7 @@ impl ServiceCore {
         } else {
             self.cfg.replan_budget
         };
-        let mut selected: HashSet<u32> = HashSet::new();
+        let mut selected: Vec<u32> = Vec::new();
         let mut park: Vec<u32> = Vec::new();
         let mut stale_now: Vec<u32> = Vec::new();
         for (&id, slot) in &self.slots {
@@ -408,7 +408,7 @@ impl ServiceCore {
                 continue;
             }
             if selected.len() < budget {
-                selected.insert(id);
+                selected.push(id);
             } else {
                 summary.deferred += 1;
             }
@@ -416,7 +416,7 @@ impl ServiceCore {
         for (&id, slot) in &self.slots {
             if slot.status == SlotStatus::Planned && slot.dirty {
                 if selected.len() < budget {
-                    selected.insert(id);
+                    selected.push(id);
                 } else {
                     stale_now.push(id);
                 }
@@ -435,53 +435,26 @@ impl ServiceCore {
         }
         dsq_obs::counter("server.stale_served", stale_now.len() as u64);
 
-        // 3. One planner call over the id-ordered planning set: kept slots
-        //    pass their prior deployment (bit-for-bit preserved), selected
-        //    slots pass `None` and get replanned.
-        let mut ids: Vec<u32> = Vec::new();
-        let mut queries: Vec<Query> = Vec::new();
-        let mut prior: Vec<Option<Deployment>> = Vec::new();
-        for (&id, slot) in &self.slots {
-            let in_wave = selected.contains(&id);
-            if slot.status == SlotStatus::Planned || in_wave {
-                ids.push(id);
-                queries.push(slot.query.clone());
-                prior.push(if in_wave {
-                    None
-                } else {
-                    slot.deployment.clone()
-                });
-            }
-        }
-        if !ids.is_empty() {
+        // 3. One planner call over the wave alone, in id order. Standing
+        //    slots are neither read nor written: a drain costs its wave,
+        //    whatever the population behind it.
+        selected.sort_unstable();
+        if !selected.is_empty() {
+            let queries: Vec<Query> = selected
+                .iter()
+                .map(|id| self.slots[id].query.clone())
+                .collect();
             let optimizer = TopDown::new(&self.env);
-            let registry = ReuseRegistry::new();
-            let pcfg = ParallelConfig::serial();
-            let outcome = if prior.iter().all(Option::is_none) {
-                optimize_all(
-                    &self.env,
-                    &optimizer,
-                    &self.catalog,
-                    &queries,
-                    &registry,
-                    &pcfg,
-                )
-            } else {
-                optimize_dirty(
-                    &self.env,
-                    &optimizer,
-                    &self.catalog,
-                    &queries,
-                    &prior,
-                    &HashSet::new(),
-                    &registry,
-                    &pcfg,
-                )
-            };
-            for (i, id) in ids.iter().enumerate() {
-                if !selected.contains(id) {
-                    continue;
-                }
+            let outcome = optimize_all(
+                &self.env,
+                &optimizer,
+                &self.catalog,
+                &queries,
+                &ReuseRegistry::new(),
+                &ParallelConfig::serial(),
+            );
+            for ((id, query), deployment) in selected.iter().zip(&queries).zip(outcome.deployments)
+            {
                 // Advert lifecycle mirror, in id order (deterministic): the
                 // slot's previous operators are torn down by the replan, so
                 // its old adverts retire; a successful plan then probes the
@@ -489,18 +462,16 @@ impl ServiceCore {
                 // planning wave itself ran on base leaves) and publishes the
                 // new deployment's operators.
                 self.registry.retire_query(QueryId(*id));
-                let replanned_ok = outcome.deployments[i].is_some();
-                if replanned_ok {
+                if let Some(d) = &deployment {
                     let hierarchy = &self.env.hierarchy;
                     let _ = self
                         .registry
-                        .usable_for_live(&queries[i], |n| hierarchy.is_active(n));
-                    self.registry
-                        .register_deployment(&queries[i], outcome.deployments[i].as_ref().unwrap());
+                        .usable_for_live(query, |n| hierarchy.is_active(n));
+                    self.registry.register_deployment(query, d);
                 }
                 let slot = self.slots.get_mut(id).unwrap();
                 let was_planned = slot.status == SlotStatus::Planned;
-                match outcome.deployments[i].clone() {
+                match deployment {
                     Some(d) => {
                         if was_planned {
                             summary.replanned += 1;

@@ -208,3 +208,49 @@ fn snapshot_fast_forward_recovery_matches_full_replay() {
     assert_eq!(crashed.responses, reference.responses);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_torn_snapshot_temp_file_is_ignored_and_then_replaced() {
+    // What a kill inside a snapshot write leaves behind: a truncated
+    // `<journal>.snap.tmp` beside the previous, whole `.snap` and the
+    // journal compacted up to it. Recovery must read the whole one; the
+    // recovered service's next snapshot then replaces the leftover.
+    let cfg = ServiceConfig {
+        snapshot_every: 1,
+        ..ServiceConfig::default()
+    };
+    let lines = generate_script(&cfg, &small_script());
+    let dir = temp_dir("torn-snapshot");
+    let path = dir.join("torn.journal");
+    let snap = PathBuf::from(format!("{}.snap", path.display()));
+    let tmp = PathBuf::from(format!("{}.snap.tmp", path.display()));
+
+    let mut svc = PlanningService::new(cfg, Some(&path)).unwrap();
+    for l in &lines {
+        svc.submit_line(l);
+    }
+    assert!(
+        svc.journal_retained() < svc.journal_len(),
+        "the journal was compacted behind the snapshot"
+    );
+    assert!(
+        !tmp.exists(),
+        "a finished snapshot write leaves no temp file"
+    );
+    let live = svc.fingerprint();
+    drop(svc);
+    let whole = std::fs::read(&snap).unwrap();
+    std::fs::write(&tmp, &whole[..whole.len() / 2]).unwrap();
+
+    let mut recovered = PlanningService::recover_from_path(&path).unwrap();
+    assert_eq!(recovered.fingerprint(), live);
+
+    recovered.submit_line(r#"{"op":"replan","id":0,"at_ms":900000}"#);
+    recovered.submit_line(r#"{"op":"drain","at_ms":900001}"#);
+    assert!(!tmp.exists(), "the next snapshot renames over the leftover");
+    let live = recovered.fingerprint();
+    drop(recovered);
+    let again = PlanningService::recover_from_path(&path).unwrap();
+    assert_eq!(again.fingerprint(), live);
+    std::fs::remove_dir_all(&dir).ok();
+}
