@@ -49,7 +49,7 @@ use crate::engine::{ClusterPlanner, InputKind, PlannerInput, PlannerOutput};
 use crate::placed::PlacedTree;
 use crate::stats::SearchStats;
 use dsq_hierarchy::{ClusterId, Hierarchy, HierarchyDelta};
-use dsq_net::{DistanceMatrix, NodeId};
+use dsq_net::{ChangedEntries, DistanceMatrix, NodeId};
 use dsq_query::{Catalog, DerivedId, InputSet, LeafSource, StreamId};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -324,6 +324,12 @@ impl PlanCache {
         self.len() == 0
     }
 
+    /// The committed keys, in no particular order.
+    pub fn keys(&self) -> Vec<PlanKey> {
+        let inner = self.inner.lock().unwrap();
+        inner.committed.keys().cloned().collect()
+    }
+
     /// Drop every entry (committed and staged) and advance the epoch, so
     /// keys built before the invalidation can never match again. Called on
     /// every adaptation that changes distances, the hierarchy, or the
@@ -409,6 +415,10 @@ impl PlanCache {
     /// unchanged values and keeps hitting. Two identical matrices retire
     /// nothing — a monitor round that rebuilt the matrix to the same values
     /// keeps the whole cache. Returns the number of entries retired.
+    ///
+    /// This arm scans both matrices, so it costs n² whatever changed; fault
+    /// surgery retires through [`retire_changed`](Self::retire_changed)
+    /// instead, and `tests/cache_props.rs` holds the two to the same keys.
     pub fn retire_metric(&self, old: &DistanceMatrix, new: &DistanceMatrix) -> u64 {
         let dirty = metric_dirty_nodes(old, new);
         if dirty.is_empty() {
@@ -422,6 +432,23 @@ impl PlanCache {
                         .iter()
                         .any(|&v| old.get(u, v).to_bits() != new.get(u, v).to_bits())
             })
+        })
+    }
+
+    /// [`retire_metric`](Self::retire_metric) driven by the repair's own
+    /// record of the entries it changed instead of a scan of two matrices:
+    /// the same rule — an entry goes iff two of its
+    /// [`EntryDeps::metric_nodes`] `u < v` have a changed `(u, v)` — at a
+    /// cost sized by the change. Returns the number of entries retired.
+    pub fn retire_changed(&self, changed: &ChangedEntries) -> u64 {
+        if changed.is_empty() {
+            return 0;
+        }
+        self.retire_where(|_, entry| {
+            let m = &entry.deps.metric_nodes;
+            m.iter()
+                .enumerate()
+                .any(|(i, &u)| sorted_intersect(&m[i + 1..], changed.row(u)))
         })
     }
 
@@ -559,6 +586,21 @@ impl Drop for CommitHold<'_> {
     fn drop(&mut self) {
         self.cache.holds.fetch_sub(1, Ordering::Relaxed);
     }
+}
+
+/// Whether two ascending id lists share an element. Leapfrogs: each side
+/// binary-searches past the run the other cannot match, so lists over
+/// disjoint id ranges — a cluster's nodes against the one stub domain a
+/// repair moved — part in a step or two.
+fn sorted_intersect(mut nodes: &[NodeId], mut cols: &[u32]) -> bool {
+    while let (Some(&x), Some(&y)) = (nodes.first(), cols.first()) {
+        match x.0.cmp(&y) {
+            std::cmp::Ordering::Equal => return true,
+            std::cmp::Ordering::Less => nodes = &nodes[nodes.partition_point(|v| v.0 < y)..],
+            std::cmp::Ordering::Greater => cols = &cols[cols.partition_point(|&c| c < x.0)..],
+        }
+    }
+    false
 }
 
 /// Nodes involved in at least one changed pairwise distance between two

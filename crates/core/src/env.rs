@@ -208,22 +208,23 @@ impl Environment {
     }
 
     /// Set the cost of link `a`–`b` and bring the distance matrix (repaired
-    /// incrementally under [`Self::metric`]; bit-identical to a fresh
+    /// in place under [`Self::metric`]; bit-identical to a fresh
     /// [`DistanceMatrix::build`]), the subplan cache and the hierarchy's
     /// cost statistics up to date. Returns how the matrix was repaired, or
-    /// `None` (environment untouched) when there is no such link.
+    /// `None` (environment untouched) when there is no such link. A cost
+    /// that leaves the weight under [`Self::metric`] as it was — any cost, to
+    /// a latency environment — changes the network's price and nothing else.
     pub fn reprice_link(&mut self, a: NodeId, b: NodeId, new_cost: f64) -> Option<LinkRepair> {
         let old_w = self.metric.weight(self.network.find_link(a, b)?);
         self.network.set_link_cost(a, b, new_cost);
-        let (new_dm, repair) = self
-            .dm
-            .repaired_after_link_change(&self.network, a, b, old_w);
-        // Pair-aware: an entry goes only if two nodes it consulted moved
-        // apart, so a drift on a far-away link — or a no-op re-pricing —
-        // leaves the cache intact.
-        self.plan_cache.retire_metric(&self.dm, &new_dm);
-        self.dm = new_dm;
-        self.hierarchy.refresh_statistics(&self.dm);
+        let (repair, changed) = self.dm.repair_link_change(&self.network, a, b, old_w);
+        dsq_obs::counter("net.repair.nodes_settled", changed.nodes_settled());
+        if !changed.is_empty() {
+            // Pair-aware: an entry goes only if two nodes it consulted moved
+            // apart, so a drift on a far-away link leaves the cache intact.
+            self.plan_cache.retire_changed(&changed);
+            self.hierarchy.refresh_statistics(&self.dm);
+        }
         Some(repair)
     }
 }

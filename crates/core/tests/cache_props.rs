@@ -1,9 +1,11 @@
 //! Property tests for the subplan cache's canonicalization machinery:
 //! positional tag remapping must be a lossless round trip, cache keys must
 //! ignore tag labels (and nothing else), and a cache hit whose tags are
-//! remapped must rebuild the same deployment a cold miss computes.
+//! remapped must rebuild the same deployment a cold miss computes. And the
+//! retirement a link repair drives from its own changed-entry record must
+//! match the matrix-diffing reference, key for key.
 
-use dsq_core::cache::{external_tags, retag, PlanCache};
+use dsq_core::cache::{external_tags, retag, PlanCache, PlanKey};
 use dsq_core::engine::{ClusterPlanner, PlannerInput};
 use dsq_core::placed::PlacedTree;
 use dsq_core::{optimize_all, Environment, ParallelConfig};
@@ -12,6 +14,7 @@ use dsq_net::{NodeId, TransitStubConfig};
 use dsq_query::{Catalog, Query, QueryId, ReuseRegistry, Schema, StreamId, StreamSet};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashSet;
 
 /// A random `PlacedTree` whose `External` leaves use exactly `tags` (each
 /// once), mixed with base-stream leaves, joined in random shape.
@@ -220,4 +223,85 @@ proptest::proptest! {
             }
         }
     }
+}
+
+/// `Environment::reprice_link` retires from the repair's changed-entry
+/// record; `retire_metric(&old, &new)` — which diffs the two matrices pair
+/// by pair — is the reference arm. Over seeded degrades on warm twin caches
+/// both must leave exactly the same keys and the same retired count.
+#[test]
+fn record_driven_retirement_matches_the_matrix_diff() {
+    let net = TransitStubConfig::paper_128().generate(9).network;
+    let mut base = Environment::build(net, 16);
+    let wl = dsq_workload::WorkloadGenerator::new(
+        dsq_workload::WorkloadConfig {
+            streams: 24,
+            queries: 40,
+            joins_per_query: 2..=3,
+            source_skew: Some(1.0),
+            ..dsq_workload::WorkloadConfig::default()
+        },
+        9,
+    )
+    .generate(&base.network);
+    base.isolate_cache(true);
+    let mut twin = base.clone();
+    twin.isolate_cache(true);
+    let warm = |env: &Environment| {
+        optimize_all(
+            env,
+            &dsq_core::TopDown::new(env),
+            &wl.catalog,
+            &wl.queries,
+            &ReuseRegistry::new(),
+            &ParallelConfig::serial(),
+        );
+    };
+    let keys = |env: &Environment| {
+        env.plan_cache
+            .keys()
+            .into_iter()
+            .collect::<HashSet<PlanKey>>()
+    };
+
+    let mut rng = ChaCha8Rng::seed_from_u64(0xD15C);
+    let (mut kept_some, mut spared_all) = (0, 0);
+    for step in 0..20 {
+        warm(&base);
+        warm(&twin);
+        let before = keys(&base);
+        assert!(!before.is_empty(), "step {step}: planning warmed the cache");
+        assert_eq!(before, keys(&twin), "step {step}: twins warmed alike");
+
+        let a = NodeId(rng.gen_range(0..base.network.len() as u32));
+        let b = base.network.neighbors(a)[rng.gen_range(0..base.network.degree(a))].to;
+        // Mostly increases (the in-place repair), some decreases (the rebuild
+        // fallback, whose record is the full diff).
+        let factor = [1.5, 4.0, 10.0, 0.5][rng.gen_range(0..4usize)];
+        let new_cost = base.network.find_link(a, b).unwrap().cost * factor;
+
+        base.reprice_link(a, b, new_cost).expect("a real link");
+
+        let old_w = twin.metric.weight(twin.network.find_link(a, b).unwrap());
+        twin.network.set_link_cost(a, b, new_cost);
+        let (new_dm, _) = twin
+            .dm
+            .repaired_after_link_change(&twin.network, a, b, old_w);
+        twin.plan_cache.retire_metric(&twin.dm, &new_dm);
+        twin.dm = new_dm;
+        twin.hierarchy.refresh_statistics(&twin.dm);
+
+        let after = keys(&base);
+        assert_eq!(after, keys(&twin), "step {step}: surviving keys differ");
+        assert_eq!(
+            base.plan_cache.retired(),
+            twin.plan_cache.retired(),
+            "step {step}: retired counts differ"
+        );
+        kept_some += usize::from(!after.is_empty() && after.len() < before.len());
+        spared_all += usize::from(after.len() == before.len());
+    }
+    assert!(base.plan_cache.retired() > 0);
+    assert!(kept_some > 0, "no degrade retired only part of the cache");
+    assert!(spared_all < 20, "every degrade missed the cache");
 }

@@ -44,5 +44,5 @@ pub use csr::CsrGraph;
 pub use embedding::CostSpace;
 pub use graph::{Link, LinkKind, Network, NodeId, NodeKind};
 pub use io::{parse_topology, write_topology, TopologyParseError};
-pub use paths::{DistanceMatrix, LinkRepair, Metric, RouteTable};
+pub use paths::{ChangedEntries, DistanceMatrix, LinkRepair, Metric, RouteTable};
 pub use topology::{TransitStubConfig, TransitStubNetwork};

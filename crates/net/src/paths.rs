@@ -111,20 +111,201 @@ pub struct DistanceMatrix {
 /// matrices; the dsqctl default of 128 stays sequential).
 pub const PARALLEL_THRESHOLD: usize = 192;
 
-/// How [`DistanceMatrix::repaired_after_link_change`] serviced a single-link
-/// weight change.
+/// How [`DistanceMatrix::repair_link_change`] serviced a single-link weight
+/// change.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum LinkRepair {
     /// Only the rows whose shortest-path tree could have used the changed
-    /// link were re-relaxed; all other rows were carried over untouched.
+    /// link were repaired, each over the subtree hanging off the link; all
+    /// other entries were left untouched.
     Incremental {
-        /// Number of source rows re-run.
+        /// Number of source rows repaired.
         rows: usize,
     },
     /// The full matrix was rebuilt: the link's weight *decreased* (or the
     /// link vanished), so previously non-tight paths through it may now win
     /// and the cheap tightness test cannot bound the affected rows.
     Rebuilt,
+}
+
+/// The `(row, column)` entries whose bits one
+/// [`DistanceMatrix::repair_link_change`] changed — no entry missing, none
+/// spurious — so what a repair costs downstream (subplan retirement) is
+/// sized by the change, not by n².
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ChangedEntries {
+    /// `ends[r]` is where row `r`'s run in `cols` ends (it starts where row
+    /// `r - 1`'s ends); rows past `ends.len()` changed nothing.
+    ends: Vec<usize>,
+    /// Changed columns, ascending within each row's run.
+    cols: Vec<u32>,
+    settled: u64,
+}
+
+impl ChangedEntries {
+    /// True when the repair left every distance bit as it was.
+    pub fn is_empty(&self) -> bool {
+        self.cols.is_empty()
+    }
+
+    /// Number of changed `(row, column)` entries.
+    pub fn len(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// The changed columns of `row`, ascending (empty when none changed).
+    pub fn row(&self, row: NodeId) -> &[u32] {
+        let r = row.index();
+        match self.ends.get(r) {
+            Some(&end) => &self.cols[if r == 0 { 0 } else { self.ends[r - 1] }..end],
+            None => &[],
+        }
+    }
+
+    /// Every changed entry as `(row, column)`, in row-major order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        (0..self.ends.len() as u32).flat_map(move |r| {
+            let row = NodeId(r);
+            self.row(row).iter().map(move |&c| (row, NodeId(c)))
+        })
+    }
+
+    /// Work the repair did, in distance entries re-derived: one per node a
+    /// restricted Dijkstra settled, a full row for every row that fell back
+    /// to a whole single-source run, n² for a rebuild.
+    pub fn nodes_settled(&self) -> u64 {
+        self.settled
+    }
+
+    /// Close row `s`, whose changed columns are `cols[start..]` in any order.
+    /// Rows close in ascending order; the ones skipped changed nothing.
+    fn close_row(&mut self, s: usize, start: usize) {
+        if self.cols.len() > start {
+            self.cols[start..].sort_unstable();
+            self.ends.resize(s, start);
+            self.ends.push(self.cols.len());
+        }
+    }
+
+    /// Record row `s` as the columns where `old` and `new` differ in bits.
+    fn record_row_diff(&mut self, s: usize, old: &[f64], new: &[f64]) {
+        let start = self.cols.len();
+        for (c, (o, w)) in old.iter().zip(new).enumerate() {
+            if o.to_bits() != w.to_bits() {
+                self.cols.push(c as u32);
+            }
+        }
+        self.close_row(s, start);
+    }
+}
+
+/// Per-row scratch of [`DistanceMatrix::repair_link_change`], reused across
+/// the rows of one repair.
+struct RepairScratch {
+    /// Node already collected into `affected` (cleared after each row).
+    seen: Vec<bool>,
+    stack: Vec<u32>,
+    /// The affected nodes of the current row with their pre-repair distance.
+    affected: Vec<(u32, f64)>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+/// Repair one tight row in place after the weight of link `near`–`far` rose
+/// from `old_w`; `far` is the endpoint the row reached *through* the link
+/// (`row[near] + old_w == row[far]`, and not the mirror). `net` carries the
+/// new weights. Appends the columns whose bits changed to `changed_cols`
+/// and returns the number of nodes settled.
+///
+/// Only the tight-edge descendants of `far` — edge `v→x` is tight iff
+/// `row[v] + w == row[x]` under the old weights — can have relied on the
+/// link: every other node keeps an all-tight path from the source that
+/// avoids it (its Dijkstra predecessor chain), which costs what it did, and
+/// no path got cheaper. The descendants are reset, seeded from their
+/// neighbours at the new weights and settled by a Dijkstra that never leaves
+/// the set (a relaxation out of it cannot beat an already-final distance).
+/// Distances are the minimum over paths of the left-to-right `d + w` sum,
+/// whichever order nodes settle in, so the row comes out bit-identical to a
+/// fresh single-source run.
+fn resettle_descendants(
+    net: &Network,
+    metric: Metric,
+    row: &mut [f64],
+    (near, far, old_w): (NodeId, NodeId, f64),
+    scratch: &mut RepairScratch,
+    changed_cols: &mut Vec<u32>,
+) -> u64 {
+    let RepairScratch {
+        seen,
+        stack,
+        affected,
+        heap,
+    } = scratch;
+    seen[far.index()] = true;
+    stack.push(far.0);
+    while let Some(v) = stack.pop() {
+        let dv = row[v as usize];
+        affected.push((v, dv));
+        for link in net.neighbors(NodeId(v)) {
+            let x = link.to.index();
+            if seen[x] {
+                continue;
+            }
+            // The changed link is judged at the weight the row was built
+            // with (`net` already carries the new one).
+            let w = if v == far.0 && link.to == near {
+                old_w
+            } else {
+                metric.weight(link)
+            };
+            if dv + w == row[x] {
+                seen[x] = true;
+                stack.push(x as u32);
+            }
+        }
+    }
+    for &(v, _) in affected.iter() {
+        row[v as usize] = f64::INFINITY;
+    }
+    for &(v, _) in affected.iter() {
+        // Neighbours inside the set are infinite or already carry the value
+        // of a real path; either way the minimum is a valid first label.
+        let best = net
+            .neighbors(NodeId(v))
+            .iter()
+            .map(|l| row[l.to.index()] + metric.weight(l))
+            .fold(f64::INFINITY, f64::min);
+        if best < row[v as usize] {
+            row[v as usize] = best;
+            heap.push(HeapEntry {
+                dist: best,
+                node: NodeId(v),
+            });
+        }
+    }
+    let mut settled = 0;
+    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+        if d > row[u.index()] {
+            continue; // stale entry
+        }
+        settled += 1;
+        for link in net.neighbors(u) {
+            let nd = d + metric.weight(link);
+            if nd < row[link.to.index()] {
+                row[link.to.index()] = nd;
+                heap.push(HeapEntry {
+                    dist: nd,
+                    node: link.to,
+                });
+            }
+        }
+    }
+    for (v, old) in affected.drain(..) {
+        seen[v as usize] = false;
+        if row[v as usize].to_bits() != old.to_bits() {
+            changed_cols.push(v);
+        }
+    }
+    settled
 }
 
 /// Unsafe-but-disjoint row writer: hands out `&mut` rows of one flat array to
@@ -313,28 +494,116 @@ impl DistanceMatrix {
             .copied()
     }
 
-    /// Service a single-link weight change without rebuilding the world.
+    /// Service a single-link weight change in place, without rebuilding the
+    /// world.
     ///
     /// `self` must be the matrix of the network *before* the change; `net`
     /// is the network *after* it; `old_w` is the changed link's previous
-    /// weight under [`self.metric()`](Self::metric). Returns the matrix of
-    /// `net` — bit-identical to `DistanceMatrix::build(net, self.metric())`
-    /// (pinned by the `repair_equivalence` differential suite) — plus how it
-    /// was produced:
+    /// weight under [`self.metric()`](Self::metric). Afterwards `self` is
+    /// the matrix of `net` — bit-identical to
+    /// `DistanceMatrix::build(net, self.metric())` (pinned by the
+    /// `repair_equivalence` differential suite). Returns how it got there
+    /// and exactly which entries changed bits:
     ///
     /// * Weight unchanged under this metric (e.g. a *cost* degrade seen by a
-    ///   *delay* matrix): the matrix is cloned untouched
+    ///   *delay* matrix): nothing is read or written
     ///   ([`LinkRepair::Incremental`] with zero rows).
     /// * Weight increased (degrade): only rows whose Dijkstra run could have
-    ///   used the link are re-relaxed. Row `s` is affected iff the link was
+    ///   used the link are repaired. Row `s` is affected iff the link was
     ///   *tight* from `s` — `dist(s,a) + old_w == dist(s,b)` or the mirror,
     ///   compared exactly as Dijkstra computed the sum. Non-tight rows keep
     ///   every distance bit: no old shortest path used the link, and after
-    ///   an increase paths through it lose by a strictly wider margin, so
-    ///   the re-run would reproduce the row verbatim.
+    ///   an increase paths through it lose by a strictly wider margin. A
+    ///   tight row re-derives only the subtree hanging off the link's far
+    ///   endpoint (see `resettle_descendants`); a row tight in *both*
+    ///   directions (a zero-weight link, or a weight the distance absorbs)
+    ///   has no far endpoint and re-runs its single-source pass whole.
     /// * Weight decreased or link gone: falls back to a full rebuild
     ///   ([`LinkRepair::Rebuilt`]) — a cheaper path through the link may now
     ///   beat rows the tightness test on *old* distances cannot identify.
+    pub fn repair_link_change(
+        &mut self,
+        net: &Network,
+        a: NodeId,
+        b: NodeId,
+        old_w: f64,
+    ) -> (LinkRepair, ChangedEntries) {
+        assert_eq!(net.len(), self.n, "network/matrix size mismatch");
+        let n = self.n;
+        let metric = self.metric;
+        let mut changed = ChangedEntries::default();
+        let new_w = net.find_link(a, b).map(|l| metric.weight(l));
+        if new_w.map(f64::to_bits) == Some(old_w.to_bits()) {
+            return (LinkRepair::Incremental { rows: 0 }, changed);
+        }
+        if new_w.is_none_or(|w| w < old_w) {
+            let rebuilt = Self::build(net, metric);
+            let rows = self
+                .dist
+                .chunks(n.max(1))
+                .zip(rebuilt.dist.chunks(n.max(1)));
+            for (s, (old, new)) in rows.enumerate() {
+                changed.record_row_diff(s, old, new);
+            }
+            changed.settled = (n * n) as u64;
+            *self = rebuilt;
+            return (LinkRepair::Rebuilt, changed);
+        }
+        let mut scratch = RepairScratch {
+            seen: vec![false; n],
+            stack: Vec::new(),
+            affected: Vec::new(),
+            heap: BinaryHeap::new(),
+        };
+        // What a whole-row re-run needs, built on the first row that asks.
+        let mut whole_row = None;
+        let mut rows = 0;
+        for (s, row) in self.dist.chunks_mut(n.max(1)).enumerate() {
+            let (da, db) = (row[a.index()], row[b.index()]);
+            if !da.is_finite() && !db.is_finite() {
+                // s reaches neither endpoint; the link is invisible from s.
+                continue;
+            }
+            // Exactly the sums Dijkstra compared when it built row s: the
+            // link was on a shortest path from s iff one of them is tight.
+            let (near, far) = match (da + old_w == db, db + old_w == da) {
+                (false, false) => continue,
+                (true, false) => (a, b),
+                (false, true) => (b, a),
+                (true, true) => {
+                    let (csr, sssp, pred, old) = whole_row.get_or_insert_with(|| {
+                        (
+                            CsrGraph::from_network(net),
+                            SsspScratch::new(n),
+                            vec![u32::MAX; n],
+                            vec![0.0; n],
+                        )
+                    });
+                    old.copy_from_slice(row);
+                    sssp_into(csr, metric, NodeId(s as u32), row, pred, sssp);
+                    changed.record_row_diff(s, old, row);
+                    changed.settled += n as u64;
+                    rows += 1;
+                    continue;
+                }
+            };
+            let start = changed.cols.len();
+            changed.settled += resettle_descendants(
+                net,
+                metric,
+                row,
+                (near, far, old_w),
+                &mut scratch,
+                &mut changed.cols,
+            );
+            changed.close_row(s, start);
+            rows += 1;
+        }
+        (LinkRepair::Incremental { rows }, changed)
+    }
+
+    /// [`repair_link_change`](Self::repair_link_change) on a copy: the
+    /// matrix of `net`, leaving `self` as the matrix before the change.
     pub fn repaired_after_link_change(
         &self,
         net: &Network,
@@ -342,45 +611,9 @@ impl DistanceMatrix {
         b: NodeId,
         old_w: f64,
     ) -> (Self, LinkRepair) {
-        assert_eq!(net.len(), self.n, "network/matrix size mismatch");
-        let Some(link) = net.find_link(a, b) else {
-            return (Self::build(net, self.metric), LinkRepair::Rebuilt);
-        };
-        let new_w = self.metric.weight(link);
-        if new_w.to_bits() == old_w.to_bits() {
-            return (self.clone(), LinkRepair::Incremental { rows: 0 });
-        }
-        if new_w < old_w {
-            return (Self::build(net, self.metric), LinkRepair::Rebuilt);
-        }
-        let csr = CsrGraph::from_network(net);
         let mut out = self.clone();
-        let mut scratch = SsspScratch::new(self.n);
-        let mut pred = vec![u32::MAX; self.n];
-        let mut rows = 0;
-        for s in 0..self.n {
-            let da = self.dist[s * self.n + a.index()];
-            let db = self.dist[s * self.n + b.index()];
-            if !da.is_finite() && !db.is_finite() {
-                // s reaches neither endpoint; the link is invisible from s.
-                continue;
-            }
-            // Exactly the sums Dijkstra compared when it built row s: the
-            // link was on a shortest path from s iff one of them is tight.
-            if da + old_w == db || db + old_w == da {
-                let row = &mut out.dist[s * self.n..(s + 1) * self.n];
-                sssp_into(
-                    &csr,
-                    self.metric,
-                    NodeId(s as u32),
-                    row,
-                    &mut pred,
-                    &mut scratch,
-                );
-                rows += 1;
-            }
-        }
-        (out, LinkRepair::Incremental { rows })
+        let (repair, _) = out.repair_link_change(net, a, b, old_w);
+        (out, repair)
     }
 }
 
@@ -759,6 +992,39 @@ mod tests {
                 assert_eq!(repaired.get(x, y).to_bits(), rebuilt.get(x, y).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn zero_weight_link_reruns_its_rows_whole() {
+        // Across a zero-delay link both endpoints sit at the same distance
+        // from every source, so each row is tight in both directions and no
+        // endpoint is the far one: such rows re-run their whole pass.
+        let ring = |delay_12: f64| {
+            let mut net = Network::new(4);
+            net.add_link(NodeId(0), NodeId(1), 1.0, 1.0, LinkKind::Stub);
+            net.add_link(NodeId(1), NodeId(2), 1.0, delay_12, LinkKind::Stub);
+            net.add_link(NodeId(2), NodeId(3), 1.0, 1.0, LinkKind::Stub);
+            net.add_link(NodeId(3), NodeId(0), 1.0, 1.5, LinkKind::Stub);
+            net
+        };
+        let before = DistanceMatrix::build(&ring(0.0), Metric::DelayMs);
+        let after = ring(5.0);
+        let mut dm = before.clone();
+        let (how, changed) = dm.repair_link_change(&after, NodeId(1), NodeId(2), 0.0);
+        assert_eq!(how, LinkRepair::Incremental { rows: 4 });
+        assert_eq!(changed.nodes_settled(), 16, "four whole rows of four");
+        let rebuilt = DistanceMatrix::build(&after, Metric::DelayMs);
+        let mut moved = Vec::new();
+        for x in after.nodes() {
+            for y in after.nodes() {
+                assert_eq!(dm.get(x, y).to_bits(), rebuilt.get(x, y).to_bits());
+                if before.get(x, y).to_bits() != rebuilt.get(x, y).to_bits() {
+                    moved.push((x, y));
+                }
+            }
+        }
+        assert!(!moved.is_empty());
+        assert_eq!(changed.iter().collect::<Vec<_>>(), moved);
     }
 
     #[test]

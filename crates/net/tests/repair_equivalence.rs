@@ -2,7 +2,9 @@
 //! schedules on generated topologies — weight increases, no-ops, decreases
 //! (the documented full-rebuild fallback) and disconnected components —
 //! `DistanceMatrix::repaired_after_link_change` must agree bit-for-bit
-//! with a from-scratch `DistanceMatrix::build` after *every* event.
+//! with a from-scratch `DistanceMatrix::build` after *every* event, and the
+//! in-place `repair_link_change` must report exactly the entries whose bits
+//! the event changed.
 //!
 //! CI runs this suite in `--release` so the schedules are long enough to
 //! exercise real topologies, not toys.
@@ -49,6 +51,45 @@ fn assert_bits_equal(repaired: &DistanceMatrix, rebuilt: &DistanceMatrix, label:
     }
 }
 
+/// Every `(a, b)` whose distance bits differ between two matrices, in
+/// row-major order.
+fn bit_diff(before: &DistanceMatrix, after: &DistanceMatrix) -> Vec<(NodeId, NodeId)> {
+    let n = before.len() as u32;
+    let mut out = Vec::new();
+    for a in (0..n).map(NodeId) {
+        for b in (0..n).map(NodeId) {
+            if before.get(a, b).to_bits() != after.get(a, b).to_bits() {
+                out.push((a, b));
+            }
+        }
+    }
+    out
+}
+
+/// Factor menu: increases (the common congestion case), an exact no-op,
+/// and decreases (the documented fallback-to-rebuild case).
+const FACTORS: [f64; 6] = [1.5, 3.0, 10.0, 1.0, 0.7, 0.25];
+
+/// Scale the cost of link `a`–`b`, the only weight `Network` lets a
+/// caller change in place.
+fn scale_cost(net: &mut Network, a: NodeId, b: NodeId, factor: f64) {
+    let cost = net.find_link(a, b).expect("picked from adjacency").cost;
+    net.set_link_cost(a, b, cost * factor);
+}
+
+/// Scale the *delay* of link `a`–`b` by re-adding every link to a fresh
+/// network (distances do not depend on adjacency order).
+fn scale_delay(net: &mut Network, a: NodeId, b: NodeId, factor: f64) {
+    let mut out = Network::new(net.len());
+    for (u, v) in collect_links(net) {
+        let l = net.find_link(u, v).expect("collected from adjacency");
+        let scaled = (u, v) == (a.min(b), a.max(b));
+        let delay = l.delay_ms * if scaled { factor } else { 1.0 };
+        out.add_link(u, v, l.cost, delay, l.kind);
+    }
+    *net = out;
+}
+
 /// Run `events` degrade events on `net`, repairing incrementally and
 /// checking against a full rebuild after each one. Returns how many events
 /// took each repair path.
@@ -58,24 +99,53 @@ fn run_schedule(
     seed: u64,
     events: usize,
 ) -> (usize, usize, usize) {
-    // Factor menu: increases (the common congestion case), an exact no-op,
-    // and decreases (the documented fallback-to-rebuild case).
-    const FACTORS: [f64; 6] = [1.5, 3.0, 10.0, 1.0, 0.7, 0.25];
+    let links = collect_links(net);
+    run_schedule_over(net, metric, seed, events, &links, &FACTORS, scale_cost)
+}
+
+/// [`run_schedule`] over a fixed link set and factor menu, changing a link
+/// through `scale` (cost or delay).
+fn run_schedule_over(
+    net: &mut Network,
+    metric: Metric,
+    seed: u64,
+    events: usize,
+    links: &[(NodeId, NodeId)],
+    factors: &[f64],
+    scale: fn(&mut Network, NodeId, NodeId, f64),
+) -> (usize, usize, usize) {
     let mut dm = DistanceMatrix::build(net, metric);
     let mut state = seed | 1;
     let (mut incremental, mut noop, mut rebuilt) = (0usize, 0usize, 0usize);
     for ev in 0..events {
-        let links = collect_links(net);
         let (a, b) = links[next(&mut state) as usize % links.len()];
-        let factor = FACTORS[next(&mut state) as usize % FACTORS.len()];
-        let link = net.find_link(a, b).expect("picked from adjacency");
-        let old_w = metric.weight(link);
-        let new_cost = link.cost * factor;
-        net.set_link_cost(a, b, new_cost);
+        let factor = factors[next(&mut state) as usize % factors.len()];
+        let old_w = metric.weight(net.find_link(a, b).expect("picked from adjacency"));
+        scale(net, a, b, factor);
 
         let (repaired, outcome) = dm.repaired_after_link_change(net, a, b, old_w);
         let full = DistanceMatrix::build(net, metric);
         assert_bits_equal(&repaired, &full, &format!("seed {seed} event {ev}"));
+
+        // The in-place repair lands on the same matrix and reports exactly
+        // the entries the event changed: none missing, none spurious.
+        let mut in_place = dm.clone();
+        let (same_outcome, changed) = in_place.repair_link_change(net, a, b, old_w);
+        assert_eq!(same_outcome, outcome, "seed {seed} event {ev}");
+        assert_bits_equal(
+            &in_place,
+            &full,
+            &format!("seed {seed} event {ev} in place"),
+        );
+        let expected = bit_diff(&dm, &full);
+        assert_eq!(changed.len(), expected.len(), "seed {seed} event {ev}");
+        assert!(
+            changed.iter().eq(expected.iter().copied()),
+            "seed {seed} event {ev}: changed-entry record is not the bit diff"
+        );
+        for &(x, y) in &expected {
+            assert!(changed.row(x).binary_search(&y.0).is_ok());
+        }
 
         // The repair path taken must match the weight delta: only a strict
         // weight decrease (or a vanished link) may pay a full rebuild.
@@ -151,4 +221,78 @@ fn disconnected_component_schedule_matches_full_rebuild() {
     let (incremental, _noop, rebuilt) = run_schedule(&mut net, Metric::Cost, 29, 30);
     assert!(incremental > 0);
     assert!(rebuilt > 0, "decreases must still fall back");
+}
+
+#[test]
+fn gateway_schedules_on_the_benchmark_topology_match_full_rebuild() {
+    // The performance ledger's `churn` shape: 4 transit domains of 8, 4
+    // stub domains of 8 per transit node (1,056 nodes), degrading the
+    // gateway links every cross-domain path runs through.
+    let cfg = TransitStubConfig {
+        transit_domains: 4,
+        transit_nodes_per_domain: 8,
+        stub_domains_per_transit_node: 4,
+        stub_nodes_per_domain: 8,
+        ..TransitStubConfig::default()
+    };
+    type Scale = fn(&mut Network, NodeId, NodeId, f64);
+    let arms: [(Metric, Scale); 2] = [(Metric::Cost, scale_cost), (Metric::DelayMs, scale_delay)];
+    for (metric, scale) in arms {
+        let mut net = cfg.generate(1).network;
+        assert_eq!(net.len(), 1056);
+        let gateways: Vec<(NodeId, NodeId)> = collect_links(&net)
+            .into_iter()
+            .filter(|&(a, b)| net.find_link(a, b).unwrap().kind == LinkKind::Gateway)
+            .collect();
+        assert_eq!(gateways.len(), 128, "one gateway per stub domain");
+        // x4 is the ledger's degrade factor; one decrease keeps the fallback
+        // (and its record) in the schedule.
+        let factors = [4.0, 4.0, 1.5, 0.5];
+        let (incremental, _noop, rebuilt) =
+            run_schedule_over(&mut net, metric, 5, 6, &gateways, &factors, scale);
+        assert!(incremental > 0, "{metric:?}: no incremental repairs");
+        assert!(rebuilt > 0, "{metric:?}: no fallback rebuilds");
+    }
+}
+
+#[test]
+fn tied_paths_and_an_off_path_chord() {
+    // A unit square 0-1-2-3-0: opposite corners are joined by two tied
+    // shortest paths. The chord 1-3 costs more than the way round, so it is
+    // on no shortest path from anywhere.
+    let n = |i: u32| NodeId(i);
+    let mut net = Network::new(4);
+    net.add_link(n(0), n(1), 1.0, 1.0, LinkKind::Stub);
+    net.add_link(n(1), n(2), 1.0, 1.0, LinkKind::Stub);
+    net.add_link(n(2), n(3), 1.0, 1.0, LinkKind::Stub);
+    net.add_link(n(3), n(0), 1.0, 1.0, LinkKind::Stub);
+    net.add_link(n(1), n(3), 10.0, 1.0, LinkKind::Stub);
+    let before = DistanceMatrix::build(&net, Metric::Cost);
+
+    // Degrading the chord touches no row and settles nothing.
+    let mut chord = net.clone();
+    chord.set_link_cost(n(1), n(3), 40.0);
+    let mut dm = before.clone();
+    let (outcome, changed) = dm.repair_link_change(&chord, n(1), n(3), 10.0);
+    assert_eq!(outcome, LinkRepair::Incremental { rows: 0 });
+    assert!(changed.is_empty());
+    assert_eq!(changed.nodes_settled(), 0);
+    assert_bits_equal(&dm, &before, "off-path chord");
+
+    // Degrading a side re-derives the subtree behind it, but the far corner
+    // keeps its distance through the tied path: the record names the moved
+    // entries only.
+    net.set_link_cost(n(0), n(1), 1.5);
+    let mut dm = before.clone();
+    let (outcome, changed) = dm.repair_link_change(&net, n(0), n(1), 1.0);
+    let full = DistanceMatrix::build(&net, Metric::Cost);
+    assert_bits_equal(&dm, &full, "tied side");
+    assert_eq!(outcome, LinkRepair::Incremental { rows: 4 });
+    assert_eq!(
+        changed.iter().collect::<Vec<_>>(),
+        vec![(n(0), n(1)), (n(1), n(0))],
+        "the tied corners (0,2) and (1,3) did not move"
+    );
+    assert_eq!(changed.iter().collect::<Vec<_>>(), bit_diff(&before, &full));
+    assert!(changed.nodes_settled() > changed.len() as u64);
 }

@@ -488,10 +488,8 @@ mod tests {
     use dsq_query::ReuseRegistry;
     use dsq_workload::{WorkloadConfig, WorkloadGenerator};
 
-    fn runtime() -> (AdaptiveRuntime, dsq_workload::Workload) {
-        let net = TransitStubConfig::paper_64().generate(17).network;
-        let env = Environment::build(net, 16);
-        let wl = WorkloadGenerator::new(
+    fn workload(env: &Environment) -> dsq_workload::Workload {
+        WorkloadGenerator::new(
             WorkloadConfig {
                 streams: 12,
                 queries: 6,
@@ -500,7 +498,13 @@ mod tests {
             },
             61,
         )
-        .generate(&env.network);
+        .generate(&env.network)
+    }
+
+    fn runtime() -> (AdaptiveRuntime, dsq_workload::Workload) {
+        let net = TransitStubConfig::paper_64().generate(17).network;
+        let env = Environment::build(net, 16);
+        let wl = workload(&env);
         let mut rt = AdaptiveRuntime::new(env, 0.2);
         let mut reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
@@ -684,6 +688,61 @@ mod tests {
                     rt.env.dm.get(u, v).to_bits(),
                     fresh.get(u, v).to_bits(),
                     "distance ({u:?},{v:?}) left the delay metric"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_cost_change_costs_a_latency_environment_nothing() {
+        // Regression: a cost re-pricing leaves every delay weight as it
+        // was, yet the runtime used to clone the whole matrix and scan all
+        // n²/2 pairs to retire nothing.
+        let net = TransitStubConfig::paper_64().generate(17).network;
+        let mut env = Environment::build_latency(net, 16);
+        env.isolate_cache(true);
+        let wl = workload(&env);
+        let mut reg = ReuseRegistry::new();
+        for q in &wl.queries {
+            TopDown::new(&env)
+                .optimize(&wl.catalog, q, &mut reg, &mut SearchStats::new())
+                .unwrap();
+        }
+        let warm = env.plan_cache.len();
+        assert!(warm > 0, "planning warmed the cache");
+        let dm_before = env.dm.clone();
+        let d_of = |env: &Environment| -> Vec<u64> {
+            (1..=env.hierarchy.height())
+                .map(|l| env.hierarchy.d_at(l).to_bits())
+                .collect()
+        };
+        let d_before = d_of(&env);
+
+        let a = env.network.nodes().next().unwrap();
+        let b = env.network.neighbors(a)[0].to;
+        let old = env.network.find_link(a, b).unwrap().cost;
+        let sink = dsq_obs::Sink::new(dsq_obs::ClockMode::Virtual);
+        let repair = {
+            let _g = dsq_obs::scoped(sink.clone());
+            env.reprice_link(a, b, old * 3.0)
+        };
+
+        assert_eq!(repair, Some(dsq_net::LinkRepair::Incremental { rows: 0 }));
+        assert_eq!(
+            sink.snapshot().counters.get("net.repair.nodes_settled"),
+            Some(&0),
+            "a weight no-op settles no node"
+        );
+        assert_eq!(env.network.find_link(a, b).unwrap().cost, old * 3.0);
+        assert_eq!(env.plan_cache.len(), warm);
+        assert_eq!(env.plan_cache.retired(), 0);
+        assert_eq!(d_of(&env), d_before);
+        for u in env.network.nodes() {
+            for v in env.network.nodes() {
+                assert_eq!(
+                    env.dm.get(u, v).to_bits(),
+                    dm_before.get(u, v).to_bits(),
+                    "distance ({u:?},{v:?}) moved"
                 );
             }
         }
