@@ -675,6 +675,21 @@ mod tests {
     }
 
     #[test]
+    fn a_changed_selectivity_dirties_both_endpoints_only() {
+        let mut old = Catalog::new();
+        for i in 0..6 {
+            old.add_stream(format!("S{i}"), 2.0, NodeId(0), Schema::default());
+        }
+        old.set_selectivity(StreamId(1), StreamId(4), 0.3);
+        assert!(catalog_dirty_streams(&old, &old.clone()).is_empty());
+        let mut new = old.clone();
+        new.set_selectivity(StreamId(4), StreamId(1), 0.2);
+        new.set_selectivity(StreamId(5), StreamId(0), 0.5);
+        let want: HashSet<StreamId> = [0, 1, 4, 5].into_iter().map(StreamId).collect();
+        assert_eq!(catalog_dirty_streams(&old, &new), want);
+    }
+
+    #[test]
     fn disabled_cache_yields_no_keys() {
         let (c, q) = setup();
         let planner = ClusterPlanner::new(&c, &q);
