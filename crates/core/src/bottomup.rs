@@ -227,8 +227,7 @@ impl BottomUp<'_> {
                     // it records the per-level search statistics).
                     let td = crate::topdown::TopDown::new(self.env);
                     let out = td.plan_in_cluster(&planner, cluster, &inputs, query.sink, stats)?;
-                    let mut tags = crate::topdown::TagAlloc::new();
-                    td.refine(&planner, cluster, out.tree, query.sink, stats, &mut tags)?
+                    td.refine(&planner, cluster, out.tree, query.sink, stats, &mut 0)?
                 }
                 BottomUpPlacement::MembersOnly => {
                     let seen: Vec<PlannerInput> = inputs

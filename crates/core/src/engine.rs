@@ -3,16 +3,25 @@
 //! Each coordinator in the paper "exhaustively constructs the possible query
 //! trees … and for each such tree constructs a set of all possible node
 //! assignments within its current cluster", picking the cheapest. This
-//! module implements that search in two interchangeable ways:
+//! module implements that search as one recurrence fed by two enumerations,
+//! plus one reference search:
 //!
 //! * [`ClusterPlanner::plan`] — a subset/placement dynamic program that
 //!   returns the *same optimum* as literal enumeration for the sum-of-edge
 //!   costs metric, in `O(3^A·M + 2^A·M²)` instead of `O((2A−3)!!·M^(A−1))`
-//!   (A = atoms, M = candidate nodes). Universes wider than one mask word
-//!   comfortably holds run the same recurrences over the *reachable* sets
-//!   only (disjoint unions of input coverages, as word-array bitsets), so
-//!   there is no 32-atom overflow cliff — only a typed
-//!   [`PlacementError::UniverseTooLarge`] budget;
+//!   (A = atoms, M = candidate nodes). The recurrence — the `prod`/`deliv`
+//!   tables, the final selection and the tree reconstruction — exists once,
+//!   over numbered *states*; what a state is and how it splits comes from
+//!   an enumeration chosen by universe width. Up to `DENSE_MAX_ATOMS`
+//!   atoms every one-word mask is a state and splits by a sub-mask walk
+//!   (nothing to discover, but `2^A` rows whether reachable or not). Wider
+//!   universes number the *reachable* sets only (disjoint unions of input
+//!   coverages, as word-array bitsets) and find a set's splits by scanning
+//!   them, so there is no 32-atom overflow cliff — only a typed
+//!   [`PlacementError::UniverseTooLarge`] budget. The scan is what keeps
+//!   the sparse enumeration off narrow universes: over all-singleton
+//!   inputs it is several times slower at 6 atoms and tens of times by 12
+//!   (measured in DESIGN.md row 27);
 //! * [`ClusterPlanner::plan_exhaustive`] — the literal enumerate-everything
 //!   search, kept for validation and ablation.
 //!
@@ -36,15 +45,15 @@ use dsq_net::{DistanceMatrix, NodeId};
 use dsq_query::{Catalog, InputSet, LeafSource, Query, StreamId, StreamSet};
 use std::collections::HashMap;
 
-/// Widest atom universe the dense DP allocates full `2^a · m` tables for;
-/// beyond this the sparse reachable-set DP takes over. The dense sweep
-/// enumerates every (cover, partition) pair — `O(3^a)` work — so 14 keeps
-/// the worst case under ~5M partition visits; past that the sparse path is
-/// exact and either cheaper (coarse inputs) or a fast typed refusal
-/// (fine-grained ones).
+/// Widest atom universe the dense enumeration allocates full `2^a · m`
+/// tables for; beyond this the sparse reachable-set enumeration takes over.
+/// The dense sweep visits every (cover, partition) pair — `O(3^a)` work —
+/// so 14 keeps the worst case under ~5M partition visits; past that the
+/// sparse enumeration is exact and either cheaper (coarse inputs) or a
+/// fast typed refusal (fine-grained ones).
 const DENSE_MAX_ATOMS: usize = 14;
 
-/// Cap on distinct reachable input unions the sparse DP will track before
+/// Cap on distinct reachable input unions the sparse enumeration tracks before
 /// returning [`PlacementError::UniverseTooLarge`]. A universe of many
 /// fine-grained inputs (e.g. 30 singletons) blows past this immediately;
 /// wide universes tiled by a handful of coarse inputs stay far under it.
@@ -177,11 +186,28 @@ enum DelivBack {
     From(usize),
 }
 
-/// Winner of the final selection, reconstructed into a tree exactly once.
+/// The arguments of one [`ClusterPlanner::plan`] call.
 #[derive(Clone, Copy)]
-enum Winner {
-    Input(usize),
-    Prod(usize),
+struct Step<'s> {
+    inputs: &'s [PlannerInput],
+    candidates: &'s [NodeId],
+    dm: &'s DistanceMatrix,
+    dest: Option<NodeId>,
+    anchor: Option<NodeId>,
+}
+
+/// A step's universe as an enumeration numbered it: a *state* is an index
+/// standing for one set of atoms.
+#[derive(Clone, Copy)]
+struct States<'s> {
+    /// Width of the atom universe.
+    atoms: usize,
+    /// Output rate of each state; as long as the tables are high.
+    rate: &'s [f64],
+    /// The state each input's coverage is.
+    input_state: &'s [usize],
+    /// The state covering the whole universe.
+    full: usize,
 }
 
 impl<'a> ClusterPlanner<'a> {
@@ -242,10 +268,10 @@ impl<'a> ClusterPlanner<'a> {
     /// Returns `Ok(None)` when the atoms cannot be covered (e.g. no
     /// candidates but joins required), and
     /// `Err(PlacementError::UniverseTooLarge)` when the universe is too
-    /// wide even for the sparse engine — never a shift overflow.
+    /// wide even for the sparse enumeration — never a shift overflow.
     ///
-    /// Universes up to [`DENSE_MAX_ATOMS`] atoms run the dense
-    /// one-word-mask DP; wider universes run the same recurrences over the
+    /// Universes up to [`DENSE_MAX_ATOMS`] atoms are enumerated densely, as
+    /// one-word masks; wider universes run the same recurrence over the
     /// *reachable* sets only (disjoint unions of input coverages, as
     /// [`InputSet`] bitsets), which handles e.g. a 40-atom universe tiled
     /// by 8 coarse derived inputs exactly.
@@ -262,212 +288,71 @@ impl<'a> ClusterPlanner<'a> {
         if atoms.is_empty() {
             return Ok(None);
         }
-        if atoms.len() <= self.dense_limit {
-            Ok(self.plan_dense(inputs, candidates, dm, dest, anchor, stats, &atoms))
-        } else {
-            self.plan_sparse(inputs, candidates, dm, dest, anchor, stats, &atoms)
-        }
-    }
-
-    /// The dense subset/placement DP over one-word atom masks.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_dense(
-        &self,
-        inputs: &[PlannerInput],
-        candidates: &[NodeId],
-        dm: &DistanceMatrix,
-        dest: Option<NodeId>,
-        anchor: Option<NodeId>,
-        stats: &mut SearchStats,
-        atoms: &[StreamId],
-    ) -> Option<PlannerOutput> {
-        let a = atoms.len();
-        let full: u64 = mask_full(a);
-        let rate = self.rate_table(atoms);
-        let input_mask: Vec<u64> = inputs.iter().map(|i| mask_of(&i.covered, atoms)).collect();
-
-        let m = candidates.len();
-        let states = ((full as usize + 1) * m.max(1)) as u64 * 2;
-        stats.record_dp_states(states);
-        let _span = dsq_obs::span("engine.plan", || {
-            vec![
-                ("atoms", a.into()),
-                ("inputs", inputs.len().into()),
-                ("candidates", m.into()),
-                ("dp_states", states.into()),
-            ]
-        });
-        dsq_obs::counter("engine.plan_invocations", 1);
-        dsq_obs::counter("engine.dp_states", states);
-
-        let idx = |mask: u64, mi: usize| mask as usize * m + mi;
-        let mut deliv = vec![f64::INFINITY; (full as usize + 1) * m.max(1)];
-        let mut deliv_back = vec![DelivBack::None; deliv.len()];
-        let mut prod = vec![f64::INFINITY; deliv.len()];
-        let mut prod_back = vec![0u64; deliv.len()];
-
-        for mask in 1..=full {
-            // produced[mask][mi]: a join at candidate mi combines a
-            // partition of `mask`, each side delivered to mi.
-            if mask.count_ones() >= 2 && m > 0 {
-                let low = mask & mask.wrapping_neg();
-                for mi in 0..m {
-                    let mut best = f64::INFINITY;
-                    let mut back = 0u64;
-                    let mut s = (mask - 1) & mask;
-                    while s > 0 {
-                        if s & low != 0 {
-                            let c = mask ^ s;
-                            // Transport of both inputs plus the processing
-                            // overload penalty at this candidate.
-                            let v = deliv[idx(s, mi)]
-                                + deliv[idx(c, mi)]
-                                + self.placement_penalty(
-                                    candidates[mi],
-                                    rate[s as usize] + rate[c as usize],
-                                );
-                            if v < best {
-                                best = v;
-                                back = s;
-                            }
-                        }
-                        s = (s - 1) & mask;
-                    }
-                    prod[idx(mask, mi)] = best;
-                    prod_back[idx(mask, mi)] = back;
-                }
-            }
-            // deliv[mask][mi]: result of `mask` available at candidate mi —
-            // either an input streamed there directly, or produced at some
-            // candidate and shipped over.
-            for mi in 0..m {
-                let target = candidates[mi];
-                let mut best = f64::INFINITY;
-                let mut back = DelivBack::None;
-                for (ii, input) in inputs.iter().enumerate() {
-                    if input_mask[ii] == mask {
-                        let v = rate[mask as usize] * dm.get(input.seen, target);
-                        if v < best {
-                            best = v;
-                            back = DelivBack::Input(ii);
-                        }
-                    }
-                }
-                for mj in 0..m {
-                    let p = prod[idx(mask, mj)];
-                    if p.is_finite() {
-                        let v = p + rate[mask as usize] * dm.get(candidates[mj], target);
-                        if v < best {
-                            best = v;
-                            back = DelivBack::From(mj);
-                        }
-                    }
-                }
-                deliv[idx(mask, mi)] = best;
-                deliv_back[idx(mask, mi)] = back;
-            }
-        }
-
-        // Final selection.
-        let rec = Reconstructor {
+        let step = Step {
             inputs,
             candidates,
-            deliv_back: &deliv_back,
-            prod_back: &prod_back,
-            m,
+            dm,
+            dest,
+            anchor,
         };
-        match dest {
-            Some(d) => {
-                let mut best = f64::INFINITY;
-                let mut winner: Option<Winner> = None;
-                for (ii, input) in inputs.iter().enumerate() {
-                    if input_mask[ii] == full {
-                        let v = rate[full as usize] * dm.get(input.seen, d);
-                        if v < best {
-                            best = v;
-                            winner = Some(Winner::Input(ii));
-                        }
-                    }
-                }
-                for mi in 0..m {
-                    let p = prod[idx(full, mi)];
-                    if p.is_finite() {
-                        let v = p + rate[full as usize] * dm.get(candidates[mi], d);
-                        if v < best {
-                            best = v;
-                            winner = Some(Winner::Prod(mi));
-                        }
-                    }
-                }
-                // Reconstruct the winning tree exactly once, instead of
-                // materializing every intermediate improvement.
-                winner.map(|w| PlannerOutput {
-                    tree: match w {
-                        Winner::Input(ii) => inputs[ii].tree(),
-                        Winner::Prod(mi) => rec.produce(full, mi),
-                    },
-                    est_cost: best,
-                })
-            }
-            None => {
-                // Result stays at the producing operator (or input).
-                if let Some(ii) = (0..inputs.len()).find(|&ii| input_mask[ii] == full) {
-                    return Some(PlannerOutput {
-                        tree: inputs[ii].tree(),
-                        est_cost: 0.0,
-                    });
-                }
-                let mut best = f64::INFINITY;
-                let mut best_mi: Option<usize> = None;
-                for mi in 0..m {
-                    let p = prod[idx(full, mi)];
-                    if !p.is_finite() {
-                        continue;
-                    }
-                    let better = match best_mi {
-                        None => true,
-                        Some(prev) => {
-                            p < best - 1e-12
-                                || (p <= best + 1e-12
-                                    && anchor.is_some_and(|anc| {
-                                        dm.get(candidates[mi], anc) < dm.get(candidates[prev], anc)
-                                    }))
-                        }
-                    };
-                    if better {
-                        best = p;
-                        best_mi = Some(mi);
-                    }
-                }
-                best_mi.map(|mi| PlannerOutput {
-                    tree: rec.produce(full, mi),
-                    est_cost: best,
-                })
-            }
+        if atoms.len() <= self.dense_limit {
+            Ok(self.plan_dense(&step, &atoms, stats))
+        } else {
+            self.plan_sparse(&step, &atoms, stats)
         }
     }
 
-    /// The same optimum as [`Self::plan_dense`] for universes wider than
-    /// one dense table can hold, computed over *reachable* sets only.
+    /// Dense enumeration: every one-word atom mask is a state, visited in
+    /// ascending order (a sub-mask is numerically smaller than its mask, so
+    /// it is final before any partition reads it); a mask's partitions are
+    /// its proper sub-masks holding the lowest atom, walked downwards.
+    fn plan_dense(
+        &self,
+        step: &Step<'_>,
+        atoms: &[StreamId],
+        stats: &mut SearchStats,
+    ) -> Option<PlannerOutput> {
+        let full = mask_full(atoms.len()) as usize;
+        let rate = self.rate_table(atoms);
+        let input_state: Vec<usize> = step
+            .inputs
+            .iter()
+            .map(|i| mask_of(&i.covered, atoms) as usize)
+            .collect();
+        let states = States {
+            atoms: atoms.len(),
+            rate: &rate,
+            input_state: &input_state,
+            full,
+        };
+        self.solve("engine.plan", step, &states, stats, 1..=full, |mask| {
+            let low = mask & mask.wrapping_neg();
+            let below = move |s: usize| Some((s - 1) & mask).filter(|&t| t > 0);
+            std::iter::successors(below(mask), move |&s| below(s))
+                .filter(move |s| s & low != 0)
+                .map(move |s| (s, mask ^ s))
+        })
+    }
+
+    /// Sparse enumeration, for universes wider than one dense table can
+    /// hold: the states are the *reachable* sets only — disjoint unions of
+    /// input coverages, found breadth-first.
     ///
     /// Invariant making this exact: `deliv`/`prod` are finite only for
-    /// disjoint unions of input coverages, so restricting the recurrences
-    /// to those sets loses nothing. Sets are processed popcount-ascending
+    /// disjoint unions of input coverages, so restricting the recurrence
+    /// to those sets loses nothing. Sets are visited popcount-ascending
     /// (every proper subset of a set has strictly smaller popcount), which
-    /// finalizes subset rows before any superset partition scan reads them.
-    #[allow(clippy::too_many_arguments)]
+    /// finalizes subset rows before any superset's partitions read them; a
+    /// set's partitions are found by one scan over the reachable sets.
     fn plan_sparse(
         &self,
-        inputs: &[PlannerInput],
-        candidates: &[NodeId],
-        dm: &DistanceMatrix,
-        dest: Option<NodeId>,
-        anchor: Option<NodeId>,
-        stats: &mut SearchStats,
+        step: &Step<'_>,
         atoms: &[StreamId],
+        stats: &mut SearchStats,
     ) -> Result<Option<PlannerOutput>, PlacementError> {
         let a = atoms.len();
-        let cov: Vec<InputSet> = inputs
+        let cov: Vec<InputSet> = step
+            .inputs
             .iter()
             .map(|i| atom_bits(&i.covered, atoms))
             .collect();
@@ -493,8 +378,7 @@ impl<'a> ClusterPlanner<'a> {
                 }
             }
         }
-        let full = InputSet::from_bits(0..a);
-        let Some(&full_idx) = index.get(&full) else {
+        let Some(&full) = index.get(&InputSet::from_bits(0..a)) else {
             return Ok(None); // the inputs cannot tile the universe
         };
 
@@ -506,7 +390,7 @@ impl<'a> ClusterPlanner<'a> {
                 .then_with(|| sets[x].cmp(&sets[y]))
         });
 
-        let input_set: Vec<usize> = cov.iter().map(|c| index[c]).collect();
+        let input_state: Vec<usize> = cov.iter().map(|c| index[c]).collect();
         let eff: Vec<f64> = atoms
             .iter()
             .map(|&s| self.query.effective_rate(self.catalog, s))
@@ -516,158 +400,196 @@ impl<'a> ClusterPlanner<'a> {
             .map(|s| self.sparse_rate(s, atoms, &eff))
             .collect();
 
+        let states = States {
+            atoms: a,
+            rate: &rate,
+            input_state: &input_state,
+            full,
+        };
+        // Partitions of a set: reachable proper subsets holding its lowest
+        // atom whose complement is reachable too.
+        let (sets, index) = (&sets, &index);
+        let partitions = |si: usize| {
+            let set = &sets[si];
+            let lowatom = set.min_bit().expect("non-empty set");
+            sets.iter().enumerate().skip(1).filter_map(move |(sj, s)| {
+                if s.len() < set.len() && s.contains(lowatom) && s.is_subset_of(set) {
+                    index.get(&set.difference(s)).map(|&cj| (sj, cj))
+                } else {
+                    None
+                }
+            })
+        };
+        let order = order.iter().copied();
+        Ok(self.solve(
+            "engine.plan_sparse",
+            step,
+            &states,
+            stats,
+            order,
+            partitions,
+        ))
+    }
+
+    /// The recurrence both enumerations feed. `order` lists the states so
+    /// that every part of a state's partitions comes before it, and
+    /// `partitions(state)` yields its two-way splits as `(part, rest)`
+    /// state pairs; a strictly cheaper candidate replaces the incumbent, so
+    /// the enumeration's own order decides ties.
+    fn solve<P, I>(
+        &self,
+        span: &'static str,
+        step: &Step<'_>,
+        states: &States<'_>,
+        stats: &mut SearchStats,
+        order: impl Iterator<Item = usize>,
+        partitions: P,
+    ) -> Option<PlannerOutput>
+    where
+        P: Fn(usize) -> I,
+        I: Iterator<Item = (usize, usize)>,
+    {
+        let Step {
+            inputs,
+            candidates,
+            dm,
+            dest,
+            anchor,
+        } = *step;
+        let States {
+            atoms,
+            rate,
+            input_state,
+            full,
+        } = *states;
         let m = candidates.len();
-        let r = sets.len();
-        let states = (r * m.max(1)) as u64 * 2;
-        stats.record_dp_states(states);
-        let _span = dsq_obs::span("engine.plan_sparse", || {
+        // Two tables of one cell per (state, candidate).
+        let cells = rate.len() * m.max(1);
+        let dp_states = cells as u64 * 2;
+        stats.record_dp_states(dp_states);
+        let _span = dsq_obs::span(span, || {
             vec![
-                ("atoms", a.into()),
+                ("atoms", atoms.into()),
                 ("inputs", inputs.len().into()),
                 ("candidates", m.into()),
-                ("dp_states", states.into()),
+                ("dp_states", dp_states.into()),
             ]
         });
         dsq_obs::counter("engine.plan_invocations", 1);
-        dsq_obs::counter("engine.dp_states", states);
+        dsq_obs::counter("engine.dp_states", dp_states);
 
-        let idx = |si: usize, mi: usize| si * m + mi;
-        let mut deliv = vec![f64::INFINITY; r * m.max(1)];
+        debug_assert!(rate.len() <= u32::MAX as usize, "back-pointers are u32");
+        let idx = |state: usize, mi: usize| state * m + mi;
+        let mut deliv = vec![f64::INFINITY; cells];
         let mut deliv_back = vec![DelivBack::None; deliv.len()];
         let mut prod = vec![f64::INFINITY; deliv.len()];
         let mut prod_back = vec![[0u32; 2]; deliv.len()];
 
-        for &si in &order {
-            let set = &sets[si];
-            if set.len() >= 2 && m > 0 {
-                let lowatom = set.min_bit().expect("non-empty set");
-                // Partitions of `set`: reachable proper subsets holding the
-                // lowest atom whose complement is reachable too.
-                let mut parts: Vec<(usize, usize)> = Vec::new();
-                for (sj, s) in sets.iter().enumerate().skip(1) {
-                    if s.len() < set.len() && s.contains(lowatom) && s.is_subset_of(set) {
-                        if let Some(&cj) = index.get(&set.difference(s)) {
-                            parts.push((sj, cj));
-                        }
+        // Cheapest way to have `state`'s result at `target`: an input
+        // streamed there directly, or the result produced at some candidate
+        // and shipped over.
+        let deliver_to = |prod: &[f64], state: usize, target: NodeId| {
+            let mut best = f64::INFINITY;
+            let mut back = DelivBack::None;
+            for (ii, input) in inputs.iter().enumerate() {
+                if input_state[ii] == state {
+                    let v = rate[state] * dm.get(input.seen, target);
+                    if v < best {
+                        best = v;
+                        back = DelivBack::Input(ii);
                     }
                 }
-                for mi in 0..m {
-                    let mut best = f64::INFINITY;
-                    let mut back = [0u32; 2];
-                    for &(sj, cj) in &parts {
-                        let v = deliv[idx(sj, mi)]
-                            + deliv[idx(cj, mi)]
-                            + self.placement_penalty(candidates[mi], rate[sj] + rate[cj]);
-                        if v < best {
-                            best = v;
-                            back = [sj as u32, cj as u32];
+            }
+            for mj in 0..m {
+                let p = prod[idx(state, mj)];
+                if p.is_finite() {
+                    let v = p + rate[state] * dm.get(candidates[mj], target);
+                    if v < best {
+                        best = v;
+                        back = DelivBack::From(mj);
+                    }
+                }
+            }
+            (best, back)
+        };
+
+        for state in order {
+            // prod[state][mi]: a join at candidate mi combines a partition
+            // of `state`, each side delivered to mi. A single-atom state
+            // has no partition and stays unproducible. The partitions are
+            // enumerated once per state (the sparse scan is the costly
+            // part), each updating the whole candidate row.
+            if m > 0 {
+                let best = &mut prod[idx(state, 0)..][..m];
+                let back = &mut prod_back[idx(state, 0)..][..m];
+                for (s, c) in partitions(state) {
+                    let (ds, dc) = (&deliv[idx(s, 0)..][..m], &deliv[idx(c, 0)..][..m]);
+                    let joined = rate[s] + rate[c];
+                    for mi in 0..m {
+                        // Transport of both inputs plus the processing
+                        // overload penalty at this candidate.
+                        let v = ds[mi] + dc[mi] + self.placement_penalty(candidates[mi], joined);
+                        if v < best[mi] {
+                            best[mi] = v;
+                            back[mi] = [s as u32, c as u32];
                         }
                     }
-                    prod[idx(si, mi)] = best;
-                    prod_back[idx(si, mi)] = back;
                 }
             }
             for mi in 0..m {
-                let target = candidates[mi];
-                let mut best = f64::INFINITY;
-                let mut back = DelivBack::None;
-                for (ii, input) in inputs.iter().enumerate() {
-                    if input_set[ii] == si {
-                        let v = rate[si] * dm.get(input.seen, target);
-                        if v < best {
-                            best = v;
-                            back = DelivBack::Input(ii);
-                        }
-                    }
-                }
-                for mj in 0..m {
-                    let p = prod[idx(si, mj)];
-                    if p.is_finite() {
-                        let v = p + rate[si] * dm.get(candidates[mj], target);
-                        if v < best {
-                            best = v;
-                            back = DelivBack::From(mj);
-                        }
-                    }
-                }
-                deliv[idx(si, mi)] = best;
-                deliv_back[idx(si, mi)] = back;
+                let (cost, back) = deliver_to(&prod, state, candidates[mi]);
+                deliv[idx(state, mi)] = cost;
+                deliv_back[idx(state, mi)] = back;
             }
         }
 
-        let rec = SparseReconstructor {
+        // Final selection.
+        let rec = Reconstructor {
             inputs,
             candidates,
             deliv_back: &deliv_back,
             prod_back: &prod_back,
             m,
         };
-        Ok(match dest {
-            Some(d) => {
-                let mut best = f64::INFINITY;
-                let mut winner: Option<Winner> = None;
-                for (ii, input) in inputs.iter().enumerate() {
-                    if input_set[ii] == full_idx {
-                        let v = rate[full_idx] * dm.get(input.seen, d);
-                        if v < best {
-                            best = v;
-                            winner = Some(Winner::Input(ii));
-                        }
-                    }
-                }
-                for mi in 0..m {
-                    let p = prod[idx(full_idx, mi)];
-                    if p.is_finite() {
-                        let v = p + rate[full_idx] * dm.get(candidates[mi], d);
-                        if v < best {
-                            best = v;
-                            winner = Some(Winner::Prod(mi));
-                        }
-                    }
-                }
-                winner.map(|w| PlannerOutput {
-                    tree: match w {
-                        Winner::Input(ii) => inputs[ii].tree(),
-                        Winner::Prod(mi) => rec.produce(full_idx, mi),
-                    },
-                    est_cost: best,
-                })
-            }
+        match dest {
+            // Delivery to the destination is one more `deliv` cell; only
+            // the winning tree is ever reconstructed.
+            Some(d) => match deliver_to(&prod, full, d) {
+                (_, DelivBack::None) => None,
+                (est_cost, back) => Some(PlannerOutput {
+                    tree: rec.follow(back, full),
+                    est_cost,
+                }),
+            },
             None => {
-                if let Some(ii) = (0..inputs.len()).find(|&ii| input_set[ii] == full_idx) {
-                    return Ok(Some(PlannerOutput {
+                // Result stays at the producing operator (or input).
+                if let Some(ii) = (0..inputs.len()).find(|&ii| input_state[ii] == full) {
+                    return Some(PlannerOutput {
                         tree: inputs[ii].tree(),
                         est_cost: 0.0,
-                    }));
+                    });
                 }
-                let mut best = f64::INFINITY;
-                let mut best_mi: Option<usize> = None;
+                let mut best: Option<(f64, usize)> = None;
                 for mi in 0..m {
-                    let p = prod[idx(full_idx, mi)];
-                    if !p.is_finite() {
-                        continue;
-                    }
-                    let better = match best_mi {
-                        None => true,
-                        Some(prev) => {
-                            p < best - 1e-12
-                                || (p <= best + 1e-12
+                    let p = prod[idx(full, mi)];
+                    let better = p.is_finite()
+                        && best.is_none_or(|(cost, prev)| {
+                            p < cost - 1e-12
+                                || (p <= cost + 1e-12
                                     && anchor.is_some_and(|anc| {
                                         dm.get(candidates[mi], anc) < dm.get(candidates[prev], anc)
                                     }))
-                        }
-                    };
+                        });
                     if better {
-                        best = p;
-                        best_mi = Some(mi);
+                        best = Some((p, mi));
                     }
                 }
-                best_mi.map(|mi| PlannerOutput {
-                    tree: rec.produce(full_idx, mi),
-                    est_cost: best,
+                best.map(|(est_cost, mi)| PlannerOutput {
+                    tree: rec.produce(full, mi),
+                    est_cost,
                 })
             }
-        })
+        }
     }
 
     /// Output rate of one reachable set, multiplying in the exact order of
@@ -908,38 +830,10 @@ impl PlanArena {
     }
 }
 
+/// Backtracker over the solved tables: states are indices (dense: the
+/// mask itself; sparse: the reachable set's number), and a production step
+/// records both halves of its winning partition.
 struct Reconstructor<'a> {
-    inputs: &'a [PlannerInput],
-    candidates: &'a [NodeId],
-    deliv_back: &'a [DelivBack],
-    prod_back: &'a [u64],
-    m: usize,
-}
-
-impl Reconstructor<'_> {
-    fn produce(&self, mask: u64, mi: usize) -> PlacedTree {
-        let s = self.prod_back[mask as usize * self.m + mi];
-        debug_assert!(s != 0, "produce on mask without a partition");
-        let c = mask ^ s;
-        PlacedTree::Join {
-            left: Box::new(self.deliver(s, mi)),
-            right: Box::new(self.deliver(c, mi)),
-            node: self.candidates[mi],
-        }
-    }
-
-    fn deliver(&self, mask: u64, mi: usize) -> PlacedTree {
-        match self.deliv_back[mask as usize * self.m + mi] {
-            DelivBack::Input(ii) => self.inputs[ii].tree(),
-            DelivBack::From(mj) => self.produce(mask, mj),
-            DelivBack::None => unreachable!("deliver on unreachable state"),
-        }
-    }
-}
-
-/// Backtracker for the sparse DP: states are reachable-set *indices*, and
-/// a production step records both halves of its winning partition.
-struct SparseReconstructor<'a> {
     inputs: &'a [PlannerInput],
     candidates: &'a [NodeId],
     deliv_back: &'a [DelivBack],
@@ -947,21 +841,26 @@ struct SparseReconstructor<'a> {
     m: usize,
 }
 
-impl SparseReconstructor<'_> {
-    fn produce(&self, si: usize, mi: usize) -> PlacedTree {
-        let [sj, cj] = self.prod_back[si * self.m + mi];
-        debug_assert!(sj != 0, "produce on set without a partition");
+impl Reconstructor<'_> {
+    fn produce(&self, state: usize, mi: usize) -> PlacedTree {
+        let [s, c] = self.prod_back[state * self.m + mi];
+        debug_assert!(s != 0, "produce on state without a partition");
+        let delivered = |part: u32| {
+            let part = part as usize;
+            Box::new(self.follow(self.deliv_back[part * self.m + mi], part))
+        };
         PlacedTree::Join {
-            left: Box::new(self.deliver(sj as usize, mi)),
-            right: Box::new(self.deliver(cj as usize, mi)),
+            left: delivered(s),
+            right: delivered(c),
             node: self.candidates[mi],
         }
     }
 
-    fn deliver(&self, si: usize, mi: usize) -> PlacedTree {
-        match self.deliv_back[si * self.m + mi] {
+    /// The tree behind one delivery back-pointer of `state`.
+    fn follow(&self, back: DelivBack, state: usize) -> PlacedTree {
+        match back {
             DelivBack::Input(ii) => self.inputs[ii].tree(),
-            DelivBack::From(mj) => self.produce(si, mj),
+            DelivBack::From(mj) => self.produce(state, mj),
             DelivBack::None => unreachable!("deliver on unreachable state"),
         }
     }
@@ -1327,8 +1226,9 @@ mod tests {
     #[test]
     fn sparse_path_matches_dense_on_random_instances() {
         // Same harness as dp_matches_exhaustive, but the oracle is the
-        // dense DP and the subject is the sparse reachable-set DP, forced
-        // on by a dense-limit of 1.
+        // dense enumeration and the subject is the sparse reachable-set
+        // one, forced on by a dense-limit of 1. Both minimise over the same
+        // multiset of values, so the costs agree to the bit.
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         for case in 0..60 {
             let n = rng.gen_range(4..8) as u32;
@@ -1388,14 +1288,72 @@ mod tests {
                     .plan(&inputs, &candidates, &dm, dest, anchor, &mut s2)
                     .unwrap()
                     .unwrap();
-                assert!(
-                    (dense.est_cost - sparse.est_cost).abs() < 1e-9,
+                assert_eq!(
+                    dense.est_cost.to_bits(),
+                    sparse.est_cost.to_bits(),
                     "case {case} dest {dest:?}: dense {} vs sparse {}",
                     dense.est_cost,
                     sparse.est_cost
                 );
                 assert_eq!(dense.tree.covered(), sparse.tree.covered());
             }
+        }
+    }
+
+    #[test]
+    fn coarse_external_beside_singletons_plans_alike_through_both_enumerations() {
+        // The shape Top-Down refinement hands a child cluster: a sibling
+        // fragment's output covering several atoms, as one `External`
+        // input, next to a few base streams. Ten atoms, four inputs: the
+        // dense tables hold 2^10 masks of which the inputs reach 2^4.
+        let (_, dm) = line(6);
+        let mut c = Catalog::new();
+        let ids: Vec<StreamId> = (0..10u32)
+            .map(|i| {
+                c.add_stream(
+                    format!("S{i}"),
+                    2.0 + f64::from(i),
+                    NodeId(i % 6),
+                    Schema::default(),
+                )
+            })
+            .collect();
+        for i in 0..10 {
+            for j in (i + 1)..10 {
+                c.set_selectivity(ids[i], ids[j], 0.2 + 0.01 * (i + j) as f64);
+            }
+        }
+        let q = Query::join(QueryId(0), ids.clone(), NodeId(4));
+        let planner = ClusterPlanner::new(&c, &q);
+        let mut inputs: Vec<PlannerInput> = ids[..3]
+            .iter()
+            .map(|&id| PlannerInput::base(&c, id))
+            .collect();
+        let fragment = StreamSet::from_iter(ids[3..].iter().copied());
+        inputs.push(PlannerInput::external(17, fragment, NodeId(5)));
+        let candidates: Vec<NodeId> = (0..6).map(NodeId).collect();
+        for (dest, anchor) in [(Some(NodeId(4)), None), (None, Some(NodeId(4)))] {
+            let mut s1 = SearchStats::new();
+            let mut s2 = SearchStats::new();
+            let dense = planner
+                .plan(&inputs, &candidates, &dm, dest, anchor, &mut s1)
+                .unwrap()
+                .unwrap();
+            let sparse = planner
+                .with_dense_limit(1)
+                .plan(&inputs, &candidates, &dm, dest, anchor, &mut s2)
+                .unwrap()
+                .unwrap();
+            assert_eq!(dense.est_cost.to_bits(), sparse.est_cost.to_bits());
+            assert!(dense.est_cost.is_finite() && dense.est_cost > 0.0);
+            for tree in [&dense.tree, &sparse.tree] {
+                assert_eq!(tree.covered(), q.source_set());
+                assert_eq!(tree.join_count(), 3, "four inputs, three joins");
+            }
+            // Same recurrence, different table heights: every mask against
+            // the sixteen reachable unions.
+            assert_eq!(s1.dp_states, (1 << 10) * 6 * 2);
+            assert_eq!(s2.dp_states, (1 << 4) * 6 * 2);
         }
     }
 

@@ -86,50 +86,41 @@ impl MultiQueryOutcome {
     }
 }
 
-/// Plan every query of a workload with `optimizer`, fanning out across the
-/// rayon pool (see the module docs for the determinism contract). Pass the
-/// environment the optimizer was built over — the driver coordinates its
-/// subplan cache's wave barriers.
-pub fn optimize_all<O: Optimizer + Sync>(
+/// The one wave loop: plan `queries[i]` for each `i` of `picked`, in that
+/// order, [`ParallelConfig::wave`] at a time. Each query records into a
+/// sub-sink of its own and plans against its own clone of `registry`; at
+/// the wave barrier stats and sub-sinks are reduced in `picked` order and
+/// the subplans the wave staged are published. The outcome it returns is
+/// over the picked queries only, one deployment each.
+fn plan_in_waves<O: Optimizer + Sync>(
     env: &Environment,
     optimizer: &O,
     catalog: &Catalog,
     queries: &[Query],
+    picked: &[usize],
     registry: &ReuseRegistry,
     cfg: &ParallelConfig,
 ) -> MultiQueryOutcome {
-    let wave = cfg.wave.max(1);
-    // Execution knobs (parallel on/off, pool width) are deliberately NOT
-    // recorded: the trace is part of the byte-identity contract, and the
-    // whole point is that those knobs cannot change a single byte of it.
-    let _span = dsq_obs::span("planner.optimize_all", || {
-        vec![
-            ("queries", queries.len().into()),
-            ("wave", wave.into()),
-            ("cache", u64::from(env.plan_cache.is_enabled()).into()),
-        ]
-    });
     let handle = dsq_obs::SinkHandle::capture();
     let sub_mode = handle.sink().map(|s| s.clock_mode());
-
     let mut outcome = MultiQueryOutcome::default();
     // Per-query commit points inside `optimize` become no-ops for the
     // hold's lifetime; the driver commits at wave barriers itself.
     let hold = env.plan_cache.hold();
-    for wave_queries in queries.chunks(wave) {
-        let job = |query: &Query| {
+    for wave in picked.chunks(cfg.wave.max(1)) {
+        let job = |&qi: &usize| {
             let sub = sub_mode.map(dsq_obs::Sink::new);
             let _guard = sub.clone().map(dsq_obs::scoped);
             let mut reg = registry.clone();
             let mut stats = SearchStats::new();
-            let d = optimizer.optimize(catalog, query, &mut reg, &mut stats);
+            let d = optimizer.optimize(catalog, &queries[qi], &mut reg, &mut stats);
             (d, stats, sub)
         };
         let results: Vec<(Option<Deployment>, SearchStats, Option<Arc<dsq_obs::Sink>>)> =
             if cfg.parallel {
-                wave_queries.into_par_iter().map(job).collect()
+                wave.into_par_iter().map(job).collect()
             } else {
-                wave_queries.iter().map(job).collect()
+                wave.iter().map(job).collect()
             };
         // Wave barrier: reduce in query-index order, then publish staged
         // subplans for the next wave.
@@ -146,6 +137,33 @@ pub fn optimize_all<O: Optimizer + Sync>(
         env.plan_cache.barrier_commit();
     }
     drop(hold);
+    outcome
+}
+
+/// Plan every query of a workload with `optimizer`, fanning out across the
+/// rayon pool (see the module docs for the determinism contract). Pass the
+/// environment the optimizer was built over — the driver coordinates its
+/// subplan cache's wave barriers.
+pub fn optimize_all<O: Optimizer + Sync>(
+    env: &Environment,
+    optimizer: &O,
+    catalog: &Catalog,
+    queries: &[Query],
+    registry: &ReuseRegistry,
+    cfg: &ParallelConfig,
+) -> MultiQueryOutcome {
+    // Execution knobs (parallel on/off, pool width) are deliberately NOT
+    // recorded: the trace is part of the byte-identity contract, and the
+    // whole point is that those knobs cannot change a single byte of it.
+    let _span = dsq_obs::span("planner.optimize_all", || {
+        vec![
+            ("queries", queries.len().into()),
+            ("wave", cfg.wave.max(1).into()),
+            ("cache", u64::from(env.plan_cache.is_enabled()).into()),
+        ]
+    });
+    let all: Vec<usize> = (0..queries.len()).collect();
+    let outcome = plan_in_waves(env, optimizer, catalog, queries, &all, registry, cfg);
     dsq_obs::counter("planner.queries_planned", outcome.planned() as u64);
     outcome
 }
@@ -159,7 +177,7 @@ pub fn deployment_touches(d: &Deployment, dirty: &HashSet<NodeId>) -> bool {
 ///
 /// Queries whose standing deployment in `prior` touches a node in `dirty`
 /// — or that have no standing deployment — are replanned through the same
-/// wave machinery as [`optimize_all`]; every other query keeps its prior
+/// wave loop as [`optimize_all`]; every other query keeps its prior
 /// deployment verbatim. The selection is sound because `dirty` (as produced
 /// by [`crate::cache::metric_dirty_nodes`] or a membership delta) contains
 /// *both* endpoints of every changed distance: a deployment placed entirely
@@ -181,7 +199,6 @@ pub fn optimize_dirty<O: Optimizer + Sync>(
     cfg: &ParallelConfig,
 ) -> MultiQueryOutcome {
     assert_eq!(queries.len(), prior.len(), "prior must parallel queries");
-    let wave = cfg.wave.max(1);
     let replan_idx: Vec<usize> = (0..queries.len())
         .filter(|&i| match &prior[i] {
             None => true,
@@ -193,57 +210,19 @@ pub fn optimize_dirty<O: Optimizer + Sync>(
             ("queries", queries.len().into()),
             ("replanned", replan_idx.len().into()),
             ("dirty_nodes", dirty.len().into()),
-            ("wave", wave.into()),
+            ("wave", cfg.wave.max(1).into()),
         ]
     });
-    let handle = dsq_obs::SinkHandle::capture();
-    let sub_mode = handle.sink().map(|s| s.clock_mode());
-
-    let mut outcome = MultiQueryOutcome::default();
-    let mut fresh: Vec<Option<Deployment>> = Vec::with_capacity(replan_idx.len());
-    let hold = env.plan_cache.hold();
-    for wave_idx in replan_idx.chunks(wave) {
-        let job = |&qi: &usize| {
-            let sub = sub_mode.map(dsq_obs::Sink::new);
-            let _guard = sub.clone().map(dsq_obs::scoped);
-            let mut reg = registry.clone();
-            let mut stats = SearchStats::new();
-            let d = optimizer.optimize(catalog, &queries[qi], &mut reg, &mut stats);
-            (d, stats, sub)
-        };
-        let results: Vec<(Option<Deployment>, SearchStats, Option<Arc<dsq_obs::Sink>>)> =
-            if cfg.parallel {
-                wave_idx.into_par_iter().map(job).collect()
-            } else {
-                wave_idx.iter().map(job).collect()
-            };
-        for (d, stats, sub) in results {
-            outcome.stats.merge(&stats);
-            if let (Some(sub), Some(parent)) = (sub, handle.sink()) {
-                parent.absorb(&sub);
-            }
-            fresh.push(d);
-        }
-        env.plan_cache.barrier_commit();
+    let mut outcome = plan_in_waves(env, optimizer, catalog, queries, &replan_idx, registry, cfg);
+    // Replanned slots take their fresh result, clean slots keep their
+    // standing deployment bit-for-bit; the total is re-added in query order
+    // from 0.0 as the wave loop does (`sum()` starts at -0.0).
+    let fresh = std::mem::replace(&mut outcome.deployments, prior.to_vec());
+    for (&qi, d) in replan_idx.iter().zip(fresh) {
+        outcome.deployments[qi] = d;
     }
-    drop(hold);
-
-    // Assemble in query order: replanned slots take their fresh result,
-    // clean slots keep their standing deployment bit-for-bit.
-    let mut fresh = fresh.into_iter();
-    let mut replan_it = replan_idx.iter().peekable();
-    for (i, standing) in prior.iter().enumerate() {
-        let d = if replan_it.peek() == Some(&&i) {
-            replan_it.next();
-            fresh.next().expect("one fresh result per replanned query")
-        } else {
-            standing.clone()
-        };
-        if let Some(d) = &d {
-            outcome.total_cost += d.cost;
-        }
-        outcome.deployments.push(d);
-    }
+    let costs = outcome.deployments.iter().flatten().map(|d| d.cost);
+    outcome.total_cost = costs.fold(0.0, |sum, cost| sum + cost);
     dsq_obs::counter("planner.queries_replanned", replan_idx.len() as u64);
     outcome
 }
@@ -329,5 +308,45 @@ mod tests {
         );
         assert_eq!(serial.stats.dp_states, parallel.stats.dp_states);
         assert_eq!(serial.stats.events.len(), parallel.stats.events.len());
+    }
+
+    #[test]
+    fn dirty_replan_of_everything_is_optimize_all() {
+        // No standing deployments, nothing dirty: `optimize_dirty` selects
+        // every query, so both entry points drive the shared wave loop over
+        // the same list and must agree to the bit.
+        let (env, wl) = setup();
+        let run = |dirty_entry: bool| {
+            let env = env.reclustered(8);
+            env.plan_cache.set_enabled(true);
+            let td = TopDown::new(&env);
+            let (reg, cfg) = (ReuseRegistry::new(), ParallelConfig::default());
+            if dirty_entry {
+                let prior = vec![None; wl.queries.len()];
+                let dirty = HashSet::new();
+                optimize_dirty(
+                    &env,
+                    &td,
+                    &wl.catalog,
+                    &wl.queries,
+                    &prior,
+                    &dirty,
+                    &reg,
+                    &cfg,
+                )
+            } else {
+                optimize_all(&env, &td, &wl.catalog, &wl.queries, &reg, &cfg)
+            }
+        };
+        let (all, dirty) = (run(false), run(true));
+        assert_eq!(all.planned(), wl.queries.len());
+        // `{:?}` prints an f64 in its shortest form that parses back to the
+        // same bits, so equal text is equal deployments.
+        assert_eq!(
+            format!("{:?}", all.deployments),
+            format!("{:?}", dirty.deployments)
+        );
+        assert_eq!(all.stats, dirty.stats);
+        assert_eq!(all.total_cost.to_bits(), dirty.total_cost.to_bits());
     }
 }

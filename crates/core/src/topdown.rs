@@ -33,62 +33,13 @@ use crate::Optimizer;
 use dsq_hierarchy::ClusterId;
 use dsq_net::NodeId;
 use dsq_query::{Catalog, Deployment, LeafSource, Query, ReuseRegistry};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Sibling-fragment count from which `refine` fans out (mirroring
-/// `DistanceMatrix::build_with_parallel_threshold`'s knob). Below the
-/// threshold the fork/merge structure isn't worth its bookkeeping.
-pub const DEFAULT_REFINE_PARALLEL_THRESHOLD: usize = 4;
-
-/// A per-fragment refinement subproblem: (child cluster, planner inputs,
-/// actual destination).
-type RefineJob = (ClusterId, Vec<PlannerInput>, NodeId);
 
 /// The Top-Down hierarchical optimizer.
 #[derive(Clone, Copy, Debug)]
 pub struct TopDown<'a> {
     env: &'a Environment,
-    refine_parallel_threshold: usize,
-}
-
-/// Allocator of globally unique fragment tags that supports deterministic
-/// forking: [`split`](TagAlloc::split) carves the allocator's remaining
-/// value space into disjoint strided sub-spaces, one per parallel branch
-/// plus one for the caller's continuation. Tag *values* therefore differ
-/// between forked and sequential allocation, which is invisible downstream:
-/// tags only link a fragment to the `External` placeholders referencing it
-/// and are fully substituted away during `resolve`.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct TagAlloc {
-    next: usize,
-    step: usize,
-}
-
-impl TagAlloc {
-    pub(crate) fn new() -> Self {
-        TagAlloc { next: 0, step: 1 }
-    }
-
-    fn alloc(&mut self) -> usize {
-        let t = self.next;
-        self.next += self.step;
-        t
-    }
-
-    /// `n + 1` mutually disjoint sub-allocators: one per branch and a last
-    /// one the caller continues with. Each potential value set partitions
-    /// this allocator's remaining values, so uniqueness is preserved under
-    /// arbitrary nesting.
-    fn split(&self, n: usize) -> Vec<TagAlloc> {
-        (0..=n)
-            .map(|i| TagAlloc {
-                next: self.next + i * self.step,
-                step: self.step * (n + 1),
-            })
-            .collect()
-    }
 }
 
 /// A per-member view carved out of a higher-level assignment.
@@ -107,17 +58,7 @@ struct Fragment {
 impl<'a> TopDown<'a> {
     /// Create a Top-Down optimizer over an environment.
     pub fn new(env: &'a Environment) -> Self {
-        TopDown {
-            env,
-            refine_parallel_threshold: DEFAULT_REFINE_PARALLEL_THRESHOLD,
-        }
-    }
-
-    /// Override the sibling-fragment count from which refinement fans out
-    /// (`usize::MAX` disables fan-out entirely).
-    pub fn with_refine_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.refine_parallel_threshold = threshold.max(1);
-        self
+        TopDown { env }
     }
 
     /// The node standing in for `loc` during planning inside `cluster`:
@@ -262,15 +203,10 @@ impl<'a> TopDown<'a> {
     }
 
     /// Recursively re-plan a cluster-level assignment one level down until
-    /// every operator sits on a physical node.
-    ///
-    /// Sibling fragments are independent subproblems; when there are at
-    /// least `refine_parallel_threshold` of them they fan out across the
-    /// rayon pool. Determinism is structural, not scheduling-dependent:
-    /// each branch gets its own [`TagAlloc`] stream and its own virtual
-    /// sub-sink, and results / [`SearchStats`] / traces are reduced in
-    /// fragment order — so the output is byte-identical whatever the thread
-    /// count (including one).
+    /// every operator sits on a physical node. Sibling fragments are
+    /// refined one after the other, in fragment order; the parallelism is
+    /// across queries ([`crate::parallel::optimize_all`]). `next_tag`
+    /// starts at zero once per query (see `decompose`).
     pub(crate) fn refine(
         &self,
         planner: &ClusterPlanner<'_>,
@@ -278,7 +214,7 @@ impl<'a> TopDown<'a> {
         tree: PlacedTree,
         dest: NodeId,
         stats: &mut SearchStats,
-        tags: &mut TagAlloc,
+        next_tag: &mut usize,
     ) -> Option<PlacedTree> {
         if cluster.level == 1 || tree.join_count() == 0 {
             // Level-1 assignments are physical; operator-free trees have
@@ -287,45 +223,25 @@ impl<'a> TopDown<'a> {
             dsq_obs::counter("topdown.cells_pruned", 1);
             return Some(tree);
         }
-        let (fragments, root) = decompose(tree, tags);
+        let fragments = decompose(tree, next_tag);
         let h = &self.env.hierarchy;
         let members = &h.cluster(cluster).members;
 
-        // Per-fragment subproblem: (child cluster, planner inputs, actual
-        // destination).
-        let jobs: Vec<RefineJob> = fragments
-            .iter()
-            .map(|frag| {
-                let member_idx = members
-                    .iter()
-                    .position(|&m| m == frag.member)
-                    .expect("fragment joins were assigned to cluster members");
-                let child = h.child_of_member(cluster, member_idx);
-                let inputs = collect_inputs(&frag.tree, planner.catalog());
-                let dest_actual = match frag.consumer {
-                    Some(cf) => fragments[cf].member,
-                    None => dest,
-                };
-                (child, inputs, dest_actual)
-            })
-            .collect();
-
-        let refined: Vec<PlacedTree> = if jobs.len() >= self.refine_parallel_threshold {
-            let maybe = self.refine_fragments_parallel(planner, jobs, stats, tags);
-            let mut refined = Vec::with_capacity(maybe.len());
-            for r in maybe {
-                refined.push(r?);
-            }
-            refined
-        } else {
-            let mut refined = Vec::with_capacity(jobs.len());
-            for (child, inputs, dest_actual) in jobs {
-                let out = self.plan_in_cluster(planner, child, &inputs, dest_actual, stats)?;
-                let r = self.refine(planner, child, out.tree, dest_actual, stats, tags)?;
-                refined.push(r);
-            }
-            refined
-        };
+        let mut refined = Vec::with_capacity(fragments.len());
+        for frag in &fragments {
+            let member_idx = members
+                .iter()
+                .position(|&m| m == frag.member)
+                .expect("fragment joins were assigned to cluster members");
+            let child = h.child_of_member(cluster, member_idx);
+            let inputs = collect_inputs(&frag.tree, planner.catalog());
+            let dest_actual = match frag.consumer {
+                Some(cf) => fragments[cf].member,
+                None => dest,
+            };
+            let out = self.plan_in_cluster(planner, child, &inputs, dest_actual, stats)?;
+            refined.push(self.refine(planner, child, out.tree, dest_actual, stats, next_tag)?);
+        }
 
         // Splice sibling fragments back together (tags from enclosing
         // refinement scopes pass through untouched).
@@ -334,60 +250,7 @@ impl<'a> TopDown<'a> {
             .enumerate()
             .map(|(i, f)| (f.tag, i))
             .collect();
-        Some(resolve(root, &fragments, &refined, &tag_map))
-    }
-
-    /// Fan sibling-fragment refinements out across the rayon pool and
-    /// reduce stats and instrumentation in fragment order. All fragments
-    /// are processed even if one turns out infeasible, so accounting does
-    /// not depend on which branch failed first.
-    fn refine_fragments_parallel(
-        &self,
-        planner: &ClusterPlanner<'_>,
-        jobs: Vec<RefineJob>,
-        stats: &mut SearchStats,
-        tags: &mut TagAlloc,
-    ) -> Vec<Option<PlacedTree>> {
-        let n = jobs.len();
-        let mut allocs = tags.split(n);
-        let cont = allocs.pop().expect("split returns n+1 allocators");
-        *tags = cont;
-        let handle = dsq_obs::SinkHandle::capture();
-        let sub_mode = handle.sink().map(|s| s.clock_mode());
-        let work: Vec<(RefineJob, TagAlloc)> = jobs.into_iter().zip(allocs).collect();
-        let results: Vec<(Option<PlacedTree>, SearchStats, Option<Arc<dsq_obs::Sink>>)> = work
-            .into_par_iter()
-            .map(|((child, inputs, dest_actual), mut alloc)| {
-                // Each branch records into its own sub-sink (same clock mode
-                // as the ambient sink) so concurrent instrumentation never
-                // interleaves; the reduction below absorbs them in order.
-                let sub = sub_mode.map(dsq_obs::Sink::new);
-                let _guard = sub.clone().map(dsq_obs::scoped);
-                let mut local = SearchStats::new();
-                let out = self
-                    .plan_in_cluster(planner, child, &inputs, dest_actual, &mut local)
-                    .and_then(|out| {
-                        self.refine(
-                            planner,
-                            child,
-                            out.tree,
-                            dest_actual,
-                            &mut local,
-                            &mut alloc,
-                        )
-                    });
-                (out, local, sub)
-            })
-            .collect();
-        let mut refined = Vec::with_capacity(n);
-        for (out, local, sub) in results {
-            stats.merge(&local);
-            if let (Some(sub), Some(parent)) = (sub, handle.sink()) {
-                parent.absorb(&sub);
-            }
-            refined.push(out);
-        }
-        refined
+        Some(resolve(0, &fragments, &refined, &tag_map))
     }
 }
 
@@ -427,36 +290,45 @@ fn collect_local_tags(
     }
 }
 
-/// Split a placed tree into maximal same-member fragments.
-fn decompose(tree: PlacedTree, tags: &mut TagAlloc) -> (Vec<Fragment>, usize) {
-    struct Ctx<'a> {
-        fragments: Vec<Fragment>,
-        tags: &'a mut TagAlloc,
+/// Split a placed tree into maximal same-member fragments, the root's
+/// first. Each takes the next tag from `next_tag`, a counter the caller
+/// starts at zero once per query so that tags stay unique across nested
+/// refinement scopes; they only link a fragment to the `External`
+/// placeholders referencing it and are substituted away by `resolve`.
+fn decompose(tree: PlacedTree, next_tag: &mut usize) -> Vec<Fragment> {
+    fn fresh_tag(next_tag: &mut usize) -> usize {
+        *next_tag += 1;
+        *next_tag - 1
     }
 
-    fn walk(t: &PlacedTree, cur: usize, ctx: &mut Ctx<'_>) -> PlacedTree {
+    fn walk(
+        t: &PlacedTree,
+        cur: usize,
+        fragments: &mut Vec<Fragment>,
+        next_tag: &mut usize,
+    ) -> PlacedTree {
         match t {
-            PlacedTree::Join { left, right, node } if *node == ctx.fragments[cur].member => {
+            PlacedTree::Join { left, right, node } if *node == fragments[cur].member => {
                 PlacedTree::Join {
-                    left: Box::new(walk(left, cur, ctx)),
-                    right: Box::new(walk(right, cur, ctx)),
+                    left: Box::new(walk(left, cur, fragments, next_tag)),
+                    right: Box::new(walk(right, cur, fragments, next_tag)),
                     node: *node,
                 }
             }
             PlacedTree::Join { node, .. } => {
                 // A join on a different member starts a new fragment whose
                 // output feeds the current one.
-                let tag = ctx.tags.alloc();
-                let fid = ctx.fragments.len();
-                ctx.fragments.push(Fragment {
+                let tag = fresh_tag(next_tag);
+                let fid = fragments.len();
+                fragments.push(Fragment {
                     member: *node,
                     tag,
                     tree: PlacedTree::Leaf(LeafSource::Base(dsq_query::StreamId(u32::MAX))),
                     consumer: Some(cur),
                 });
-                let sub = walk(t, fid, ctx);
+                let sub = walk(t, fid, fragments, next_tag);
                 let covered = sub.covered();
-                ctx.fragments[fid].tree = sub;
+                fragments[fid].tree = sub;
                 PlacedTree::External {
                     tag,
                     covered,
@@ -473,19 +345,14 @@ fn decompose(tree: PlacedTree, tags: &mut TagAlloc) -> (Vec<Fragment>, usize) {
         PlacedTree::Join { node, .. } => *node,
         _ => unreachable!("decompose requires a join root"),
     };
-    let root_tag = tags.alloc();
-    let mut ctx = Ctx {
-        fragments: vec![Fragment {
-            member: root_member,
-            tag: root_tag,
-            tree: PlacedTree::Leaf(LeafSource::Base(dsq_query::StreamId(u32::MAX))),
-            consumer: None,
-        }],
-        tags,
-    };
-    let root_tree = walk(&tree, 0, &mut ctx);
-    ctx.fragments[0].tree = root_tree;
-    (ctx.fragments, 0)
+    let mut fragments = vec![Fragment {
+        member: root_member,
+        tag: fresh_tag(next_tag),
+        tree: PlacedTree::Leaf(LeafSource::Base(dsq_query::StreamId(u32::MAX))),
+        consumer: None,
+    }];
+    fragments[0].tree = walk(&tree, 0, &mut fragments, next_tag);
+    fragments
 }
 
 /// Planner inputs for a fragment: its leaf streams plus `External`
@@ -541,10 +408,8 @@ impl Optimizer for TopDown<'_> {
         }
         let top = self.env.hierarchy.top();
         let out = self.plan_in_cluster(&planner, top, &inputs, query.sink, stats);
-        let tree = out.and_then(|out| {
-            let mut tags = TagAlloc::new();
-            self.refine(&planner, top, out.tree, query.sink, stats, &mut tags)
-        });
+        let tree =
+            out.and_then(|out| self.refine(&planner, top, out.tree, query.sink, stats, &mut 0));
         // End-of-query commit barrier: no planning is in flight, so staged
         // subplans become visible to the next optimization.
         self.env.plan_cache.commit();
