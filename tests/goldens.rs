@@ -9,6 +9,11 @@
 //! seeded fault schedule — every event outcome, cost bit, protocol timing
 //! and cache counter.
 //!
+//! The on-disk text formats are pinned the same way, byte for byte: the
+//! journal and snapshot files a journaled service leaves behind, the
+//! `config.*` header lines, and `.case` files. A codec refactor must leave
+//! every one of these digests where it is.
+//!
 //! The inputs go through `f64::ln` (exponential inter-fault gaps), so the
 //! digests are pinned for the x86-64 Linux toolchain CI builds with. A
 //! mismatch prints the whole digested text; compare it against a checkout
@@ -16,8 +21,11 @@
 
 use dsq::prelude::*;
 use dsq::server::chaos::run_plain;
-use dsq::server::{generate_script, ScriptConfig, ServiceConfig};
+use dsq::server::{generate_script, PlanningService, ScriptConfig, ServiceConfig};
 use dsq::sim::chaos::{ChaosRunner, Fault, FaultConfig, FaultSchedule, TimedFault};
+use dsq_fuzz::FuzzCase;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// 64-bit FNV-1a.
 fn digest(text: &str) -> u64 {
@@ -81,6 +89,91 @@ fn service_fingerprint_after_a_churn_heavy_script_is_pinned() {
         "churn-script service fingerprint",
         &service_fingerprint(&script),
         0x7972_1e51_48f3_8353,
+    );
+}
+
+/// Run the default script through a service journaled to disk and return
+/// the journal file and the snapshot file (empty when none was written).
+fn service_files(snapshot_every: usize) -> (String, String) {
+    let cfg = ServiceConfig {
+        snapshot_every,
+        ..ServiceConfig::default()
+    };
+    let dir = std::env::temp_dir().join(format!(
+        "dsq-goldens-files-{}-{snapshot_every}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("session.journal");
+    let mut svc = PlanningService::new(cfg.clone(), Some(&path)).unwrap();
+    for line in generate_script(&cfg, &ScriptConfig::default()) {
+        svc.submit_line(&line);
+    }
+    let journal = std::fs::read_to_string(&path).unwrap();
+    let snapshot = std::fs::read_to_string(svc.snapshot_path().unwrap()).unwrap_or_default();
+    std::fs::remove_dir_all(&dir).ok();
+    (journal, snapshot)
+}
+
+#[test]
+fn journal_and_snapshot_files_are_pinned() {
+    // Snapshotting every second drain: the journal is compacted behind
+    // each snapshot, so the file ends as header, marker and suffix.
+    let (journal, snapshot) = service_files(2);
+    assert_golden("compacted journal file", &journal, 0x4e24_a7b8_694e_e1f9);
+    assert_golden("snapshot file", &snapshot, 0x01e9_a37d_b422_7765);
+    // Without snapshots the journal keeps every entry the script admitted.
+    let (journal, snapshot) = service_files(0);
+    assert!(snapshot.is_empty());
+    assert_golden("full journal file", &journal, 0x2f55_0048_b450_ab9c);
+}
+
+#[test]
+fn config_lines_are_pinned() {
+    // Every field off its default, so no key can fall out of the header
+    // unnoticed.
+    let cfg = ServiceConfig {
+        seed: 9,
+        transit_domains: 2,
+        transit_nodes_per_domain: 3,
+        stub_domains_per_transit_node: 1,
+        stub_nodes_per_domain: 5,
+        max_cs: 6,
+        streams: 11,
+        cache: false,
+        max_queue: 17,
+        default_deadline_ms: 250,
+        replan_budget: 3,
+        threshold_milli: 450,
+        snapshot_every: 8,
+        advert_budget: 12,
+    };
+    assert_ne!(cfg, ServiceConfig::default());
+    assert_golden("config lines", &cfg.to_lines(), 0x11b6_a83c_c71b_fb93);
+}
+
+#[test]
+fn case_files_are_pinned() {
+    let mut planner = FuzzCase::sample(&mut ChaCha8Rng::seed_from_u64(31), 48);
+    planner.keep_queries = Some(vec![0, 2]);
+    planner.keep_events = Some(vec![]);
+    planner.advert_budget = 3;
+    planner.round_stats = true;
+    assert_golden(
+        "planner case",
+        &planner.to_text("golden\nplanner"),
+        0x04ea_a503_70b0_22b1,
+    );
+
+    let mut service = FuzzCase::sample_with(&mut ChaCha8Rng::seed_from_u64(37), 48, 0, 1000);
+    assert!(service.service);
+    service.keep_queries = Some(vec![1]);
+    service.keep_requests = Some(vec![0, 3, 4]);
+    service.keep_kills = Some(vec![]);
+    assert_golden(
+        "service case",
+        &service.to_text("golden service"),
+        0x14ef_4913_0d74_a67a,
     );
 }
 
