@@ -5,11 +5,12 @@
 //! A case is pure data. [`FuzzCase::build`] materializes it into an
 //! [`Instance`] deterministically (everything downstream is seeded), so a
 //! case file alone reproduces a failure bit-for-bit. The text form is a
-//! line-based `key = value` format with `#` comments, stable enough to
-//! check into `tests/regressions/`.
+//! [`dsq_obs::kv`] document, the one definition of the `key = value`
+//! format, stable enough to check into `tests/regressions/`.
 
 use dsq_core::Environment;
 use dsq_net::TransitStubConfig;
+use dsq_obs::kv::{self, Field};
 use dsq_sim::chaos::{FaultConfig, FaultSchedule};
 use dsq_workload::{Workload, WorkloadConfig, WorkloadGenerator};
 use rand::Rng;
@@ -364,61 +365,7 @@ impl FuzzCase {
         for line in comment.lines() {
             out.push_str(&format!("# {line}\n"));
         }
-        let mut kv = |k: &str, v: String| out.push_str(&format!("{k} = {v}\n"));
-        kv("seed", self.seed.to_string());
-        kv("transit_domains", self.transit_domains.to_string());
-        kv(
-            "transit_nodes_per_domain",
-            self.transit_nodes_per_domain.to_string(),
-        );
-        kv(
-            "stub_domains_per_transit_node",
-            self.stub_domains_per_transit_node.to_string(),
-        );
-        kv(
-            "stub_nodes_per_domain",
-            self.stub_nodes_per_domain.to_string(),
-        );
-        kv("max_cs", self.max_cs.to_string());
-        kv("streams", self.streams.to_string());
-        kv("queries", self.queries.to_string());
-        kv("joins_lo", self.joins_lo.to_string());
-        kv("joins_hi", self.joins_hi.to_string());
-        kv("skew_milli", self.skew_milli.to_string());
-        kv("events", self.events.to_string());
-        kv("drop_milli", self.drop_milli.to_string());
-        if self.advert_budget > 0 {
-            kv("advert_budget", self.advert_budget.to_string());
-        }
-        if let Some(k) = &self.keep_queries {
-            kv("keep_queries", join_indexes(k));
-        }
-        if let Some(k) = &self.keep_events {
-            kv("keep_events", join_indexes(k));
-        }
-        if self.round_stats {
-            kv("round_stats", "1".into());
-        }
-        if self.service {
-            kv("service", "1".into());
-            kv("svc_queries", self.svc_queries.to_string());
-            kv("svc_replans", self.svc_replans.to_string());
-            kv("svc_unregisters", self.svc_unregisters.to_string());
-            kv("svc_batch", self.svc_batch.to_string());
-            kv("svc_reads", self.svc_reads.to_string());
-            kv("svc_events", self.svc_events.to_string());
-            kv("svc_max_queue", self.svc_max_queue.to_string());
-            kv("svc_replan_budget", self.svc_replan_budget.to_string());
-            kv("svc_deadline_ms", self.svc_deadline_ms.to_string());
-            kv("svc_snapshot_every", self.svc_snapshot_every.to_string());
-            kv("svc_kills", self.svc_kills.to_string());
-            if let Some(k) = &self.keep_requests {
-                kv("keep_requests", join_indexes(k));
-            }
-            if let Some(k) = &self.keep_kills {
-                kv("keep_kills", join_indexes(k));
-            }
-        }
+        kv::write_fields(&mut out, "", self);
         out
     }
 
@@ -427,55 +374,8 @@ impl FuzzCase {
     /// [`to_text`]: FuzzCase::to_text
     pub fn parse(text: &str) -> Result<FuzzCase, String> {
         let mut case = FuzzCase::default();
-        for (ln, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`: {raw:?}", ln + 1))?;
-            let (key, value) = (key.trim(), value.trim());
-            let as_usize =
-                |v: &str| -> Result<usize, String> { v.parse().map_err(|e| format!("{key}: {e}")) };
-            let as_u64 =
-                |v: &str| -> Result<u64, String> { v.parse().map_err(|e| format!("{key}: {e}")) };
-            match key {
-                "seed" => case.seed = as_u64(value)?,
-                "transit_domains" => case.transit_domains = as_usize(value)?,
-                "transit_nodes_per_domain" => case.transit_nodes_per_domain = as_usize(value)?,
-                "stub_domains_per_transit_node" => {
-                    case.stub_domains_per_transit_node = as_usize(value)?
-                }
-                "stub_nodes_per_domain" => case.stub_nodes_per_domain = as_usize(value)?,
-                "max_cs" => case.max_cs = as_usize(value)?,
-                "streams" => case.streams = as_usize(value)?,
-                "queries" => case.queries = as_usize(value)?,
-                "joins_lo" => case.joins_lo = as_usize(value)?,
-                "joins_hi" => case.joins_hi = as_usize(value)?,
-                "skew_milli" => case.skew_milli = as_u64(value)?,
-                "events" => case.events = as_u64(value)? as usize,
-                "drop_milli" => case.drop_milli = as_u64(value)?,
-                "advert_budget" => case.advert_budget = as_usize(value)?,
-                "keep_queries" => case.keep_queries = Some(parse_indexes(value)?),
-                "keep_events" => case.keep_events = Some(parse_indexes(value)?),
-                "round_stats" => case.round_stats = as_u64(value)? != 0,
-                "service" => case.service = as_u64(value)? != 0,
-                "svc_queries" => case.svc_queries = as_usize(value)?,
-                "svc_replans" => case.svc_replans = as_usize(value)?,
-                "svc_unregisters" => case.svc_unregisters = as_usize(value)?,
-                "svc_batch" => case.svc_batch = as_usize(value)?,
-                "svc_reads" => case.svc_reads = as_usize(value)?,
-                "svc_events" => case.svc_events = as_usize(value)?,
-                "svc_max_queue" => case.svc_max_queue = as_usize(value)?,
-                "svc_replan_budget" => case.svc_replan_budget = as_usize(value)?,
-                "svc_deadline_ms" => case.svc_deadline_ms = as_u64(value)?,
-                "svc_snapshot_every" => case.svc_snapshot_every = as_usize(value)?,
-                "svc_kills" => case.svc_kills = as_usize(value)?,
-                "keep_requests" => case.keep_requests = Some(parse_indexes(value)?),
-                "keep_kills" => case.keep_kills = Some(parse_indexes(value)?),
-                other => return Err(format!("line {}: unknown key {other:?}", ln + 1)),
-            }
+        for line in kv::lines(text) {
+            line?.set_in("", &mut case)?;
         }
         if case.transit_domains == 0
             || case.transit_nodes_per_domain == 0
@@ -621,20 +521,52 @@ fn canonicalize_statistics(catalog: &mut dsq_query::Catalog) {
     }
 }
 
-fn join_indexes(ix: &[usize]) -> String {
-    ix.iter()
-        .map(|i| i.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn parse_indexes(v: &str) -> Result<Vec<usize>, String> {
-    if v.is_empty() {
-        return Ok(Vec::new());
+/// The `.case` keys. Optional parts are written only when they say
+/// something: the advert budget when set, keep-masks when present, flags
+/// when on, and the `svc_*` block only for service cases.
+impl kv::Fields for FuzzCase {
+    fn fields_mut(&mut self) -> Vec<Field<'_>> {
+        let (budget, round, svc) = (self.advert_budget > 0, self.round_stats, self.service);
+        vec![
+            Field::new("seed", &mut self.seed),
+            Field::new("transit_domains", &mut self.transit_domains),
+            Field::new(
+                "transit_nodes_per_domain",
+                &mut self.transit_nodes_per_domain,
+            ),
+            Field::new(
+                "stub_domains_per_transit_node",
+                &mut self.stub_domains_per_transit_node,
+            ),
+            Field::new("stub_nodes_per_domain", &mut self.stub_nodes_per_domain),
+            Field::new("max_cs", &mut self.max_cs),
+            Field::new("streams", &mut self.streams),
+            Field::new("queries", &mut self.queries),
+            Field::new("joins_lo", &mut self.joins_lo),
+            Field::new("joins_hi", &mut self.joins_hi),
+            Field::new("skew_milli", &mut self.skew_milli),
+            Field::new("events", &mut self.events),
+            Field::new("drop_milli", &mut self.drop_milli),
+            Field::new("advert_budget", &mut self.advert_budget).written_if(budget),
+            Field::new("keep_queries", &mut self.keep_queries),
+            Field::new("keep_events", &mut self.keep_events),
+            Field::new("round_stats", &mut self.round_stats).written_if(round),
+            Field::new("service", &mut self.service).written_if(svc),
+            Field::new("svc_queries", &mut self.svc_queries).written_if(svc),
+            Field::new("svc_replans", &mut self.svc_replans).written_if(svc),
+            Field::new("svc_unregisters", &mut self.svc_unregisters).written_if(svc),
+            Field::new("svc_batch", &mut self.svc_batch).written_if(svc),
+            Field::new("svc_reads", &mut self.svc_reads).written_if(svc),
+            Field::new("svc_events", &mut self.svc_events).written_if(svc),
+            Field::new("svc_max_queue", &mut self.svc_max_queue).written_if(svc),
+            Field::new("svc_replan_budget", &mut self.svc_replan_budget).written_if(svc),
+            Field::new("svc_deadline_ms", &mut self.svc_deadline_ms).written_if(svc),
+            Field::new("svc_snapshot_every", &mut self.svc_snapshot_every).written_if(svc),
+            Field::new("svc_kills", &mut self.svc_kills).written_if(svc),
+            Field::new("keep_requests", &mut self.keep_requests).written_if(svc),
+            Field::new("keep_kills", &mut self.keep_kills).written_if(svc),
+        ]
     }
-    v.split(',')
-        .map(|s| s.trim().parse().map_err(|e| format!("index list: {e}")))
-        .collect()
 }
 
 #[cfg(test)]

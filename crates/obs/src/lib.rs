@@ -34,6 +34,7 @@
 //! `cargo test` runs tests on concurrent threads and a global sink would
 //! interleave their events.
 
+pub mod kv;
 pub mod mini_json;
 
 use std::cell::RefCell;

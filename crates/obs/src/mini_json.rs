@@ -1,16 +1,13 @@
-//! Minimal JSON reader/writer shared by the workspace's tooling.
-//!
-//! Born in `dsq-bench` to merge `BENCH_*.json` summaries (several bench
-//! targets append rows to the *same* file, so the emitter must read
-//! whatever an earlier run wrote and union the objects instead of
-//! clobbering it); now hosted here so the planning service's JSONL
-//! request protocol can parse with the same code. The offline workspace
-//! has no serde implementation (the shim only provides no-op derives),
-//! hence this self-contained recursive-descent parser. It covers exactly
-//! the JSON the workspace emits: objects, arrays, strings with the escapes
+//! Minimal JSON reader/writer shared by the workspace's tooling: bench
+//! summaries are merged with it and the planning service's JSONL request
+//! protocol parses with it. The offline workspace has no serde
+//! implementation (the shim only provides no-op derives), hence this
+//! self-contained recursive-descent parser. It covers exactly the JSON the
+//! workspace emits: objects, arrays, strings with the escapes
 //! [`crate::json::push_str`] produces, finite numbers, booleans, `null`.
+//! Writing goes through [`crate::json`], the workspace's one JSON writer.
 
-use std::fmt::Write as _;
+use crate::json;
 
 /// A parsed JSON value. Object member order is preserved, so merged files
 /// stay stable and diffable across runs.
@@ -47,7 +44,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_str(out, k);
+                    json::push_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -63,14 +60,9 @@ impl Json {
                 }
                 out.push(']');
             }
-            Json::Str(s) => write_str(out, s),
-            Json::Num(v) if v.is_finite() => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Num(_) => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+            Json::Str(s) => json::push_str(out, s),
+            Json::Num(v) => json::push_f64(out, *v),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Null => out.push_str("null"),
         }
     }
@@ -83,24 +75,6 @@ impl std::fmt::Display for Json {
         self.write(&mut out);
         f.write_str(&out)
     }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Recursively union `new` into `old`: objects merge member-wise (members

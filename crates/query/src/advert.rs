@@ -51,6 +51,7 @@ use crate::plan::{Deployment, LeafSource, OperatorId};
 use crate::predicate::{residual_selections, selections_compatible, SelectionPredicate};
 use crate::query::{Query, QueryId, StreamSet};
 use dsq_net::NodeId;
+use dsq_obs::kv;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of an advertised derived stream. Stable for the lifetime of
@@ -124,34 +125,25 @@ impl AdvertStats {
         self.published == self.live + self.retired + self.evicted
     }
 
-    /// `(name, value)` pairs in serialization order (snapshot round-trip).
+    /// `(name, value)` pairs in serialization order.
     pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("published", self.published),
-            ("suppressed", self.suppressed),
-            ("reuse_candidates_served", self.reuse_candidates_served),
-            ("live", self.live),
-            ("retired", self.retired),
-            ("evicted", self.evicted),
-            ("rederive_requested", self.rederive_requested),
-            ("rederived", self.rederived),
-        ]
+        kv::u64_fields(self)
     }
+}
 
-    /// Set one field by name (snapshot restore).
-    pub fn set(&mut self, name: &str, value: u64) -> Result<(), String> {
-        match name {
-            "published" => self.published = value,
-            "suppressed" => self.suppressed = value,
-            "reuse_candidates_served" => self.reuse_candidates_served = value,
-            "live" => self.live = value,
-            "retired" => self.retired = value,
-            "evicted" => self.evicted = value,
-            "rederive_requested" => self.rederive_requested = value,
-            "rederived" => self.rederived = value,
-            other => return Err(format!("unknown advert stat {other:?}")),
-        }
-        Ok(())
+/// The snapshot's `advert_stat.*` lines.
+impl kv::Fields for AdvertStats {
+    fn fields_mut(&mut self) -> Vec<kv::Field<'_>> {
+        vec![
+            kv::Field::new("published", &mut self.published),
+            kv::Field::new("suppressed", &mut self.suppressed),
+            kv::Field::new("reuse_candidates_served", &mut self.reuse_candidates_served),
+            kv::Field::new("live", &mut self.live),
+            kv::Field::new("retired", &mut self.retired),
+            kv::Field::new("evicted", &mut self.evicted),
+            kv::Field::new("rederive_requested", &mut self.rederive_requested),
+            kv::Field::new("rederived", &mut self.rederived),
+        ]
     }
 }
 

@@ -2,12 +2,14 @@
 //! admission-control and degradation knobs.
 //!
 //! The configuration is the first thing written to a journal (as
-//! `config.<key> = <value>` lines, the `.case` idiom from `dsq-fuzz`), so a
-//! journal file alone reconstructs the service bit-for-bit: topology,
-//! hierarchy and catalog are pure functions of these fields.
+//! `config.<key> = <value>` lines of [`dsq_obs::kv`], the one definition of
+//! the format), so a journal file alone reconstructs the service
+//! bit-for-bit: topology, hierarchy and catalog are pure functions of these
+//! fields.
 
 use dsq_core::Environment;
 use dsq_net::TransitStubConfig;
+use dsq_obs::kv::{self, Field};
 use dsq_query::Catalog;
 use dsq_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -108,63 +110,21 @@ impl ServiceConfig {
         (env, workload.catalog)
     }
 
+    /// The key prefix of the configuration's lines in journals and
+    /// snapshots.
+    pub(crate) const PREFIX: &'static str = "config.";
+
     /// Serialize as `config.<key> = <value>` lines (one per field).
     pub fn to_lines(&self) -> String {
         let mut out = String::new();
-        let mut kv = |k: &str, v: String| out.push_str(&format!("config.{k} = {v}\n"));
-        kv("seed", self.seed.to_string());
-        kv("transit_domains", self.transit_domains.to_string());
-        kv(
-            "transit_nodes_per_domain",
-            self.transit_nodes_per_domain.to_string(),
-        );
-        kv(
-            "stub_domains_per_transit_node",
-            self.stub_domains_per_transit_node.to_string(),
-        );
-        kv(
-            "stub_nodes_per_domain",
-            self.stub_nodes_per_domain.to_string(),
-        );
-        kv("max_cs", self.max_cs.to_string());
-        kv("streams", self.streams.to_string());
-        kv("cache", u64::from(self.cache).to_string());
-        kv("max_queue", self.max_queue.to_string());
-        kv("default_deadline_ms", self.default_deadline_ms.to_string());
-        kv("replan_budget", self.replan_budget.to_string());
-        kv("threshold_milli", self.threshold_milli.to_string());
-        kv("snapshot_every", self.snapshot_every.to_string());
-        kv("advert_budget", self.advert_budget.to_string());
+        kv::write_fields(&mut out, Self::PREFIX, self);
         out
     }
 
     /// Apply one `config.<key> = <value>` line (key passed without the
     /// `config.` prefix).
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
-        let as_usize =
-            |v: &str| -> Result<usize, String> { v.parse().map_err(|e| format!("{key}: {e}")) };
-        let as_u64 =
-            |v: &str| -> Result<u64, String> { v.parse().map_err(|e| format!("{key}: {e}")) };
-        match key {
-            "seed" => self.seed = as_u64(value)?,
-            "transit_domains" => self.transit_domains = as_usize(value)?,
-            "transit_nodes_per_domain" => self.transit_nodes_per_domain = as_usize(value)?,
-            "stub_domains_per_transit_node" => {
-                self.stub_domains_per_transit_node = as_usize(value)?
-            }
-            "stub_nodes_per_domain" => self.stub_nodes_per_domain = as_usize(value)?,
-            "max_cs" => self.max_cs = as_usize(value)?,
-            "streams" => self.streams = as_usize(value)?,
-            "cache" => self.cache = as_u64(value)? != 0,
-            "max_queue" => self.max_queue = as_usize(value)?,
-            "default_deadline_ms" => self.default_deadline_ms = as_u64(value)?,
-            "replan_budget" => self.replan_budget = as_usize(value)?,
-            "threshold_milli" => self.threshold_milli = as_u64(value)?,
-            "snapshot_every" => self.snapshot_every = as_usize(value)?,
-            "advert_budget" => self.advert_budget = as_usize(value)?,
-            other => return Err(format!("unknown config key {other:?}")),
-        }
-        Ok(())
+        kv::set_field(self, key, value)
     }
 
     /// Validate the shape (mirrors the `.case` floor checks).
@@ -185,6 +145,33 @@ impl ServiceConfig {
             return Err("max_queue must be at least 1".into());
         }
         Ok(())
+    }
+}
+
+impl kv::Fields for ServiceConfig {
+    fn fields_mut(&mut self) -> Vec<Field<'_>> {
+        vec![
+            Field::new("seed", &mut self.seed),
+            Field::new("transit_domains", &mut self.transit_domains),
+            Field::new(
+                "transit_nodes_per_domain",
+                &mut self.transit_nodes_per_domain,
+            ),
+            Field::new(
+                "stub_domains_per_transit_node",
+                &mut self.stub_domains_per_transit_node,
+            ),
+            Field::new("stub_nodes_per_domain", &mut self.stub_nodes_per_domain),
+            Field::new("max_cs", &mut self.max_cs),
+            Field::new("streams", &mut self.streams),
+            Field::new("cache", &mut self.cache),
+            Field::new("max_queue", &mut self.max_queue),
+            Field::new("default_deadline_ms", &mut self.default_deadline_ms),
+            Field::new("replan_budget", &mut self.replan_budget),
+            Field::new("threshold_milli", &mut self.threshold_milli),
+            Field::new("snapshot_every", &mut self.snapshot_every),
+            Field::new("advert_budget", &mut self.advert_budget),
+        ]
     }
 }
 

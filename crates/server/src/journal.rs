@@ -1,21 +1,24 @@
 //! Deterministic write-ahead journal.
 //!
 //! Every state-mutating request is appended *before* it is applied, as one
-//! `entry = <kind> k=v ...` line in the `.case` text idiom from `dsq-fuzz`
-//! (`#` comments, `key = value`, human-diffable). Drain markers are
-//! journaled too, so the journal is a complete replayable session: a fresh
-//! service fed the entries through its normal processing path reconstructs
-//! the crashed service bit-for-bit — state, responses and virtual-clock
-//! obs trace alike (see `tests/recovery.rs`).
+//! `entry = <kind> k=v ...` line of [`dsq_obs::kv`], the one definition of
+//! the format (`#` comments, `key = value`, human-diffable). Drain markers
+//! are journaled too, so the journal is a complete replayable session: a
+//! fresh service fed the entries through its normal processing path
+//! reconstructs the crashed service bit-for-bit — state, responses and
+//! virtual-clock obs trace alike (see `tests/recovery.rs`).
 //!
 //! The journal header carries the [`ServiceConfig`], making a journal file
 //! self-contained the same way a `.case` file is.
 
 use crate::config::ServiceConfig;
 use crate::protocol::{FaultReq, Request};
+use dsq_obs::kv::{self, List, Record, RecordWriter};
+use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// One journaled, admitted, state-mutating request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,136 +130,94 @@ impl JournalEntry {
             | JournalEntry::Shed { at_ms, .. } => *at_ms,
         }
     }
+}
 
-    /// Serialize as the payload of one `entry = ...` line.
-    pub fn to_line(&self) -> String {
-        match self {
+/// The payload of one `entry = ...` line.
+impl fmt::Display for JournalEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let r = match self {
             JournalEntry::Register {
                 id,
                 sources,
                 sink,
                 deadline_ms,
-                at_ms,
-            } => {
-                let srcs: Vec<String> = sources.iter().map(|s| s.to_string()).collect();
-                let mut line = format!("register id={id} sources={} sink={sink}", srcs.join(","));
-                if let Some(d) = deadline_ms {
-                    line.push_str(&format!(" deadline={d}"));
-                }
-                line.push_str(&format!(" at={at_ms}"));
-                line
-            }
-            JournalEntry::Unregister { id, at_ms } => format!("unregister id={id} at={at_ms}"),
+                ..
+            } => RecordWriter::new(f, "register")
+                .put("id", id)
+                .put("sources", List(sources))
+                .put("sink", sink)
+                .opt("deadline", *deadline_ms),
+            JournalEntry::Unregister { id, .. } => RecordWriter::new(f, "unregister").put("id", id),
             JournalEntry::Replan {
-                id,
-                deadline_ms,
-                at_ms,
-            } => {
-                let mut line = format!("replan id={id}");
-                if let Some(d) = deadline_ms {
-                    line.push_str(&format!(" deadline={d}"));
+                id, deadline_ms, ..
+            } => RecordWriter::new(f, "replan")
+                .put("id", id)
+                .opt("deadline", *deadline_ms),
+            JournalEntry::Fault { fault, .. } => {
+                let r = RecordWriter::new(f, "fault");
+                match fault {
+                    FaultReq::Crash(n) => r.put("kind", "crash").put("node", n),
+                    FaultReq::Rejoin(n) => r.put("kind", "rejoin").put("node", n),
+                    FaultReq::Degrade { a, b, factor_milli } => r
+                        .put("kind", "degrade")
+                        .put("a", a)
+                        .put("b", b)
+                        .put("factor_milli", factor_milli),
                 }
-                line.push_str(&format!(" at={at_ms}"));
-                line
             }
-            JournalEntry::Fault { fault, at_ms } => match fault {
-                FaultReq::Crash(n) => format!("fault kind=crash node={n} at={at_ms}"),
-                FaultReq::Rejoin(n) => format!("fault kind=rejoin node={n} at={at_ms}"),
-                FaultReq::Degrade { a, b, factor_milli } => {
-                    format!("fault kind=degrade a={a} b={b} factor_milli={factor_milli} at={at_ms}")
-                }
-            },
-            JournalEntry::Drain { at_ms } => format!("drain at={at_ms}"),
-            JournalEntry::Shed { op, id, at_ms } => {
-                let mut line = format!("shed op={op}");
-                if let Some(id) = id {
-                    line.push_str(&format!(" id={id}"));
-                }
-                line.push_str(&format!(" at={at_ms}"));
-                line
+            JournalEntry::Drain { .. } => RecordWriter::new(f, "drain"),
+            JournalEntry::Shed { op, id, .. } => {
+                RecordWriter::new(f, "shed").put("op", op).opt("id", *id)
             }
-        }
+        };
+        r.put("at", self.at_ms()).finish()
     }
+}
 
-    /// Parse the payload of one `entry = ...` line.
-    pub fn parse_line(line: &str) -> Result<JournalEntry, String> {
-        let mut tokens = line.split_whitespace();
-        let kind = tokens.next().ok_or("empty journal entry")?;
-        let mut fields = std::collections::BTreeMap::new();
-        for tok in tokens {
-            let (k, v) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("expected k=v token, got {tok:?}"))?;
-            fields.insert(k.to_string(), v.to_string());
-        }
-        let get_u64 = |k: &str| -> Result<u64, String> {
-            fields
-                .get(k)
-                .ok_or_else(|| format!("{kind}: missing {k}"))?
-                .parse()
-                .map_err(|e| format!("{kind}.{k}: {e}"))
-        };
-        let get_u32 = |k: &str| -> Result<u32, String> {
-            u32::try_from(get_u64(k)?).map_err(|_| format!("{kind}.{k}: out of range"))
-        };
-        let opt_u64 = |k: &str| -> Option<u64> { fields.get(k).and_then(|v| v.parse().ok()) };
-        match kind {
-            "register" => {
-                let sources = fields
-                    .get("sources")
-                    .ok_or("register: missing sources")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().map_err(|e| format!("register.sources: {e}")))
-                    .collect::<Result<Vec<u32>, String>>()?;
-                Ok(JournalEntry::Register {
-                    id: get_u32("id")?,
-                    sources,
-                    sink: get_u32("sink")?,
-                    deadline_ms: opt_u64("deadline"),
-                    at_ms: get_u64("at")?,
-                })
-            }
-            "unregister" => Ok(JournalEntry::Unregister {
-                id: get_u32("id")?,
-                at_ms: get_u64("at")?,
-            }),
-            "replan" => Ok(JournalEntry::Replan {
-                id: get_u32("id")?,
-                deadline_ms: opt_u64("deadline"),
-                at_ms: get_u64("at")?,
-            }),
-            "fault" => {
-                let at_ms = get_u64("at")?;
-                let fault = match fields.get("kind").map(String::as_str) {
-                    Some("crash") => FaultReq::Crash(get_u32("node")?),
-                    Some("rejoin") => FaultReq::Rejoin(get_u32("node")?),
+/// Reads the payload of one `entry = ...` line back.
+impl FromStr for JournalEntry {
+    type Err = String;
+    fn from_str(line: &str) -> Result<JournalEntry, String> {
+        let r = Record::parse(line)?;
+        let at_ms = r.get("at")?;
+        Ok(match r.kind() {
+            "register" => JournalEntry::Register {
+                id: r.get("id")?,
+                sources: r.list("sources")?,
+                sink: r.get("sink")?,
+                deadline_ms: r.opt("deadline")?,
+                at_ms,
+            },
+            "unregister" => JournalEntry::Unregister {
+                id: r.get("id")?,
+                at_ms,
+            },
+            "replan" => JournalEntry::Replan {
+                id: r.get("id")?,
+                deadline_ms: r.opt("deadline")?,
+                at_ms,
+            },
+            "fault" => JournalEntry::Fault {
+                fault: match r.raw("kind") {
+                    Some("crash") => FaultReq::Crash(r.get("node")?),
+                    Some("rejoin") => FaultReq::Rejoin(r.get("node")?),
                     Some("degrade") => FaultReq::Degrade {
-                        a: get_u32("a")?,
-                        b: get_u32("b")?,
-                        factor_milli: get_u64("factor_milli")?,
+                        a: r.get("a")?,
+                        b: r.get("b")?,
+                        factor_milli: r.get("factor_milli")?,
                     },
                     other => return Err(format!("fault: unknown kind {other:?}")),
-                };
-                Ok(JournalEntry::Fault { fault, at_ms })
-            }
-            "drain" => Ok(JournalEntry::Drain {
-                at_ms: get_u64("at")?,
-            }),
-            "shed" => {
-                let op = fields.get("op").ok_or("shed: missing op")?.clone();
-                let id = match fields.get("id") {
-                    Some(_) => Some(get_u32("id")?),
-                    None => None,
-                };
-                Ok(JournalEntry::Shed {
-                    op,
-                    id,
-                    at_ms: get_u64("at")?,
-                })
-            }
-            other => Err(format!("unknown journal entry kind {other:?}")),
-        }
+                },
+                at_ms,
+            },
+            "drain" => JournalEntry::Drain { at_ms },
+            "shed" => JournalEntry::Shed {
+                op: r.get("op")?,
+                id: r.opt("id")?,
+                at_ms,
+            },
+            other => return Err(format!("unknown journal entry kind {other:?}")),
+        })
     }
 }
 
@@ -319,7 +280,9 @@ impl Journal {
     /// this returns.
     pub fn append(&mut self, entry: JournalEntry) -> std::io::Result<()> {
         if let Some(f) = &mut self.file {
-            f.write_all(format!("entry = {}\n", entry.to_line()).as_bytes())?;
+            let mut line = String::new();
+            kv::put(&mut line, "entry", &entry);
+            f.write_all(line.as_bytes())?;
             f.flush()?;
         }
         self.entries.push(entry);
@@ -330,10 +293,10 @@ impl Journal {
     pub fn to_text(&self) -> String {
         let mut out = Self::header(&self.config);
         if self.base > 0 {
-            out.push_str(&format!("compacted = {}\n", self.base));
+            kv::put(&mut out, "compacted", self.base);
         }
         for e in &self.entries {
-            out.push_str(&format!("entry = {}\n", e.to_line()));
+            kv::put(&mut out, "entry", e);
         }
         out
     }
@@ -343,50 +306,35 @@ impl Journal {
     /// does not parse is dropped, matching the write-ahead contract that an
     /// entry is applied only once fully journaled.
     pub fn parse(text: &str) -> Result<Journal, String> {
-        let mut config = ServiceConfig::default();
-        let mut entries = Vec::new();
-        let mut base = 0usize;
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, raw) in lines.iter().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                if i + 1 == lines.len() {
-                    break; // torn tail
-                }
-                return Err(format!("line {}: expected `key = value`: {raw:?}", i + 1));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            if let Some(ck) = key.strip_prefix("config.") {
-                config.set(ck, value)?;
-            } else if key == "compacted" {
-                base = value
-                    .parse()
-                    .map_err(|e| format!("line {}: compacted: {e}", i + 1))?;
-            } else if key == "entry" {
-                match JournalEntry::parse_line(value) {
-                    Ok(e) => entries.push(e),
-                    Err(err) => {
-                        if i + 1 == lines.len() {
-                            break; // torn tail
-                        }
-                        return Err(format!("line {}: {err}", i + 1));
-                    }
-                }
-            } else {
-                return Err(format!("line {}: unknown key {key:?}", i + 1));
-            }
-        }
-        config.validate()?;
-        Ok(Journal {
-            config,
-            entries,
-            base,
+        let mut j = Journal {
+            config: ServiceConfig::default(),
+            entries: Vec::new(),
+            base: 0,
             file: None,
             path: None,
-        })
+        };
+        let last = text.lines().count();
+        for line in kv::lines(text) {
+            let line = match line {
+                Ok(line) => line,
+                Err(e) if e.line == last => break, // torn tail
+                Err(e) => return Err(e.into()),
+            };
+            if line.set_in(ServiceConfig::PREFIX, &mut j.config)? {
+                continue;
+            }
+            match line.key {
+                "compacted" => j.base = line.parse()?,
+                "entry" => match line.value.parse() {
+                    Ok(e) => j.entries.push(e),
+                    Err(_) if line.no == last => break, // torn tail
+                    Err(e) => return Err(line.error(e).into()),
+                },
+                other => return Err(line.error(format_args!("unknown key {other:?}")).into()),
+            }
+        }
+        j.config.validate()?;
+        Ok(j)
     }
 
     /// Load a journal from disk (recovery entry point). The returned
@@ -504,6 +452,29 @@ mod tests {
         text.push_str("entry = register id=9 sou"); // torn mid-append
         let back = Journal::parse(&text).unwrap();
         assert_eq!(back.entries.len(), j.entries.len());
+    }
+
+    #[test]
+    fn malformed_fields_are_line_errors() {
+        let header = Journal::create(ServiceConfig::default(), None)
+            .unwrap()
+            .to_text();
+        let body = |first: &str| format!("{header}entry = {first}\nentry = drain at=9\n");
+        let ok = body("register id=1 sources=0,1 sink=2 at=5");
+        assert_eq!(Journal::parse(&ok).unwrap().entries.len(), 2);
+        for bad in [
+            "register id=1 sources=0,1 sink=2 deadline=x at=5",
+            "register id=1 sources=0,1 sink=2 deadline=-5 at=5",
+            "replan id=1 deadline= at=5",
+            "register id=1 sources=0,,1 sink=2 at=5",
+            "shed op=register id=4294967296 at=5",
+        ] {
+            let err = Journal::parse(&body(bad)).unwrap_err();
+            assert!(err.starts_with("line 16: "), "{bad}: {err}");
+        }
+        // The torn-tail rule still covers the last line only.
+        let torn = format!("{header}entry = replan id=1 deadline=x at=5\n");
+        assert!(Journal::parse(&torn).unwrap().entries.is_empty());
     }
 
     #[test]

@@ -138,23 +138,24 @@ impl Request {
     pub fn parse(line: &str) -> Result<Request, String> {
         let j = mini_json::parse(line)?;
         let op = str_field(&j, "op")?;
-        let at = |j: &Json| u64_field(j, "at_ms").unwrap_or(0);
+        // `at_ms` may be left out (arrival at time 0), but not malformed.
+        let at = |j: &Json| opt_u64_field(j, "at_ms").map(|at| at.unwrap_or(0));
         match op.as_str() {
             "register" => Ok(Request::Register {
                 id: u32_field(&j, "id")?,
                 sources: u32_list(&j, "sources")?,
                 sink: u32_field(&j, "sink")?,
-                deadline_ms: opt_u64_field(&j, "deadline_ms"),
-                at_ms: at(&j),
+                deadline_ms: opt_u64_field(&j, "deadline_ms")?,
+                at_ms: at(&j)?,
             }),
             "unregister" => Ok(Request::Unregister {
                 id: u32_field(&j, "id")?,
-                at_ms: at(&j),
+                at_ms: at(&j)?,
             }),
             "replan" => Ok(Request::Replan {
                 id: u32_field(&j, "id")?,
-                deadline_ms: opt_u64_field(&j, "deadline_ms"),
-                at_ms: at(&j),
+                deadline_ms: opt_u64_field(&j, "deadline_ms")?,
+                at_ms: at(&j)?,
             }),
             "fault" => {
                 let kind = str_field(&j, "kind")?;
@@ -170,10 +171,10 @@ impl Request {
                 };
                 Ok(Request::Fault {
                     fault,
-                    at_ms: at(&j),
+                    at_ms: at(&j)?,
                 })
             }
-            "drain" => Ok(Request::Drain { at_ms: at(&j) }),
+            "drain" => Ok(Request::Drain { at_ms: at(&j)? }),
             "query" => Ok(Request::Query {
                 id: u32_field(&j, "id")?,
             }),
@@ -212,8 +213,13 @@ fn u32_field(j: &Json, key: &str) -> Result<u32, String> {
     u32::try_from(n).map_err(|_| format!("{key} out of range"))
 }
 
-fn opt_u64_field(j: &Json, key: &str) -> Option<u64> {
-    u64_field(j, key).ok()
+/// An optional integer: absent or `null` is `None`, anything else must be
+/// a valid nonnegative integer.
+fn opt_u64_field(j: &Json, key: &str) -> Result<Option<u64>, String> {
+    match j.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(_) => u64_field(j, key).map(Some),
+    }
 }
 
 fn u32_list(j: &Json, key: &str) -> Result<Vec<u32>, String> {
@@ -310,6 +316,21 @@ mod tests {
         assert!(Request::parse(r#"{"op":"register","id":-1}"#).is_err());
         assert!(Request::parse(r#"{"op":"warp"}"#).is_err());
         assert!(Request::parse(r#"{"op":"fault","kind":"meteor"}"#).is_err());
+        // Optional fields may be absent or null, never malformed.
+        let register = |extra: &str| {
+            Request::parse(&format!(
+                r#"{{"op":"register","id":1,"sources":[0,1],"sink":2{extra}}}"#
+            ))
+        };
+        assert!(register("").is_ok());
+        assert!(register(r#","deadline_ms":null,"at_ms":null"#).is_ok());
+        assert!(register(r#","deadline_ms":"500""#).is_err());
+        assert!(register(r#","deadline_ms":-5"#).is_err());
+        assert!(register(r#","deadline_ms":1.5"#).is_err());
+        assert!(register(r#","at_ms":"10""#).is_err());
+        assert!(register(r#","at_ms":-1"#).is_err());
+        assert!(Request::parse(r#"{"op":"replan","id":1,"deadline_ms":true}"#).is_err());
+        assert!(Request::parse(r#"{"op":"drain","at_ms":"soon"}"#).is_err());
     }
 
     #[test]

@@ -12,11 +12,18 @@
 //! environment reconstruction diverged even by one ULP refuses to load
 //! rather than silently serving wrong plans.
 //!
+//! The file is a [`dsq_obs::kv`] document, the one definition of the
+//! format; only the `tree=` values inside `slot` records use a grammar of
+//! their own (`B<id>` / `J(l,r)`, recursive rather than `key = value`).
+//! Nothing read back is trusted: a slot must pass the same checks a
+//! registration does, and every node and stream id must be in range.
+//!
 //! Plans are guaranteed tree-reconstructible because drain waves always
 //! plan against a fresh [`dsq_query::ReuseRegistry`] — every plan leaf is
 //! a base stream, never a derived operator owned by another query.
 
 use dsq_net::NodeId;
+use dsq_obs::kv::{self, Bits, Flag, List, Record, RecordWriter};
 use dsq_query::{
     AdvertStats, Deployment, DerivedId, DerivedStream, FlatNode, FlatPlan, JoinTree, LeafSource,
     OperatorId, Query, QueryId, StreamId, StreamSet,
@@ -24,43 +31,38 @@ use dsq_query::{
 
 use crate::config::ServiceConfig;
 use crate::journal::JournalEntry;
-use crate::state::{apply_fault_surgery, QuerySlot, ServiceCore, SlotStatus};
+use crate::state::{apply_fault_surgery, QuerySlot, ServiceCore, ServiceCounters};
 
 /// Serialize a core (call only with an empty queue, i.e. right after a
 /// drain — the service enforces this by snapshotting from the drain path).
 pub fn write(core: &ServiceCore) -> String {
     let mut out = String::from("# dsq-server snapshot v1\n");
-    out.push_str(&core.cfg.to_lines());
-    out.push_str(&format!("epoch = {}\n", core.epoch));
-    out.push_str(&format!("now_ms = {}\n", core.now_ms));
-    out.push_str(&format!("entries_applied = {}\n", core.entries_applied));
-    for (k, v) in core.counters.fields() {
-        out.push_str(&format!("counter.{k} = {v}\n"));
-    }
+    kv::write_fields(&mut out, ServiceConfig::PREFIX, &core.cfg);
+    kv::put(&mut out, "epoch", core.epoch);
+    kv::put(&mut out, "now_ms", core.now_ms);
+    kv::put(&mut out, "entries_applied", core.entries_applied);
+    kv::write_fields(&mut out, "counter.", &core.counters);
     for f in &core.fault_log {
-        out.push_str(&format!("fault = {}\n", f.to_line()));
+        kv::put(&mut out, "fault", f);
     }
     for (id, slot) in &core.slots {
-        let sources: Vec<String> = slot.query.sources.iter().map(|s| s.0.to_string()).collect();
-        out.push_str(&format!(
-            "slot = id={id} status={} epoch={} stale={} dirty={} sources={} sink={} baseline={:016x}",
-            slot.status.name(),
-            slot.planned_epoch,
-            u8::from(slot.stale),
-            u8::from(slot.dirty),
-            sources.join(","),
-            slot.query.sink.0,
-            slot.baseline_cost.to_bits(),
-        ));
+        out.push_str("slot = ");
+        let mut r = RecordWriter::new(&mut out, "")
+            .put("id", id)
+            .put("status", slot.status.name())
+            .put("epoch", slot.planned_epoch)
+            .put("stale", Flag(slot.stale))
+            .put("dirty", Flag(slot.dirty))
+            .put("sources", List(slot.query.sources.iter().map(|s| s.0)))
+            .put("sink", slot.query.sink.0)
+            .put("baseline", Bits(slot.baseline_cost));
         if let Some(d) = &slot.deployment {
             let mut tree = String::new();
             render_tree(&d.plan, d.plan.root(), &mut tree);
-            let placement: Vec<String> = d.placement.iter().map(|n| n.0.to_string()).collect();
-            out.push_str(&format!(
-                " cost={:016x} tree={tree} placement={}",
-                d.cost.to_bits(),
-                placement.join(","),
-            ));
+            r = r
+                .put("cost", Bits(d.cost))
+                .put("tree", tree)
+                .put("placement", List(d.placement.iter().map(|n| n.0)));
         }
         out.push('\n');
     }
@@ -78,61 +80,71 @@ pub fn write(core: &ServiceCore) -> String {
             .registry
             .slot_flags(adv.id)
             .expect("iterating live registry");
-        let covered: Vec<String> = adv.covered.iter().map(|s| s.0.to_string()).collect();
-        out.push_str(&format!(
-            "advert = id={} op={} covered={} rate={:016x} host={} origin={} gone={} down={} evicted={} last={last}\n",
-            adv.id.0,
-            adv.operator.0,
-            covered.join(","),
-            adv.rate.to_bits(),
-            adv.host.0,
-            adv.origin.0,
-            u8::from(gone),
-            u8::from(down),
-            u8::from(evicted),
-        ));
+        out.push_str("advert = ");
+        RecordWriter::new(&mut out, "")
+            .put("id", adv.id.0)
+            .put("op", adv.operator.0)
+            .put("covered", List(adv.covered.as_slice().iter().map(|s| s.0)))
+            .put("rate", Bits(adv.rate))
+            .put("host", adv.host.0)
+            .put("origin", adv.origin.0)
+            .put("gone", Flag(gone))
+            .put("down", Flag(down))
+            .put("evicted", Flag(evicted))
+            .put("last", last);
+        out.push('\n');
     }
-    out.push_str(&format!("registry.clock = {}\n", core.registry.clock()));
-    out.push_str(&format!(
-        "registry.next_operator = {}\n",
-        core.registry.next_operator()
-    ));
-    for (k, v) in core.registry.stats().fields() {
-        out.push_str(&format!("advert_stat.{k} = {v}\n"));
-    }
+    kv::put(&mut out, "registry.clock", core.registry.clock());
+    kv::put(
+        &mut out,
+        "registry.next_operator",
+        core.registry.next_operator(),
+    );
+    kv::write_fields(&mut out, "advert_stat.", &core.registry.stats());
     out
 }
 
 /// Rebuild a core from [`write`]'s output.
 pub fn restore(text: &str) -> Result<ServiceCore, String> {
     let mut config = ServiceConfig::default();
-    let mut scalars: Vec<(String, String)> = Vec::new();
+    let mut counters = ServiceCounters::default();
+    let mut advert_stats = AdvertStats::default();
+    let (mut epoch, mut now_ms, mut entries_applied) = (0, 0, 0);
+    let (mut reg_clock, mut reg_next_operator) = (0, 0);
     let mut faults: Vec<JournalEntry> = Vec::new();
-    let mut slots: Vec<String> = Vec::new();
-    let mut adverts: Vec<String> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
+    // Slot and advert records are read once the core they index exists.
+    let mut slots: Vec<kv::Line> = Vec::new();
+    let mut adverts: Vec<kv::Line> = Vec::new();
+    for line in kv::lines(text) {
+        let line = line?;
+        if line.set_in(ServiceConfig::PREFIX, &mut config)?
+            || line.set_in("counter.", &mut counters)?
+            || line.set_in("advert_stat.", &mut advert_stats)?
+        {
             continue;
         }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("snapshot line {}: expected `key = value`", i + 1))?;
-        let (key, value) = (key.trim(), value.trim());
-        if let Some(ck) = key.strip_prefix("config.") {
-            config.set(ck, value)?;
-        } else if key == "fault" {
-            faults.push(JournalEntry::parse_line(value)?);
-        } else if key == "slot" {
-            slots.push(value.to_string());
-        } else if key == "advert" {
-            adverts.push(value.to_string());
-        } else {
-            scalars.push((key.to_string(), value.to_string()));
+        match line.key {
+            "epoch" => epoch = line.parse()?,
+            "now_ms" => now_ms = line.parse()?,
+            "entries_applied" => entries_applied = line.parse()?,
+            "registry.clock" => reg_clock = line.parse()?,
+            "registry.next_operator" => reg_next_operator = line.parse()?,
+            "fault" => faults.push(line.parse()?),
+            "slot" => slots.push(line),
+            "advert" => adverts.push(line),
+            other => {
+                return Err(line
+                    .error(format_args!("unknown snapshot key {other:?}"))
+                    .into())
+            }
         }
     }
     config.validate()?;
     let mut core = ServiceCore::new(config);
+    core.epoch = epoch;
+    core.now_ms = now_ms;
+    core.entries_applied = entries_applied;
+    core.counters = counters;
 
     // Re-run the fault surgery in order: the environment is a pure
     // function of (config, fault history).
@@ -144,176 +156,108 @@ pub fn restore(text: &str) -> Result<ServiceCore, String> {
         core.fault_log.push(f);
     }
 
-    let mut reg_clock = 0u64;
-    let mut reg_next_operator = 0u64;
-    let mut advert_stats = AdvertStats::default();
-    for (key, value) in scalars {
-        let parse_u64 =
-            |v: &str| -> Result<u64, String> { v.parse().map_err(|e| format!("{key}: {e}")) };
-        match key.as_str() {
-            "epoch" => core.epoch = parse_u64(&value)?,
-            "now_ms" => core.now_ms = parse_u64(&value)?,
-            "entries_applied" => core.entries_applied = parse_u64(&value)? as usize,
-            "registry.clock" => reg_clock = parse_u64(&value)?,
-            "registry.next_operator" => reg_next_operator = parse_u64(&value)?,
-            _ => {
-                if let Some(ck) = key.strip_prefix("counter.") {
-                    core.counters.set(ck, parse_u64(&value)?)?;
-                } else if let Some(ak) = key.strip_prefix("advert_stat.") {
-                    advert_stats.set(ak, parse_u64(&value)?)?;
-                } else {
-                    return Err(format!("unknown snapshot key {key:?}"));
-                }
-            }
-        }
-    }
-
     for line in slots {
-        let (id, slot) = parse_slot(&line, &core)?;
+        let (id, slot) = parse_slot(line.value, &core).map_err(|e| line.error(e))?;
         core.slots.insert(id, slot);
     }
 
     for line in adverts {
-        restore_advert(&line, &mut core)?;
+        restore_advert(line.value, &mut core).map_err(|e| line.error(e))?;
     }
     core.registry
         .restore_finish(reg_clock, reg_next_operator, advert_stats)?;
     Ok(core)
 }
 
-/// Parse one `advert = …` line back into a registry slot.
-fn restore_advert(line: &str, core: &mut ServiceCore) -> Result<(), String> {
-    let mut fields = std::collections::BTreeMap::new();
-    for tok in line.split_whitespace() {
-        let (k, v) = tok
-            .split_once('=')
-            .ok_or_else(|| format!("advert: expected k=v token, got {tok:?}"))?;
-        fields.insert(k.to_string(), v.to_string());
+/// Parse one `advert = …` record back into a registry slot.
+fn restore_advert(text: &str, core: &mut ServiceCore) -> Result<(), String> {
+    let r = Record::parse(text)?;
+    let covered: Vec<u32> = r.list("covered")?;
+    let host: u32 = r.get("host")?;
+    // The registry indexes adverts by host and by stream in dense tables.
+    if host as usize >= core.env.network.len() {
+        return Err(format!("advert: unknown host node {host}"));
     }
-    let get = |k: &str| -> Result<&String, String> {
-        fields.get(k).ok_or_else(|| format!("advert: missing {k}"))
-    };
-    let parse_u64 = |k: &str| -> Result<u64, String> {
-        get(k)?.parse().map_err(|e| format!("advert.{k}: {e}"))
-    };
-    let parse_flag = |k: &str| -> Result<bool, String> {
-        match get(k)?.as_str() {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            other => Err(format!("advert.{k}: expected 0/1, got {other:?}")),
-        }
-    };
-    let covered: Vec<StreamId> = get("covered")?
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse::<u32>()
-                .map(StreamId)
-                .map_err(|e| format!("advert.covered: {e}"))
-        })
-        .collect::<Result<_, String>>()?;
-    let rate = f64::from_bits(
-        u64::from_str_radix(get("rate")?, 16).map_err(|e| format!("advert.rate: {e}"))?,
-    );
+    if let Some(s) = covered.iter().find(|&&s| s as usize >= core.catalog.len()) {
+        return Err(format!("advert: unknown stream {s}"));
+    }
     let stream = DerivedStream {
-        id: DerivedId(parse_u64("id")? as u32),
-        operator: OperatorId(parse_u64("op")?),
-        covered: StreamSet::from_iter(covered),
+        id: DerivedId(r.get("id")?),
+        operator: OperatorId(r.get("op")?),
+        covered: covered.into_iter().map(StreamId).collect(),
         selections: Vec::new(),
-        rate,
-        host: NodeId(parse_u64("host")? as u32),
-        origin: QueryId(parse_u64("origin")? as u32),
+        rate: r.bits("rate")?,
+        host: NodeId(host),
+        origin: QueryId(r.get("origin")?),
     };
     core.registry.restore_slot(
         stream,
-        parse_flag("gone")?,
-        parse_flag("down")?,
-        parse_flag("evicted")?,
-        parse_u64("last")?,
+        r.flag("gone")?,
+        r.flag("down")?,
+        r.flag("evicted")?,
+        r.get("last")?,
     )
 }
 
-fn parse_slot(line: &str, core: &ServiceCore) -> Result<(u32, QuerySlot), String> {
-    let mut fields = std::collections::BTreeMap::new();
-    for tok in line.split_whitespace() {
-        let (k, v) = tok
-            .split_once('=')
-            .ok_or_else(|| format!("slot: expected k=v token, got {tok:?}"))?;
-        fields.insert(k.to_string(), v.to_string());
-    }
-    let get = |k: &str| -> Result<&String, String> {
-        fields.get(k).ok_or_else(|| format!("slot: missing {k}"))
-    };
-    let id: u32 = get("id")?.parse().map_err(|e| format!("slot.id: {e}"))?;
-    let status = match get("status")?.as_str() {
-        "pending" => SlotStatus::Pending,
-        "planned" => SlotStatus::Planned,
-        "parked" => SlotStatus::Parked,
-        "lost" => SlotStatus::Lost,
-        other => return Err(format!("slot.status: unknown {other:?}")),
-    };
-    let sources: Vec<u32> = get("sources")?
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().map_err(|e| format!("slot.sources: {e}")))
-        .collect::<Result<_, String>>()?;
-    let sink: u32 = get("sink")?
-        .parse()
-        .map_err(|e| format!("slot.sink: {e}"))?;
-    let hex_bits = |k: &str| -> Result<f64, String> {
-        Ok(f64::from_bits(
-            u64::from_str_radix(get(k)?, 16).map_err(|e| format!("slot.{k}: {e}"))?,
-        ))
-    };
+/// Parse one `slot = …` record, checked as a registration would be.
+fn parse_slot(text: &str, core: &ServiceCore) -> Result<(u32, QuerySlot), String> {
+    let r = Record::parse(text)?;
+    let id: u32 = r.get("id")?;
+    let sources: Vec<u32> = r.list("sources")?;
+    let sink: u32 = r.get("sink")?;
+    core.validate_register(id, &sources, sink)?;
     let query = Query::join(
         QueryId(id),
         sources.iter().map(|&s| StreamId(s)),
         NodeId(sink),
     );
-    let deployment = if let Some(tree_text) = fields.get("tree") {
-        let tree = parse_tree(tree_text)?;
-        let plan = FlatPlan::from_tree(&tree, &query, &core.catalog);
-        let placement: Vec<NodeId> = get("placement")?
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.parse::<u32>()
-                    .map(NodeId)
-                    .map_err(|e| format!("slot.placement: {e}"))
-            })
-            .collect::<Result<_, String>>()?;
-        if placement.len() != plan.nodes().len() {
-            return Err(format!(
-                "slot {id}: placement length {} does not match plan size {}",
-                placement.len(),
-                plan.nodes().len()
-            ));
+    let deployment = match r.raw("tree") {
+        None => None,
+        Some(tree) => {
+            let tree = parse_tree(tree)?;
+            if tree.leaf_count() != sources.len()
+                || tree.covered() != StreamSet::from_iter(query.sources.iter().copied())
+            {
+                return Err(format!("slot {id}: tree leaves are not its sources"));
+            }
+            let plan = FlatPlan::from_tree(&tree, &query, &core.catalog);
+            let placement: Vec<u32> = r.list("placement")?;
+            if placement.len() != plan.nodes().len() {
+                return Err(format!(
+                    "slot {id}: placement length {} does not match plan size {}",
+                    placement.len(),
+                    plan.nodes().len()
+                ));
+            }
+            if let Some(n) = placement
+                .iter()
+                .find(|&&n| n as usize >= core.env.network.len())
+            {
+                return Err(format!("slot {id}: unknown placement node {n}"));
+            }
+            let placement = placement.into_iter().map(NodeId).collect();
+            let d = Deployment::evaluate(QueryId(id), plan, placement, NodeId(sink), &core.env.dm);
+            let recorded = r.bits("cost")?;
+            if d.cost.to_bits() != recorded.to_bits() {
+                return Err(format!(
+                    "slot {id}: reconstructed cost {} != recorded {recorded} — \
+                     environment reconstruction diverged, refusing to load",
+                    d.cost
+                ));
+            }
+            Some(d)
         }
-        let d = Deployment::evaluate(QueryId(id), plan, placement, NodeId(sink), &core.env.dm);
-        let recorded = hex_bits("cost")?;
-        if d.cost.to_bits() != recorded.to_bits() {
-            return Err(format!(
-                "slot {id}: reconstructed cost {} != recorded {recorded} — \
-                 environment reconstruction diverged, refusing to load",
-                d.cost
-            ));
-        }
-        Some(d)
-    } else {
-        None
     };
     Ok((
         id,
         QuerySlot {
             query,
             deployment,
-            status,
-            planned_epoch: get("epoch")?
-                .parse()
-                .map_err(|e| format!("slot.epoch: {e}"))?,
-            stale: get("stale")? == "1",
-            dirty: get("dirty")? == "1",
-            baseline_cost: hex_bits("baseline")?,
+            status: r.get("status")?,
+            planned_epoch: r.get("epoch")?,
+            stale: r.flag("stale")?,
+            dirty: r.flag("dirty")?,
+            baseline_cost: r.bits("baseline")?,
         },
     ))
 }
@@ -492,5 +436,50 @@ mod tests {
             err.contains("diverged") || err.contains("placement"),
             "{err}"
         );
+
+        // Ids read from the file are checked before anything indexes by
+        // them, and flags are strictly 0 or 1. `tamper` rewrites one token
+        // of the first line starting with `prefix`.
+        type Edit = fn(&str) -> String;
+        let tamper = |prefix: &str, key: &str, edit: Edit| -> String {
+            let mut done = false;
+            text.lines()
+                .map(|l| {
+                    if done || !l.starts_with(prefix) {
+                        return format!("{l}\n");
+                    }
+                    done = true;
+                    let tokens: Vec<String> = l
+                        .split(' ')
+                        .map(|t| match t.split_once('=') {
+                            Some((k, v)) if k == key => format!("{k}={}", edit(v)),
+                            _ => t.to_string(),
+                        })
+                        .collect();
+                    format!("{}\n", tokens.join(" "))
+                })
+                .collect()
+        };
+        let cases: [(&str, &str, Edit); 12] = [
+            ("slot = ", "placement", |v| {
+                format!("4000000000{}", &v[v.find(',').unwrap()..])
+            }),
+            ("slot = ", "sink", |_| "4000000000".into()),
+            ("slot = ", "sources", |v| format!("{v},999")),
+            ("slot = ", "sources", |v| format!("{v},{v}")),
+            ("slot = ", "tree", |v| v.replacen('B', "B99", 1)),
+            ("slot = ", "stale", |_| "2".into()),
+            ("slot = ", "dirty", |_| "x".into()),
+            ("slot = id=2", "id", |_| "1".into()),
+            ("advert = ", "host", |_| "4294967297".into()),
+            ("advert = ", "host", |_| "4000000000".into()),
+            ("advert = ", "covered", |v| format!("{v},4000000000")),
+            ("advert = ", "origin", |_| "4294967296".into()),
+        ];
+        for (prefix, key, edit) in cases {
+            let tampered = tamper(prefix, key, edit);
+            assert_ne!(tampered, text, "{prefix}{key}: nothing tampered");
+            assert!(restore(&tampered).is_err(), "{prefix}{key}: loaded");
+        }
     }
 }

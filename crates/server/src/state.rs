@@ -8,9 +8,11 @@
 //! reads a clock or an RNG.
 
 use std::collections::{BTreeMap, HashSet};
+use std::str::FromStr;
 
 use dsq_core::{optimize_all, Environment, ParallelConfig, TopDown};
 use dsq_net::{LinkRepair, NodeId};
+use dsq_obs::kv::{self, Bits, Field, Flag, List, RecordWriter};
 use dsq_obs::Value;
 use dsq_query::{Catalog, Deployment, Query, QueryId, ReuseRegistry, StreamId};
 use dsq_sim::failures::{classify_crash, data_available, degraded, CrashAction};
@@ -43,6 +45,18 @@ impl SlotStatus {
             SlotStatus::Parked => "parked",
             SlotStatus::Lost => "lost",
         }
+    }
+}
+
+/// Reads [`SlotStatus::name`] back.
+impl FromStr for SlotStatus {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        use SlotStatus::*;
+        [Pending, Planned, Parked, Lost]
+            .into_iter()
+            .find(|status| status.name() == s)
+            .ok_or_else(|| format!("unknown status {s:?}"))
     }
 }
 
@@ -89,34 +103,28 @@ pub struct ServiceCounters {
 }
 
 impl ServiceCounters {
+    /// The one counter recovery itself moves, so fingerprints leave it out.
+    pub(crate) const REPLAYED: &'static str = "recovery_replayed";
+
     /// `(name, value)` pairs in serialization order.
     pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("admitted", self.admitted),
-            ("shed", self.shed),
-            ("timed_out", self.timed_out),
-            ("stale_served", self.stale_served),
-            ("drains", self.drains),
-            ("faults_applied", self.faults_applied),
-            ("faults_skipped", self.faults_skipped),
-            ("recovery_replayed", self.recovery_replayed),
-        ]
+        kv::u64_fields(self)
     }
+}
 
-    /// Set one field by name (snapshot restore).
-    pub fn set(&mut self, name: &str, value: u64) -> Result<(), String> {
-        match name {
-            "admitted" => self.admitted = value,
-            "shed" => self.shed = value,
-            "timed_out" => self.timed_out = value,
-            "stale_served" => self.stale_served = value,
-            "drains" => self.drains = value,
-            "faults_applied" => self.faults_applied = value,
-            "faults_skipped" => self.faults_skipped = value,
-            "recovery_replayed" => self.recovery_replayed = value,
-            other => return Err(format!("unknown counter {other:?}")),
-        }
-        Ok(())
+/// The snapshot's `counter.*` lines.
+impl kv::Fields for ServiceCounters {
+    fn fields_mut(&mut self) -> Vec<Field<'_>> {
+        vec![
+            Field::new("admitted", &mut self.admitted),
+            Field::new("shed", &mut self.shed),
+            Field::new("timed_out", &mut self.timed_out),
+            Field::new("stale_served", &mut self.stale_served),
+            Field::new("drains", &mut self.drains),
+            Field::new("faults_applied", &mut self.faults_applied),
+            Field::new("faults_skipped", &mut self.faults_skipped),
+            Field::new(Self::REPLAYED, &mut self.recovery_replayed),
+        ]
     }
 }
 
@@ -603,37 +611,34 @@ impl ServiceCore {
     /// crash-recovery differential asserts.
     pub fn fingerprint(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("epoch = {}\n", self.epoch));
-        out.push_str(&format!("now_ms = {}\n", self.now_ms));
+        kv::put(&mut out, "epoch", self.epoch);
+        kv::put(&mut out, "now_ms", self.now_ms);
         for (k, v) in self.counters.fields() {
             // Recovery itself increments `recovery_replayed`; every other
             // counter must match bit-for-bit across a crash.
-            if k != "recovery_replayed" {
-                out.push_str(&format!("counter.{k} = {v}\n"));
+            if k != ServiceCounters::REPLAYED {
+                kv::put(&mut out, &format!("counter.{k}"), v);
             }
         }
         for (id, slot) in &self.slots {
-            out.push_str(&format!(
-                "slot = id={id} status={} epoch={} stale={} dirty={}",
-                slot.status.name(),
-                slot.planned_epoch,
-                u8::from(slot.stale),
-                u8::from(slot.dirty),
-            ));
+            out.push_str("slot = ");
+            let mut r = RecordWriter::new(&mut out, "")
+                .put("id", id)
+                .put("status", slot.status.name())
+                .put("epoch", slot.planned_epoch)
+                .put("stale", Flag(slot.stale))
+                .put("dirty", Flag(slot.dirty));
             if let Some(d) = &slot.deployment {
-                let placement: Vec<String> = d.placement.iter().map(|n| n.0.to_string()).collect();
-                out.push_str(&format!(
-                    " cost={:016x} sink={} placement={}",
-                    d.cost.to_bits(),
-                    d.sink.0,
-                    placement.join(",")
-                ));
+                r = r
+                    .put("cost", Bits(d.cost))
+                    .put("sink", d.sink.0)
+                    .put("placement", List(d.placement.iter().map(|n| n.0)));
             }
             out.push('\n');
         }
         // The advert mirror is journal-derived state like everything above:
         // recovery must reproduce it exactly.
-        out.push_str(&format!("registry = {}\n", self.registry.fingerprint()));
+        kv::put(&mut out, "registry", self.registry.fingerprint());
         out
     }
 }
