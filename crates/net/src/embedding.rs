@@ -19,6 +19,18 @@
 //! pivot set of [`PIVOT_COUNT`] landmarks chosen by deterministic
 //! farthest-point traversal — every node then relaxes against the pivots
 //! only, dropping a sweep from O(n²) to O(n·P).
+//!
+//! A sweep relaxes nodes in blocks of four consecutive ids. On x86-64 hosts
+//! with AVX2 (detected once per [`CostSpace::embed`]) a block runs as four
+//! `f64` lanes over `i` against the shared loop over `j`; the tail block and
+//! every other host run the scalar per-node update. Each lane performs the
+//! scalar update's exact operation sequence — the same subtractions, the
+//! same left-to-right `(dx² + dy²) + dz²` sum, a correctly rounded `sqrt`
+//! and division (no fused multiply-add, no reciprocal, no reassociation) —
+//! and a skipped pair (`i == j`, or an unreachable target) adds `+0.0` to an
+//! accumulator that starts at `+0.0` and so can never be `-0.0`. The lanes
+//! therefore reproduce the scalar coordinates bit for bit, which the
+//! kernel-equivalence tests below pin.
 
 use crate::graph::NodeId;
 use crate::paths::{DistanceMatrix, PARALLEL_THRESHOLD};
@@ -40,6 +52,10 @@ pub const PIVOT_COUNT: usize = 128;
 
 /// A point in the cost space.
 pub type Point = [f64; DIMS];
+
+/// Nodes relaxed together by one block of a sweep (one AVX2 register of
+/// `f64` lanes).
+const LANES: usize = 4;
 
 /// Euclidean embedding of every network node into [`DIMS`]-dimensional space.
 #[derive(Clone, Debug)]
@@ -97,6 +113,151 @@ fn relax_node(i: usize, coords: &[Point], targets: &[f64], others: &[u32]) -> Po
     }
 }
 
+/// The kernel that relaxes a block of [`LANES`] nodes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// [`relax_node`] once per node.
+    Scalar,
+    /// [`relax_block_avx2`]; only ever constructed by [`Kernel::detect`]
+    /// once the host has reported AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    /// The fastest kernel this host supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Scalar
+    }
+}
+
+/// Relax the nodes `i0..i0 + out.len()` into `out`. Full blocks go to the
+/// AVX2 kernel when `kernel` says so; everything else runs [`relax_node`].
+fn relax_block(
+    i0: usize,
+    out: &mut [Point],
+    coords: &[Point],
+    dm: &DistanceMatrix,
+    others: &[u32],
+    kernel: Kernel,
+) {
+    let row = |i: usize| dm.row(NodeId(i as u32));
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if out.len() == LANES => {
+            let rows = std::array::from_fn(|l| row(i0 + l));
+            // SAFETY: `Kernel::Avx2` is constructed only by `Kernel::detect`
+            // after `is_x86_feature_detected!("avx2")` returned true.
+            let block = unsafe { relax_block_avx2(i0, coords, rows, others) };
+            out.copy_from_slice(&block);
+        }
+        _ => {
+            for (l, p) in out.iter_mut().enumerate() {
+                *p = relax_node(i0 + l, coords, row(i0 + l), others);
+            }
+        }
+    }
+}
+
+/// [`relax_node`] for the four nodes `i0..i0 + 4` at once, one `f64` lane
+/// per node; `rows[l]` is node `i0 + l`'s distance row. Every lane performs
+/// `relax_node`'s operations in its order, so the result is bit-identical.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2; [`relax_block`] calls this only for
+/// [`Kernel::Avx2`], which [`Kernel::detect`] returns only after checking.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn relax_block_avx2(
+    i0: usize,
+    coords: &[Point],
+    rows: [&[f64]; LANES],
+    others: &[u32],
+) -> [Point; LANES] {
+    use std::arch::x86_64::*;
+
+    let [c0, c1, c2, c3] = [0, 1, 2, 3].map(|l| coords[i0 + l]);
+    let ci: [__m256d; DIMS] = std::array::from_fn(|k| _mm256_set_pd(c3[k], c2[k], c1[k], c0[k]));
+    let ids = _mm256_set_pd((i0 + 3) as f64, (i0 + 2) as f64, (i0 + 1) as f64, i0 as f64);
+    let [r0, r1, r2, r3] = rows;
+    let magnitude = _mm256_set1_pd(f64::from_bits(!(1u64 << 63)));
+    let inf = _mm256_set1_pd(f64::INFINITY);
+    let tiny = _mm256_set1_pd(1e-9);
+    let one = _mm256_set1_pd(1.0);
+    let mut acc = [_mm256_setzero_pd(); DIMS];
+    let mut count = _mm256_setzero_pd();
+    for &j in others {
+        let j = j as usize;
+        let t = _mm256_set_pd(r3[j], r2[j], r1[j], r0[j]);
+        // `i != j` and `t` finite (NaN compares false).
+        let live = _mm256_and_pd(
+            _mm256_cmp_pd::<_CMP_NEQ_UQ>(ids, _mm256_set1_pd(j as f64)),
+            _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_and_pd(t, magnitude), inf),
+        );
+        let cj = coords[j].map(|c| _mm256_set1_pd(c));
+        let diff: [__m256d; DIMS] = std::array::from_fn(|k| _mm256_sub_pd(ci[k], cj[k]));
+        let sq = diff.map(|d| _mm256_mul_pd(d, d));
+        let cur = _mm256_sqrt_pd(_mm256_add_pd(_mm256_add_pd(sq[0], sq[1]), sq[2]));
+        // Unit direction from j to i; the `[1, 0, 0]` kick when coincident
+        // (or when `cur` is NaN, as `cur > 1e-9` is then false).
+        let far = _mm256_cmp_pd::<_CMP_GT_OQ>(cur, tiny);
+        for k in 0..DIMS {
+            let d = _mm256_div_pd(diff[k], cur);
+            let dir = if k == 0 {
+                _mm256_blendv_pd(one, d, far)
+            } else {
+                _mm256_and_pd(d, far)
+            };
+            let step = _mm256_add_pd(cj[k], _mm256_mul_pd(dir, t));
+            acc[k] = _mm256_add_pd(acc[k], _mm256_and_pd(step, live));
+        }
+        count = _mm256_add_pd(count, _mm256_and_pd(one, live));
+    }
+
+    let spill = |v: __m256d| {
+        let mut out = [0.0; LANES];
+        // SAFETY: `out` is four writable `f64`s; `storeu` has no alignment
+        // requirement.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
+        out
+    };
+    let acc = acc.map(spill);
+    let count = spill(count);
+    std::array::from_fn(|l| {
+        if count[l] > 0.0 {
+            std::array::from_fn(|k| acc[k][l] / count[l])
+        } else {
+            coords[i0 + l]
+        }
+    })
+}
+
+/// One Jacobi sweep: relax every node against `others`, reading `coords`
+/// and writing `next`, in blocks of [`LANES`] nodes.
+fn sweep(
+    coords: &[Point],
+    next: &mut [Point],
+    dm: &DistanceMatrix,
+    others: &[u32],
+    parallel: bool,
+    kernel: Kernel,
+) {
+    if parallel {
+        next.par_chunks_mut(LANES)
+            .enumerate()
+            .for_each(|(b, out)| relax_block(b * LANES, out, coords, dm, others, kernel));
+    } else {
+        for (b, out) in next.chunks_mut(LANES).enumerate() {
+            relax_block(b * LANES, out, coords, dm, others, kernel);
+        }
+    }
+}
+
 /// Deterministic farthest-point (maxmin) pivot selection. The first pivot is
 /// node 0; each subsequent pivot maximizes its distance to the chosen set
 /// (ties broken by smaller id). Unreached nodes compare as `INFINITY`, so
@@ -146,6 +307,16 @@ impl CostSpace {
         iterations: usize,
         parallel_threshold: usize,
     ) -> Self {
+        Self::embed_with_kernel(dm, seed, iterations, parallel_threshold, Kernel::detect())
+    }
+
+    fn embed_with_kernel(
+        dm: &DistanceMatrix,
+        seed: u64,
+        iterations: usize,
+        parallel_threshold: usize,
+        kernel: Kernel,
+    ) -> Self {
         let n = dm.len();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         // A disconnected (or degenerate) network has no diameter; any
@@ -170,16 +341,9 @@ impl CostSpace {
         };
 
         let mut next = coords.clone();
+        let parallel = n >= parallel_threshold;
         for _ in 0..iterations {
-            if n >= parallel_threshold {
-                next.par_chunks_mut(1).enumerate().for_each(|(i, out)| {
-                    out[0] = relax_node(i, &coords, dm.row(NodeId(i as u32)), &others);
-                });
-            } else {
-                for (i, out) in next.iter_mut().enumerate() {
-                    *out = relax_node(i, &coords, dm.row(NodeId(i as u32)), &others);
-                }
-            }
+            sweep(&coords, &mut next, dm, &others, parallel, kernel);
             std::mem::swap(&mut coords, &mut next);
         }
         CostSpace { coords }
@@ -274,19 +438,150 @@ mod tests {
         }
     }
 
+    /// Every kernel this host can run, the scalar reference first. (On a
+    /// host without AVX2 the block kernel is never chosen, so there is
+    /// nothing to compare and the kernel tests check the scalar sweep only.)
+    fn kernels() -> Vec<Kernel> {
+        let mut ks = vec![Kernel::Scalar];
+        if Kernel::detect() != Kernel::Scalar {
+            ks.push(Kernel::detect());
+        }
+        ks
+    }
+
+    fn assert_bits_eq(want: &[Point], got: &[Point], what: &str) {
+        assert_eq!(want.len(), got.len(), "{what}");
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            for k in 0..DIMS {
+                assert_eq!(a[k].to_bits(), b[k].to_bits(), "{what}: node {i} dim {k}");
+            }
+        }
+    }
+
+    /// The seeded initial layout `embed` starts its sweeps from.
+    fn start_layout(dm: &DistanceMatrix, seed: u64) -> Vec<Point> {
+        CostSpace::embed_with_kernel(dm, seed, 0, usize::MAX, Kernel::Scalar).coords
+    }
+
+    /// Runs `iterations` sweeps from `start` under every kernel, serial and
+    /// parallel, and checks each against the scalar serial sweep bit for bit.
+    fn assert_sweeps_agree(
+        dm: &DistanceMatrix,
+        start: &[Point],
+        others: &[u32],
+        iterations: usize,
+    ) {
+        let run = |parallel, kernel| {
+            let (mut coords, mut next) = (start.to_vec(), start.to_vec());
+            for _ in 0..iterations {
+                sweep(&coords, &mut next, dm, others, parallel, kernel);
+                std::mem::swap(&mut coords, &mut next);
+            }
+            coords
+        };
+        let reference = run(false, Kernel::Scalar);
+        for kernel in kernels() {
+            for parallel in [false, true] {
+                let what = format!("{kernel:?}, parallel {parallel}, n {}", dm.len());
+                assert_bits_eq(&reference, &run(parallel, kernel), &what);
+            }
+        }
+    }
+
+    fn all_nodes(dm: &DistanceMatrix) -> Vec<u32> {
+        (0..dm.len() as u32).collect()
+    }
+
     #[test]
     fn parallel_embed_matches_serial_bits() {
         // The Jacobi sweeps read only the previous iteration's coordinates,
-        // so the Rayon path must reproduce the serial path bit for bit.
+        // so the Rayon path must reproduce the serial path bit for bit — and
+        // every lane of the block kernel must reproduce the scalar update.
         let ts = TransitStubConfig::paper_128().generate(6);
         let dm = DistanceMatrix::build(&ts.network, Metric::Cost);
-        let serial = CostSpace::embed_with_parallel_threshold(&dm, 6, 25, usize::MAX);
-        let parallel = CostSpace::embed_with_parallel_threshold(&dm, 6, 25, 0);
-        for n in ts.network.nodes() {
-            let (a, b) = (serial.coord(n), parallel.coord(n));
-            for k in 0..DIMS {
-                assert_eq!(a[k].to_bits(), b[k].to_bits(), "node {n} dim {k}");
+        let reference = CostSpace::embed_with_kernel(&dm, 6, 25, usize::MAX, Kernel::Scalar);
+        for kernel in kernels() {
+            for threshold in [usize::MAX, 0] {
+                let got = CostSpace::embed_with_kernel(&dm, 6, 25, threshold, kernel);
+                let what = format!("{kernel:?}, parallel threshold {threshold}");
+                assert_bits_eq(&reference.coords, &got.coords, &what);
             }
+        }
+        let detected = CostSpace::embed(&dm, 6, 25);
+        assert_bits_eq(&reference.coords, &detected.coords, "embed");
+    }
+
+    #[test]
+    fn block_kernel_matches_scalar_on_ledger_topology() {
+        let ts = TransitStubConfig {
+            transit_domains: 4,
+            transit_nodes_per_domain: 8,
+            stub_domains_per_transit_node: 4,
+            stub_nodes_per_domain: 8,
+            ..TransitStubConfig::default()
+        }
+        .generate(42);
+        let dm = DistanceMatrix::build(&ts.network, Metric::Cost);
+        assert_eq!(dm.len(), 1056);
+        assert_sweeps_agree(&dm, &start_layout(&dm, 42), &all_nodes(&dm), 3);
+    }
+
+    #[test]
+    fn block_kernel_matches_scalar_against_pivots() {
+        let ts = TransitStubConfig::paper_128().generate(8);
+        let dm = DistanceMatrix::build(&ts.network, Metric::Cost);
+        let pivots = choose_pivots(&dm, 16);
+        assert_sweeps_agree(&dm, &start_layout(&dm, 8), &pivots, 20);
+    }
+
+    #[test]
+    fn block_kernel_masks_unreachable_targets() {
+        use crate::graph::{LinkKind, Network};
+        // A 5-node path, a 3-node triangle and an isolated node: most rows
+        // hold `+∞`, and node 8 has no finite target at all.
+        let mut net = Network::new(9);
+        for a in 0..4 {
+            net.add_link(
+                NodeId(a),
+                NodeId(a + 1),
+                1.0 + a as f64,
+                1.0,
+                LinkKind::Stub,
+            );
+        }
+        net.add_link(NodeId(5), NodeId(6), 2.0, 1.0, LinkKind::Stub);
+        net.add_link(NodeId(6), NodeId(7), 3.0, 1.0, LinkKind::Stub);
+        net.add_link(NodeId(5), NodeId(7), 4.0, 1.0, LinkKind::Stub);
+        let dm = DistanceMatrix::build(&net, Metric::Cost);
+        let start = start_layout(&dm, 5);
+        assert_sweeps_agree(&dm, &start, &all_nodes(&dm), 30);
+        assert_sweeps_agree(&dm, &start, &choose_pivots(&dm, 4), 30);
+    }
+
+    #[test]
+    fn block_kernel_takes_the_kick_on_coincident_points() {
+        let ts = TransitStubConfig::paper_64().generate(3);
+        let dm = DistanceMatrix::build(&ts.network, Metric::Cost);
+        // Every node at one point, then pairs of nodes sharing a point.
+        let same = vec![[1.5, -2.0, 0.25]; dm.len()];
+        assert_sweeps_agree(&dm, &same, &all_nodes(&dm), 5);
+        let mut pairs = start_layout(&dm, 3);
+        for i in (1..pairs.len()).step_by(2) {
+            pairs[i] = pairs[i - 1];
+        }
+        assert_sweeps_agree(&dm, &pairs, &all_nodes(&dm), 5);
+    }
+
+    #[test]
+    fn block_kernel_matches_scalar_on_tail_blocks() {
+        use crate::graph::{LinkKind, Network};
+        for n in [1u32, 2, 3, 5, 7] {
+            let mut net = Network::new(n as usize);
+            for a in 1..n {
+                net.add_link(NodeId(a - 1), NodeId(a), a as f64, 1.0, LinkKind::Stub);
+            }
+            let dm = DistanceMatrix::build(&net, Metric::Cost);
+            assert_sweeps_agree(&dm, &start_layout(&dm, n as u64), &all_nodes(&dm), 10);
         }
     }
 

@@ -269,17 +269,29 @@ impl PlanningService {
     /// snapshot if one exists (verifying it matches the journal's config),
     /// then replay the journal suffix through the normal drain path. The
     /// journal is reattached for continued appends.
+    ///
+    /// A snapshot that does not parse or whose config mismatches is an
+    /// error only when the journal is compacted behind it; an uncompacted
+    /// journal still holds every entry, so recovery falls back to a full
+    /// replay (counted as `server.snapshot.fallback`).
     pub fn recover_from_path(journal_path: &Path) -> Result<Self, String> {
         let journal = Journal::load(journal_path)?;
         let snap_path = PathBuf::from(format!("{}.snap", journal_path.display()));
         let snap_core = match std::fs::read_to_string(&snap_path) {
-            Ok(text) => {
-                let core = snapshot::restore(&text)?;
-                if core.cfg != journal.config {
-                    return Err("snapshot config does not match journal config".into());
+            Ok(text) => match snapshot::restore(&text).and_then(|core| {
+                if core.cfg == journal.config {
+                    Ok(core)
+                } else {
+                    Err("snapshot config does not match journal config".into())
                 }
-                Some(core)
-            }
+            }) {
+                Ok(core) => Some(core),
+                Err(_) if journal.base() == 0 => {
+                    dsq_obs::counter("server.snapshot.fallback", 1);
+                    None
+                }
+                Err(e) => return Err(e),
+            },
             Err(_) => None,
         };
         Self::recover_with(journal, snap_core)

@@ -186,6 +186,96 @@ fn compacted_and_uncompacted_replays_are_fingerprint_identical() {
 }
 
 #[test]
+fn an_unreadable_snapshot_falls_back_to_full_replay_on_an_uncompacted_journal() {
+    // The journal was never compacted, so it still holds every entry: a
+    // snapshot that does not parse, or that belongs to another config, must
+    // not stop recovery — the service replays the whole journal instead.
+    let cfg = ServiceConfig::default();
+    let lines = generate_script(&cfg, &small_script());
+    let dir = temp_dir("snapshot-fallback");
+    let path = dir.join("uncompacted.journal");
+    let snap = PathBuf::from(format!("{}.snap", path.display()));
+
+    let mut svc = PlanningService::new(cfg.clone(), Some(&path)).unwrap();
+    for l in &lines {
+        svc.submit_line(l);
+    }
+    assert_eq!(svc.journal_retained(), svc.journal_len(), "never compacted");
+    let live = svc.fingerprint();
+    let whole = dsq_server::snapshot::write(svc.core());
+    drop(svc);
+
+    let garbled = whole.replace(" = ", " ? ");
+    let cut = whole.find("slot = ").expect("the script plans queries") + 12;
+    let truncated = whole[..cut].to_string();
+    let mut other = PlanningService::new(
+        ServiceConfig {
+            max_queue: cfg.max_queue + 1,
+            ..cfg
+        },
+        None,
+    )
+    .unwrap();
+    for l in &lines {
+        other.submit_line(l);
+    }
+    let mismatched = dsq_server::snapshot::write(other.core());
+    for (what, text) in [
+        ("garbled", garbled),
+        ("truncated", truncated),
+        ("mismatched config", mismatched),
+    ] {
+        std::fs::write(&snap, &text).unwrap();
+        let sink = Sink::new(ClockMode::Virtual);
+        let recovered = {
+            let _g = scoped(sink.clone());
+            PlanningService::recover_from_path(&path)
+                .unwrap_or_else(|e| panic!("{what} snapshot aborted recovery: {e}"))
+        };
+        assert_eq!(recovered.fingerprint(), live, "{what} snapshot");
+        let counters = sink.snapshot().counters;
+        assert_eq!(
+            counters.get("server.snapshot.fallback"),
+            Some(&1),
+            "{what} snapshot"
+        );
+        assert_eq!(
+            counters.get("server.recovery_replayed"),
+            Some(&(lines.len() as u64)),
+            "{what} snapshot: the whole journal is replayed"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_unreadable_snapshot_still_errors_on_a_compacted_journal() {
+    // Compaction dropped the prefix the snapshot covered; without a
+    // readable snapshot nothing can rebuild it, so recovery must refuse.
+    let cfg = ServiceConfig {
+        snapshot_every: 1,
+        ..ServiceConfig::default()
+    };
+    let lines = generate_script(&cfg, &small_script());
+    let dir = temp_dir("snapshot-no-fallback");
+    let path = dir.join("compacted.journal");
+    let snap = PathBuf::from(format!("{}.snap", path.display()));
+    let mut svc = PlanningService::new(cfg, Some(&path)).unwrap();
+    for l in &lines {
+        svc.submit_line(l);
+    }
+    assert!(svc.journal_retained() < svc.journal_len(), "compacted");
+    drop(svc);
+    let whole = std::fs::read_to_string(&snap).unwrap();
+    let cut = whole.find("slot = ").expect("the script plans queries") + 12;
+    for text in [whole.replace(" = ", " ? "), whole[..cut].to_string()] {
+        std::fs::write(&snap, text).unwrap();
+        assert!(PlanningService::recover_from_path(&path).is_err());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn snapshot_fast_forward_recovery_matches_full_replay() {
     let cfg = ServiceConfig {
         snapshot_every: 2,
