@@ -9,7 +9,10 @@
 //!   that alone reproduces the instance bit-for-bit.
 //! * [`oracle`] — one invariant oracle ([`run_oracle`]) through which every
 //!   planner arm runs: Top-Down / Bottom-Up / Optimal, serial / parallel,
-//!   cache on / off, scoped / flush invalidation, incremental / full.
+//!   cache on / off, scoped / flush invalidation, incremental / full, plus
+//!   the service, protocol and migration differentials. Each of the
+//!   fourteen [`CheckId`]s is one function of a per-case context, run in
+//!   [`CheckId::ALL`] order by one loop.
 //! * [`shrink`] — a greedy minimizer ([`shrink`](shrink::shrink)) that
 //!   reduces any violation to a minimal repro (drop queries → drop fault
 //!   events → shrink topology) suitable for `tests/regressions/`.
@@ -194,21 +197,13 @@ fn write_repro(
     Ok(path)
 }
 
-/// Load and verify one `.case` file against the full oracle; used by the
-/// `tests/regressions/` corpus runner. Returns the violations (empty =
-/// pass).
-pub fn verify_case_file(path: &Path) -> Result<Vec<Violation>, String> {
-    verify_case_file_check(path, None)
-}
-
-/// Like [`verify_case_file`], but optionally keep only one check's
-/// violations — the whole oracle still runs (a repro can shift category as
-/// the library evolves, and cross-check panics must not be masked), the
-/// filter only narrows what is *reported*. Used by `dsqctl fuzz --check`.
-pub fn verify_case_file_check(
-    path: &Path,
-    check: Option<CheckId>,
-) -> Result<Vec<Violation>, String> {
+/// Load and verify one `.case` file against the full oracle, optionally
+/// keeping only one check's violations — the whole oracle still runs (a
+/// repro can shift category as the library evolves, and cross-check panics
+/// must not be masked), the filter only narrows what is *reported*. Used by
+/// the `tests/regressions/` corpus runner and `dsqctl fuzz [--check]`.
+/// Returns the violations (empty = pass).
+pub fn verify_case_file(path: &Path, check: Option<CheckId>) -> Result<Vec<Violation>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let case =

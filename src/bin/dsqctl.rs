@@ -723,7 +723,7 @@ fn fuzz_replay(path: &str, check: Option<&str>) -> ExitCode {
             }
         },
     };
-    let violations = match dsq_fuzz::verify_case_file_check(std::path::Path::new(path), filter) {
+    let violations = match dsq_fuzz::verify_case_file(std::path::Path::new(path), filter) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("fuzz: {e}");
