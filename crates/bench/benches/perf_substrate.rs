@@ -9,10 +9,11 @@ use dsq_net::{CostSpace, DistanceMatrix, Metric, NodeId, TransitStubConfig};
 use dsq_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn bench(c: &mut Criterion) {
-    // APSP: sequential (below threshold) and parallel (above) paths.
+    // APSP: sequential (below threshold) and parallel (above) paths, and
+    // the ledger's 1,056-node operating point.
     let mut group = c.benchmark_group("apsp_build");
     group.sample_size(10);
-    for size in [64usize, 512] {
+    for size in [64usize, 512, 1056] {
         let net = TransitStubConfig::sized(size).generate(1).network;
         group.bench_with_input(BenchmarkId::from_parameter(net.len()), &net, |b, net| {
             b.iter(|| DistanceMatrix::build(net, Metric::Cost).diameter())
@@ -20,10 +21,10 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Cost-space embedding sweeps.
+    // Cost-space embedding sweeps, up to the ledger's 1,056 nodes.
     let mut group = c.benchmark_group("embedding");
     group.sample_size(10);
-    for size in [64usize, 128] {
+    for size in [64usize, 128, 1056] {
         let net = TransitStubConfig::sized(size).generate(1).network;
         let dm = DistanceMatrix::build(&net, Metric::Cost);
         group.bench_with_input(BenchmarkId::from_parameter(net.len()), &dm, |b, dm| {

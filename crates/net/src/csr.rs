@@ -1,5 +1,5 @@
-//! Compressed sparse row (CSR) view of a [`Network`] and the radix-queue
-//! Dijkstra kernel that runs over it.
+//! Compressed sparse row (CSR) view of a [`Network`] and the Dijkstra kernel
+//! that runs over it.
 //!
 //! [`Network`] stores adjacency as `Vec<Vec<Link>>` — one heap allocation per
 //! node, 32-byte `Link` entries, and a pointer chase per neighbor list. That
@@ -17,11 +17,20 @@
 //! `f64::total_cmp`, relaxations applied in neighbor order at settle time).
 //! Both facts together make the distance *and* predecessor outputs
 //! bit-identical to the reference implementation — see the
-//! `csr_matches_reference_dijkstra_bits` test and the equivalence argument on
-//! the internal `RadixQueue`.
+//! `csr_matches_reference_dijkstra_bits` and
+//! `integer_grid_ties_match_reference_dijkstra_bits` tests.
+//!
+//! The settle order comes from the queue, [`SsspScratch`]: a min-heap of
+//! single `u128` entries, `order_key(dist) << 32 | node`. `order_key` maps
+//! an `f64`'s bits to a `u64` whose unsigned order is `f64::total_cmp`'s
+//! order, so integer order on the packed entry is exactly the reference
+//! heap's `(dist, node id)` order — for every weight sign, with no
+//! comparator and no second queue.
 
 use crate::graph::{Network, NodeId};
 use crate::paths::Metric;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Flat compressed-sparse-row adjacency with per-metric weight arrays.
 ///
@@ -35,10 +44,6 @@ pub struct CsrGraph {
     targets: Vec<u32>,
     cost: Vec<f64>,
     delay_ms: Vec<f64>,
-    /// Per-metric: true when every weight is non-negative, so every Dijkstra
-    /// key is a non-negative `f64` whose IEEE-754 bit pattern orders like its
-    /// value — the precondition for the monotone radix queue fast path.
-    monotone: [bool; 2],
 }
 
 impl CsrGraph {
@@ -62,15 +67,12 @@ impl CsrGraph {
                 delay_ms.push(link.delay_ms);
             }
         }
-        let non_negative = |ws: &[f64]| ws.iter().all(|w| *w >= 0.0);
-        let monotone = [non_negative(&cost), non_negative(&delay_ms)];
         CsrGraph {
             n,
             row_offsets,
             targets,
             cost,
             delay_ms,
-            monotone,
         }
     }
 
@@ -107,158 +109,52 @@ impl CsrGraph {
     }
 }
 
-/// Monotone radix queue keyed by the raw bit pattern of a non-negative `f64`
-/// distance, with lazy deletion.
-///
-/// Dijkstra's queue is *monotone*: every pushed key `d + w` is at least the
-/// key last popped (`w ≥ 0`), and for non-negative finite `f64`s the IEEE-754
-/// bit pattern orders exactly like the value. Bucket `i > 0` holds keys whose
-/// highest bit differing from `top` (the last popped key) is bit `i - 1`;
-/// bucket 0 holds keys equal to `top`. Keys in a lower bucket are strictly
-/// smaller, so the global minimum always sits in the lowest non-empty
-/// bucket; opening a bucket re-bases `top` to its minimum and redistributes
-/// the rest strictly downward (amortized ~4 moves per entry here, all
-/// append-only — no sift chains, no compare mispredicts).
-///
-/// Equivalence to the lazy-deletion `BinaryHeap` in
-/// [`crate::paths::dijkstra`]: both pop entries in exactly ascending
-/// `(dist, node id)` order (ties on key resolved by the node-id scan in
-/// `pop`), and stale entries — superseded by a later, smaller push for the
-/// same node — are skipped by the `d > dist[u]` check in the kernel, exactly
-/// as in the reference. Same pop sequence → same settle sequence → same
-/// relaxations → bit-identical distances and predecessors.
-struct RadixQueue {
-    /// Bucket `i` ⇔ keys whose msb differing from `top` is bit `i - 1`.
-    buckets: Vec<Vec<(u64, u32)>>,
-    /// Bit `i` set ⇔ bucket `i` non-empty.
-    mask: u128,
-    /// The last popped key; all queued keys are ≥ `top`.
-    top: u64,
-    len: usize,
+/// `x`'s bits remapped so that unsigned `u64` order is `f64::total_cmp`
+/// order: a sign-clear float gets its sign bit set (above every negative),
+/// a sign-set float has every bit flipped (larger magnitudes sort lower).
+#[inline]
+fn order_key(x: f64) -> u64 {
+    let b = x.to_bits();
+    b ^ (((b as i64 >> 63) as u64) | 1 << 63)
 }
 
-impl RadixQueue {
-    fn new() -> Self {
-        RadixQueue {
-            buckets: (0..65).map(|_| Vec::new()).collect(),
-            mask: 0,
-            top: 0,
-            len: 0,
-        }
-    }
-
-    /// Reset for a fresh single-source run, keeping bucket capacity.
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.mask = 0;
-        self.top = 0;
-        self.len = 0;
-    }
-
-    #[inline]
-    fn bucket_of(top: u64, key: u64) -> usize {
-        (64 - (key ^ top).leading_zeros()) as usize
-    }
-
-    #[inline]
-    fn push(&mut self, key: u64, node: u32) {
-        let b = Self::bucket_of(self.top, key);
-        // SAFETY: `bucket_of` returns at most 64 and `buckets` holds 65
-        // entries by construction.
-        unsafe { self.buckets.get_unchecked_mut(b) }.push((key, node));
-        self.mask |= 1u128 << b;
-        self.len += 1;
-    }
-
-    /// Pop the minimum `(key, node)` entry.
-    #[inline]
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        let b = self.mask.trailing_zeros() as usize;
-        if b == 0 {
-            // Keys equal to `top`: the minimum is the smallest node id.
-            let bucket = &mut self.buckets[0];
-            let mut mi = 0;
-            for i in 1..bucket.len() {
-                if bucket[i].1 < bucket[mi].1 {
-                    mi = i;
-                }
-            }
-            let e = bucket.swap_remove(mi);
-            if bucket.is_empty() {
-                self.mask &= !1u128;
-            }
-            return Some(e);
-        }
-        // Open the lowest bucket: extract its minimum, re-base `top` to it,
-        // and redistribute the remainder (each lands strictly below `b`).
-        let mut bucket = std::mem::take(&mut self.buckets[b]);
-        self.mask &= !(1u128 << b);
-        let mut mi = 0;
-        for i in 1..bucket.len() {
-            if bucket[i] < bucket[mi] {
-                mi = i;
-            }
-        }
-        let e = bucket.swap_remove(mi);
-        self.top = e.0;
-        for &(k, v) in &bucket {
-            let nb = Self::bucket_of(self.top, k);
-            // SAFETY: as in `push`, `nb` ≤ 64 < self.buckets.len().
-            unsafe { self.buckets.get_unchecked_mut(nb) }.push((k, v));
-            self.mask |= 1u128 << nb;
-        }
-        bucket.clear();
-        self.buckets[b] = bucket; // hand the capacity back
-        Some(e)
-    }
+/// The float [`order_key`] was computed from, bit for bit.
+#[inline]
+fn from_order_key(k: u64) -> f64 {
+    f64::from_bits(k ^ (!((k as i64 >> 63) as u64) | 1 << 63))
 }
 
-/// Lazy-deletion entry for the general-weight fallback heap, ordered like
-/// the reference `HeapEntry` in [`crate::paths::dijkstra`] (reversed for the
-/// max-heap).
-#[derive(Copy, Clone, PartialEq)]
-struct FallbackEntry {
-    dist: f64,
-    node: u32,
-}
-
-impl Eq for FallbackEntry {}
-
-impl Ord for FallbackEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for FallbackEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Reusable per-worker scratch for [`sssp_into`] — the queues are reset
-/// between sources, so an all-pairs sweep does not reallocate per row.
+/// Dijkstra's lazy-deletion queue, reused across sources so an all-pairs
+/// sweep does not reallocate per row: a min-heap popping ascending
+/// `(dist, node id)` under `f64::total_cmp`, the order of the reference
+/// heap in [`crate::paths::dijkstra`].
 pub struct SsspScratch {
-    radix: RadixQueue,
-    fallback: std::collections::BinaryHeap<FallbackEntry>,
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl SsspScratch {
     /// Scratch sized for an `n`-node graph.
     pub fn new(n: usize) -> Self {
         SsspScratch {
-            radix: RadixQueue::new(),
-            fallback: std::collections::BinaryHeap::with_capacity(n),
+            heap: BinaryHeap::with_capacity(n),
         }
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, dist: f64, node: u32) {
+        let entry = u128::from(order_key(dist)) << 32 | u128::from(node);
+        self.heap.push(Reverse(entry));
+    }
+
+    /// The smallest `(dist, node)` entry.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<(f64, u32)> {
+        let Reverse(entry) = self.heap.pop()?;
+        Some((from_order_key((entry >> 32) as u64), entry as u32))
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.heap.clear();
     }
 }
 
@@ -268,18 +164,14 @@ impl SsspScratch {
 /// `dist` is overwritten with per-node shortest-path distance
 /// (`f64::INFINITY` where unreachable), `pred` with the predecessor node id
 /// on the winning path (`u32::MAX` for the source and unreachable nodes) —
-/// bit-identical to [`crate::paths::dijkstra`] (see module docs). Runs the
-/// monotone radix queue when every weight under `metric` is non-negative
-/// (always, for generated topologies — link costs are validated positive)
-/// and a lazy binary heap otherwise; the two paths pop in the same order,
-/// pinned by `fallback_heap_matches_radix_path`.
+/// bit-identical to [`crate::paths::dijkstra`] (see module docs).
 pub fn sssp_into(
     csr: &CsrGraph,
     metric: Metric,
     source: NodeId,
     dist: &mut [f64],
     pred: &mut [u32],
-    scratch: &mut SsspScratch,
+    queue: &mut SsspScratch,
 ) {
     assert_eq!(dist.len(), csr.n);
     assert_eq!(pred.len(), csr.n);
@@ -288,71 +180,39 @@ pub fn sssp_into(
     pred.fill(u32::MAX);
     dist[source.index()] = 0.0;
     // Once every node has settled, whatever remains in the queue is stale;
-    // draining it pop-by-pop would be pure bucket churn with no writes, so
-    // both paths count settles and break early. With non-negative weights
-    // each node passes the stale check exactly once (pushes for one node
-    // carry strictly decreasing keys), so the count is exact and the
-    // outputs are unchanged.
+    // draining it pop-by-pop would be pure heap churn with no writes, so
+    // count settles and break early. With non-negative weights each node
+    // passes the stale check exactly once (pushes for one node carry
+    // strictly decreasing keys), so the count is exact and the outputs are
+    // unchanged.
     let mut settled = 0usize;
-    if csr.monotone[metric as usize] {
-        let heap = &mut scratch.radix;
-        heap.clear();
-        heap.push(0, source.0);
-        while let Some((key, u)) = heap.pop() {
-            let d = f64::from_bits(key);
-            if d > dist[u as usize] {
-                continue; // stale entry
-            }
-            settled += 1;
-            let row =
-                csr.row_offsets[u as usize] as usize..csr.row_offsets[u as usize + 1] as usize;
-            for idx in row {
-                // SAFETY: `idx` lies in `u`'s row (bounded by the final
-                // row_offset == targets.len() == weights.len()), every
-                // target id is < n by Network construction, and dist/pred
-                // lengths are asserted == n above. Elides the per-edge
-                // bounds checks in the hottest loop of the APSP sweep.
-                unsafe {
-                    let v = *csr.targets.get_unchecked(idx) as usize;
-                    let w = *weights.get_unchecked(idx);
-                    let nd = d + w;
-                    let dv = dist.get_unchecked_mut(v);
-                    if nd < *dv {
-                        *dv = nd;
-                        *pred.get_unchecked_mut(v) = u;
-                        heap.push(nd.to_bits(), v as u32);
-                    }
+    queue.clear();
+    queue.push(0.0, source.0);
+    while let Some((d, u)) = queue.pop() {
+        if d > dist[u as usize] {
+            continue; // stale entry
+        }
+        settled += 1;
+        let row = csr.row_offsets[u as usize] as usize..csr.row_offsets[u as usize + 1] as usize;
+        for idx in row {
+            // SAFETY: `idx` lies in `u`'s row (bounded by the final
+            // row_offset == targets.len() == weights.len()), every target id
+            // is < n by Network construction, and dist/pred lengths are
+            // asserted == n above. Elides the per-edge bounds checks in the
+            // hottest loop of the APSP sweep.
+            unsafe {
+                let v = *csr.targets.get_unchecked(idx) as usize;
+                let nd = d + *weights.get_unchecked(idx);
+                let dv = dist.get_unchecked_mut(v);
+                if nd < *dv {
+                    *dv = nd;
+                    *pred.get_unchecked_mut(v) = u;
+                    queue.push(nd, v as u32);
                 }
-            }
-            if settled == csr.n {
-                break;
             }
         }
-    } else {
-        let heap = &mut scratch.fallback;
-        heap.clear();
-        heap.push(FallbackEntry {
-            dist: 0.0,
-            node: source.0,
-        });
-        while let Some(FallbackEntry { dist: d, node: u }) = heap.pop() {
-            if d > dist[u as usize] {
-                continue; // stale entry
-            }
-            settled += 1;
-            let row =
-                csr.row_offsets[u as usize] as usize..csr.row_offsets[u as usize + 1] as usize;
-            for (&v, &w) in csr.targets[row.clone()].iter().zip(&weights[row]) {
-                let nd = d + w;
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    pred[v as usize] = u;
-                    heap.push(FallbackEntry { dist: nd, node: v });
-                }
-            }
-            if settled == csr.n {
-                break;
-            }
+        if settled == csr.n {
+            break;
         }
     }
 }
@@ -382,62 +242,117 @@ mod tests {
         }
     }
 
-    #[test]
-    fn csr_matches_reference_dijkstra_bits() {
-        // The CSR kernel must reproduce the adjacency-list Dijkstra exactly:
-        // same distance bits AND same predecessors, under both metrics, on a
-        // topology with plenty of equal-cost ties (stub links share costs).
-        let ts = TransitStubConfig::sized(256).generate(5);
-        let net = &ts.network;
+    /// Every source of `net` under both metrics: the CSR kernel's distance
+    /// bits and predecessors against the adjacency-list reference.
+    fn assert_matches_reference(net: &Network) {
         let csr = CsrGraph::from_network(net);
-        let mut scratch = SsspScratch::new(net.len());
+        let mut queue = SsspScratch::new(net.len());
         let mut dist = vec![0.0; net.len()];
         let mut pred = vec![0u32; net.len()];
         for metric in [Metric::Cost, Metric::DelayMs] {
             for s in net.nodes() {
                 let (rd, rp) = dijkstra(net, s, metric);
-                sssp_into(&csr, metric, s, &mut dist, &mut pred, &mut scratch);
+                sssp_into(&csr, metric, s, &mut dist, &mut pred, &mut queue);
                 for v in 0..net.len() {
                     assert_eq!(
                         dist[v].to_bits(),
                         rd[v].to_bits(),
-                        "dist mismatch source {s} node {v}"
+                        "{metric:?}: dist mismatch source {s} node {v}"
                     );
-                    assert_eq!(pred[v], rp[v], "pred mismatch source {s} node {v}");
+                    assert_eq!(
+                        pred[v], rp[v],
+                        "{metric:?}: pred mismatch source {s} node {v}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn fallback_heap_matches_radix_path() {
-        // The fallback exists for weights the radix ordering cannot key
-        // (anything negative), but an actual negative undirected edge is a
-        // negative cycle — Dijkstra is undefined there, in every
-        // implementation. So to pin the fallback we force the flag off on
-        // an ordinary non-negative graph: same inputs, both queue
-        // disciplines, and both must match the reference dijkstra bits.
-        let net = TransitStubConfig::sized(64).generate(11).network;
-        let mut csr = CsrGraph::from_network(&net);
-        assert!(
-            csr.monotone.iter().all(|&m| m),
-            "generated weights are >= 0"
-        );
-        csr.monotone = [false, false];
-        let n = net.len();
-        let mut scratch = SsspScratch::new(n);
-        let mut dist = vec![0.0; n];
-        let mut pred = vec![0u32; n];
-        for metric in [Metric::Cost, Metric::DelayMs] {
-            for s in net.nodes() {
-                let (rd, rp) = dijkstra(&net, s, metric);
-                sssp_into(&csr, metric, s, &mut dist, &mut pred, &mut scratch);
-                for v in 0..n {
-                    assert_eq!(dist[v].to_bits(), rd[v].to_bits(), "{metric:?} {s} {v}");
-                    assert_eq!(pred[v], rp[v], "{metric:?} {s} {v}");
+    fn csr_matches_reference_dijkstra_bits() {
+        // The CSR kernel must reproduce the adjacency-list Dijkstra exactly:
+        // same distance bits AND same predecessors, under both metrics. The
+        // generated costs are continuous draws, so exact ties are rare here;
+        // `integer_grid_ties_match_reference_dijkstra_bits` covers them.
+        let ts = TransitStubConfig::sized(256).generate(5);
+        assert_matches_reference(&ts.network);
+    }
+
+    #[test]
+    fn integer_grid_ties_match_reference_dijkstra_bits() {
+        // A 12×12 grid with small integer weights: almost every node is
+        // reached at a distance it shares with others, and many along
+        // several equal-cost paths, so the settle order (ties broken by
+        // node id) decides every predecessor.
+        use crate::graph::LinkKind;
+        let side = 12u32;
+        let mut net = Network::new((side * side) as usize);
+        let id = |r: u32, c: u32| NodeId(r * side + c);
+        for r in 0..side {
+            for c in 0..side {
+                let delay = f64::from(1 + (r + 2 * c) % 3);
+                if c + 1 < side {
+                    net.add_link(id(r, c), id(r, c + 1), 1.0, delay, LinkKind::Stub);
+                }
+                if r + 1 < side {
+                    net.add_link(id(r, c), id(r + 1, c), 1.0, 4.0 - delay, LinkKind::Stub);
                 }
             }
         }
+        assert_matches_reference(&net);
+    }
+
+    #[test]
+    fn queue_key_orders_like_total_cmp() {
+        let tiny = f64::from_bits(1); // the smallest subnormal
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -tiny,
+            -0.0,
+            0.0,
+            tiny,
+            f64::from_bits(0x000f_ffff_ffff_ffff), // the largest subnormal
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for a in values {
+            assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits(), "{a:e}");
+            for b in values {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+        // The queue pops ascending `(dist, node id)`, stale duplicates
+        // included, whatever order the entries went in.
+        let mut entries: Vec<(f64, u32)> = values
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &d)| [(d, 7 - i as u32 % 3), (d, u32::MAX), (d, 0), (d, 0)])
+            .collect();
+        entries.reverse();
+        entries.rotate_left(5);
+        let mut queue = SsspScratch::new(0);
+        for &(d, v) in &entries {
+            queue.push(d, v);
+        }
+        entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for (d, v) in entries {
+            let (qd, qv) = queue.pop().unwrap();
+            assert_eq!((qd.to_bits(), qv), (d.to_bits(), v));
+        }
+        assert_eq!(queue.pop(), None);
     }
 
     #[test]

@@ -12,25 +12,40 @@
 //! of the Vivaldi-style network coordinates those systems use online).
 //!
 //! The sweeps are *Jacobi-style*: every node's new position is computed from
-//! the previous sweep's coordinates only, so the per-node updates are
-//! independent and the Rayon-parallel path is bit-identical to the serial one
-//! (pinned by `parallel_embed_matches_serial_bits`). Past
-//! [`PIVOT_THRESHOLD`] nodes the quadratic all-pairs sweep switches to a
-//! pivot set of [`PIVOT_COUNT`] landmarks chosen by deterministic
-//! farthest-point traversal — every node then relaxes against the pivots
-//! only, dropping a sweep from O(n²) to O(n·P).
+//! the previous sweep's coordinates only (`relax_node`: the mean over the
+//! other nodes `j`, in ascending id order, of the point at the target
+//! distance from `j` along the current direction).
 //!
-//! A sweep relaxes nodes in blocks of four consecutive ids. On x86-64 hosts
-//! with AVX2 (detected once per [`CostSpace::embed`]) a block runs as four
-//! `f64` lanes over `i` against the shared loop over `j`; the tail block and
-//! every other host run the scalar per-node update. Each lane performs the
-//! scalar update's exact operation sequence — the same subtractions, the
-//! same left-to-right `(dx² + dy²) + dz²` sum, a correctly rounded `sqrt`
-//! and division (no fused multiply-add, no reciprocal, no reassociation) —
-//! and a skipped pair (`i == j`, or an unreachable target) adds `+0.0` to an
-//! accumulator that starts at `+0.0` and so can never be `-0.0`. The lanes
-//! therefore reproduce the scalar coordinates bit for bit, which the
-//! kernel-equivalence tests below pin.
+//! Up to [`PIVOT_THRESHOLD`] nodes a sweep visits every unordered pair once
+//! (`triangle_sweep`). For the pair `i < j` it computes the distance and
+//! the three direction quotients once, then adds node `i`'s term toward `j`
+//! (target `dm[i][j]`) and node `j`'s term toward `i` with the negated
+//! direction, the same `[1, 0, 0]` kick and target `dm[j][i]` — the matrix
+//! is symmetric in value but not always in bits, so each side reads its
+//! own row. Rows run in ascending `i`, so node `x` receives its `j < x`
+//! terms first, then its `j > x` terms in `j` order: `relax_node`'s order,
+//! term for term. A negated quotient differs from the recomputed one only
+//! in the sign of an exact zero, which cannot change a sum into an
+//! accumulator that starts at `+0.0` (it is never `-0.0`). The triangle
+//! sweep is serial; it does half the arithmetic of the per-node sweep.
+//!
+//! Past [`PIVOT_THRESHOLD`] nodes every node relaxes against a pivot set of
+//! [`PIVOT_COUNT`] landmarks chosen by deterministic farthest-point
+//! traversal instead, dropping a sweep from O(n²) to O(n·P). Those updates
+//! are independent per node, so the pivot sweep fans out over Rayon and is
+//! bit-identical to its serial run.
+//!
+//! On x86-64 hosts with AVX2 (detected once per [`CostSpace::embed`]) both
+//! sweeps run four `f64` lanes over four consecutive rows `i` against the
+//! shared loop over `j`; tails and every other host run the scalar code.
+//! Each lane performs the scalar update's exact operation sequence — the
+//! same subtractions, the same left-to-right `(dx² + dy²) + dz²` sum, a
+//! correctly rounded `sqrt` and division (no fused multiply-add, no
+//! reciprocal, no reassociation) — and a skipped pair (`i == j`, or an
+//! unreachable target) adds `+0.0` to an accumulator that can never be
+//! `-0.0`. The lanes therefore reproduce the scalar coordinates bit for
+//! bit, which the kernel-equivalence tests below pin against the scalar
+//! per-node sweep.
 
 use crate::graph::NodeId;
 use crate::paths::{DistanceMatrix, PARALLEL_THRESHOLD};
@@ -116,10 +131,10 @@ fn relax_node(i: usize, coords: &[Point], targets: &[f64], others: &[u32]) -> Po
 /// The kernel that relaxes a block of [`LANES`] nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kernel {
-    /// [`relax_node`] once per node.
+    /// [`relax_node`] once per node, or [`relax_pair`] once per pair.
     Scalar,
-    /// [`relax_block_avx2`]; only ever constructed by [`Kernel::detect`]
-    /// once the host has reported AVX2.
+    /// [`relax_block_avx2`] or [`triangle_block_avx2`]; only ever
+    /// constructed by [`Kernel::detect`] once the host has reported AVX2.
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
@@ -238,7 +253,9 @@ fn relax_block_avx2(
 }
 
 /// One Jacobi sweep: relax every node against `others`, reading `coords`
-/// and writing `next`, in blocks of [`LANES`] nodes.
+/// and writing `next`, in blocks of [`LANES`] nodes. `embed` runs it
+/// against the pivots; against every node it is the per-node reference
+/// [`triangle_sweep`] is tested against.
 fn sweep(
     coords: &[Point],
     next: &mut [Point],
@@ -254,6 +271,187 @@ fn sweep(
     } else {
         for (b, out) in next.chunks_mut(LANES).enumerate() {
             relax_block(b * LANES, out, coords, dm, others, kernel);
+        }
+    }
+}
+
+/// One node's running sums in a [`triangle_sweep`]: [`relax_node`]'s `acc`
+/// in the first [`DIMS`] slots and its `count` in the last, filled pair by
+/// pair (one AVX2 register).
+type Sums = [f64; DIMS + 1];
+
+/// One [`relax_node`] term: `acc += c + dir · t` per dimension, `count += 1`.
+#[inline]
+fn add_term(sums: &mut Sums, c: &Point, dir: &Point, t: f64) {
+    for k in 0..DIMS {
+        sums[k] += c[k] + dir[k] * t;
+    }
+    sums[DIMS] += 1.0;
+}
+
+/// The pair `i < j`: the distance and quotients once, then node `i`'s term
+/// toward `j` (target `ti = dm[i][j]`) and node `j`'s term toward `i`
+/// (target `tj = dm[j][i]`), each the term [`relax_node`] adds for it.
+#[inline]
+fn relax_pair(i: usize, j: usize, coords: &[Point], (ti, tj): (f64, f64), sums: &mut [Sums]) {
+    let cur = euclid(&coords[i], &coords[j]);
+    let [di, dj]: [Point; 2] = if cur > 1e-9 {
+        let d: Point = std::array::from_fn(|k| (coords[i][k] - coords[j][k]) / cur);
+        [d, d.map(|x| -x)]
+    } else {
+        [[1.0, 0.0, 0.0]; 2]
+    };
+    if ti.is_finite() {
+        add_term(&mut sums[i], &coords[j], &di, ti);
+    }
+    if tj.is_finite() {
+        add_term(&mut sums[j], &coords[i], &dj, tj);
+    }
+}
+
+/// One all-pairs Jacobi sweep that visits each unordered pair once (see the
+/// module docs): bit-identical to [`sweep`] against every node.
+fn triangle_sweep(
+    coords: &[Point],
+    next: &mut [Point],
+    dm: &DistanceMatrix,
+    kernel: Kernel,
+    sums: &mut Vec<Sums>,
+) {
+    let n = coords.len();
+    sums.clear();
+    sums.resize(n, [0.0; DIMS + 1]);
+    let row = |i: usize| dm.row(NodeId(i as u32));
+    let mut i = 0;
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => {
+            while i + LANES <= n {
+                // SAFETY: `Kernel::Avx2` is constructed only by
+                // `Kernel::detect` after `is_x86_feature_detected!("avx2")`
+                // returned true.
+                unsafe { triangle_block_avx2(i, coords, dm, sums) };
+                i += LANES;
+            }
+        }
+        Kernel::Scalar => {}
+    }
+    for i in i..n {
+        for (j, &t) in row(i).iter().enumerate().skip(i + 1) {
+            relax_pair(i, j, coords, (t, row(j)[i]), sums);
+        }
+    }
+    for ((p, s), c) in next.iter_mut().zip(sums.iter()).zip(coords) {
+        let count = s[DIMS];
+        *p = if count > 0.0 {
+            std::array::from_fn(|k| s[k] / count)
+        } else {
+            *c
+        };
+    }
+}
+
+/// The rows `i0..i0 + 4` of a [`triangle_sweep`]: the six pairs inside the
+/// block through [`relax_pair`], then one `f64` lane per row against every
+/// `j ≥ i0 + 4`. Lane `l` adds node `i0 + l`'s term toward `j` to a register
+/// accumulator. Node `j`'s four terms toward the block (targets
+/// `dm[j][i0..i0 + 4]`, one load) are transposed into four `[x, y, z, 1]`
+/// registers and added to `j`'s sums in lane order, which is ascending
+/// partner id.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2; [`triangle_sweep`] calls this only
+/// for [`Kernel::Avx2`], which [`Kernel::detect`] returns only after
+/// checking.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn triangle_block_avx2(i0: usize, coords: &[Point], dm: &DistanceMatrix, sums: &mut [Sums]) {
+    use std::arch::x86_64::*;
+    type Sums4 = [__m256d; DIMS + 1];
+
+    let rows: [&[f64]; LANES] = std::array::from_fn(|l| dm.row(NodeId((i0 + l) as u32)));
+    for a in 0..LANES {
+        for b in a + 1..LANES {
+            let t = (rows[a][i0 + b], rows[b][i0 + a]);
+            relax_pair(i0 + a, i0 + b, coords, t, sums);
+        }
+    }
+
+    let lanes = |v: [f64; LANES]| _mm256_set_pd(v[3], v[2], v[1], v[0]);
+    let ci: [__m256d; DIMS] =
+        std::array::from_fn(|k| lanes([0, 1, 2, 3].map(|l| coords[i0 + l][k])));
+    let n = coords.len();
+    let [r0, r1, r2, r3] = rows.map(|r| &r[..n]);
+    let magnitude = _mm256_set1_pd(f64::from_bits(!(1u64 << 63)));
+    let sign = _mm256_set1_pd(-0.0);
+    let inf = _mm256_set1_pd(f64::INFINITY);
+    let tiny = _mm256_set1_pd(1e-9);
+    let one = _mm256_set1_pd(1.0);
+    let finite = |t: __m256d| _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_and_pd(t, magnitude), inf);
+    // `acc[k]` holds slot `k` of the four rows' sums, one row per lane.
+    let mut acc: Sums4 = std::array::from_fn(|k| lanes([0, 1, 2, 3].map(|l| sums[i0 + l][k])));
+    for j in i0 + LANES..n {
+        let t = _mm256_set_pd(r3[j], r2[j], r1[j], r0[j]);
+        let tj = &dm.row(NodeId(j as u32))[i0..i0 + LANES];
+        // SAFETY: `tj` is four readable `f64`s; `loadu` has no alignment
+        // requirement.
+        let tj = unsafe { _mm256_loadu_pd(tj.as_ptr()) };
+        let (live, live_j) = (finite(t), finite(tj));
+        let cj = coords[j].map(|c| _mm256_set1_pd(c));
+        let diff: [__m256d; DIMS] = std::array::from_fn(|k| _mm256_sub_pd(ci[k], cj[k]));
+        let sq = diff.map(|d| _mm256_mul_pd(d, d));
+        let cur = _mm256_sqrt_pd(_mm256_add_pd(_mm256_add_pd(sq[0], sq[1]), sq[2]));
+        // Unit direction from j to i; the `[1, 0, 0]` kick when coincident
+        // (or when `cur` is NaN, as `cur > 1e-9` is then false).
+        let far = _mm256_cmp_pd::<_CMP_GT_OQ>(cur, tiny);
+        // Node j's direction is the lane's, negated where `far` and the
+        // same kick where not.
+        let flip = _mm256_and_pd(sign, far);
+        let mut terms_j: Sums4 = [_mm256_and_pd(one, live_j); DIMS + 1];
+        for k in 0..DIMS {
+            let d = _mm256_div_pd(diff[k], cur);
+            let dir = if k == 0 {
+                _mm256_blendv_pd(one, d, far)
+            } else {
+                _mm256_and_pd(d, far)
+            };
+            let dir_j = _mm256_xor_pd(dir, flip);
+            let step = _mm256_add_pd(cj[k], _mm256_mul_pd(dir, t));
+            acc[k] = _mm256_add_pd(acc[k], _mm256_and_pd(step, live));
+            let step_j = _mm256_add_pd(ci[k], _mm256_mul_pd(dir_j, tj));
+            terms_j[k] = _mm256_and_pd(step_j, live_j);
+        }
+        acc[DIMS] = _mm256_add_pd(acc[DIMS], _mm256_and_pd(one, live));
+        // Transpose: term `l` is node j's `[x, y, z, 1]` toward node i0 + l.
+        let [x, y, z, c] = terms_j;
+        let (xy02, xy13) = (_mm256_unpacklo_pd(x, y), _mm256_unpackhi_pd(x, y));
+        let (zc02, zc13) = (_mm256_unpacklo_pd(z, c), _mm256_unpackhi_pd(z, c));
+        let terms = [
+            _mm256_permute2f128_pd::<0x20>(xy02, zc02),
+            _mm256_permute2f128_pd::<0x20>(xy13, zc13),
+            _mm256_permute2f128_pd::<0x31>(xy02, zc02),
+            _mm256_permute2f128_pd::<0x31>(xy13, zc13),
+        ];
+        let sums_j = sums[j].as_mut_ptr();
+        // SAFETY: `sums[j]` is four contiguous `f64`s; `loadu` / `storeu`
+        // have no alignment requirement.
+        unsafe {
+            let mut acc_j = _mm256_loadu_pd(sums_j);
+            for term in terms {
+                acc_j = _mm256_add_pd(acc_j, term);
+            }
+            _mm256_storeu_pd(sums_j, acc_j);
+        }
+    }
+
+    for (k, v) in acc.into_iter().enumerate() {
+        let mut out = [0.0; LANES];
+        // SAFETY: `out` is four writable `f64`s; `storeu` has no alignment
+        // requirement.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
+        for (l, x) in out.into_iter().enumerate() {
+            sums[i0 + l][k] = x;
         }
     }
 }
@@ -294,13 +492,14 @@ impl CostSpace {
     ///
     /// `iterations` majorization sweeps are performed (40 is plenty for the
     /// topologies in this workspace); the result is deterministic in `seed`
-    /// and identical between the serial and Rayon-parallel sweep paths.
+    /// and identical between the serial and Rayon-parallel pivot sweeps.
     pub fn embed(dm: &DistanceMatrix, seed: u64, iterations: usize) -> Self {
         Self::embed_with_parallel_threshold(dm, seed, iterations, PARALLEL_THRESHOLD)
     }
 
     /// [`CostSpace::embed`] with an explicit node-count threshold for the
-    /// Rayon path (tests pin serial vs parallel bits by forcing each side).
+    /// Rayon path of the pivot sweep (tests pin serial vs parallel bits by
+    /// forcing each side); the all-pairs sweep is serial at any threshold.
     pub fn embed_with_parallel_threshold(
         dm: &DistanceMatrix,
         seed: u64,
@@ -334,16 +533,15 @@ impl CostSpace {
             })
             .collect();
 
-        let others: Vec<u32> = if n > PIVOT_THRESHOLD {
-            choose_pivots(dm, PIVOT_COUNT)
-        } else {
-            (0..n as u32).collect()
-        };
-
+        let pivots = (n > PIVOT_THRESHOLD).then(|| choose_pivots(dm, PIVOT_COUNT));
         let mut next = coords.clone();
+        let mut sums = Vec::new();
         let parallel = n >= parallel_threshold;
         for _ in 0..iterations {
-            sweep(&coords, &mut next, dm, &others, parallel, kernel);
+            match &pivots {
+                Some(pivots) => sweep(&coords, &mut next, dm, pivots, parallel, kernel),
+                None => triangle_sweep(&coords, &mut next, dm, kernel, &mut sums),
+            }
             std::mem::swap(&mut coords, &mut next);
         }
         CostSpace { coords }
@@ -463,27 +661,49 @@ mod tests {
         CostSpace::embed_with_kernel(dm, seed, 0, usize::MAX, Kernel::Scalar).coords
     }
 
+    type Sweep<'a> = &'a dyn Fn(&[Point], &mut [Point]);
+
+    /// `iterations` sweeps of `step` from `start`.
+    fn run(start: &[Point], iterations: usize, step: Sweep) -> Vec<Point> {
+        let (mut coords, mut next) = (start.to_vec(), start.to_vec());
+        for _ in 0..iterations {
+            step(&coords, &mut next);
+            std::mem::swap(&mut coords, &mut next);
+        }
+        coords
+    }
+
+    fn triangle(dm: &DistanceMatrix, kernel: Kernel) -> impl Fn(&[Point], &mut [Point]) + '_ {
+        move |coords, next| {
+            triangle_sweep(coords, next, dm, kernel, &mut Vec::new());
+        }
+    }
+
     /// Runs `iterations` sweeps from `start` under every kernel, serial and
-    /// parallel, and checks each against the scalar serial sweep bit for bit.
+    /// parallel — and, when `others` is every node, the triangle sweep under
+    /// every kernel — and checks each against the scalar serial per-node
+    /// sweep bit for bit.
     fn assert_sweeps_agree(
         dm: &DistanceMatrix,
         start: &[Point],
         others: &[u32],
         iterations: usize,
     ) {
-        let run = |parallel, kernel| {
-            let (mut coords, mut next) = (start.to_vec(), start.to_vec());
-            for _ in 0..iterations {
-                sweep(&coords, &mut next, dm, others, parallel, kernel);
-                std::mem::swap(&mut coords, &mut next);
-            }
-            coords
+        let per_node = |parallel, kernel| {
+            move |c: &[Point], n: &mut [Point]| sweep(c, n, dm, others, parallel, kernel)
         };
-        let reference = run(false, Kernel::Scalar);
+        let reference = run(start, iterations, &per_node(false, Kernel::Scalar));
+        let all_pairs = others.iter().copied().eq(0..dm.len() as u32);
         for kernel in kernels() {
             for parallel in [false, true] {
                 let what = format!("{kernel:?}, parallel {parallel}, n {}", dm.len());
-                assert_bits_eq(&reference, &run(parallel, kernel), &what);
+                let got = run(start, iterations, &per_node(parallel, kernel));
+                assert_bits_eq(&reference, &got, &what);
+            }
+            if all_pairs {
+                let what = format!("{kernel:?} triangle, n {}", dm.len());
+                let got = run(start, iterations, &triangle(dm, kernel));
+                assert_bits_eq(&reference, &got, &what);
             }
         }
     }
@@ -494,9 +714,10 @@ mod tests {
 
     #[test]
     fn parallel_embed_matches_serial_bits() {
-        // The Jacobi sweeps read only the previous iteration's coordinates,
-        // so the Rayon path must reproduce the serial path bit for bit — and
-        // every lane of the block kernel must reproduce the scalar update.
+        // The parallel threshold schedules only the pivot sweep, so it must
+        // not move the all-pairs embedding's bits — and every lane of the
+        // block kernel must reproduce the scalar update. (The Rayon pivot
+        // sweep is checked against its serial run by the kernel tests.)
         let ts = TransitStubConfig::paper_128().generate(6);
         let dm = DistanceMatrix::build(&ts.network, Metric::Cost);
         let reference = CostSpace::embed_with_kernel(&dm, 6, 25, usize::MAX, Kernel::Scalar);
@@ -524,6 +745,57 @@ mod tests {
         let dm = DistanceMatrix::build(&ts.network, Metric::Cost);
         assert_eq!(dm.len(), 1056);
         assert_sweeps_agree(&dm, &start_layout(&dm, 42), &all_nodes(&dm), 3);
+    }
+
+    #[test]
+    fn triangle_sweep_matches_jacobi_on_ledger_topology_over_40_sweeps() {
+        // `embed`'s full run on the ledger's 1,056 nodes. The per-node
+        // reference runs on Rayon, which the test above shows is its serial
+        // run bit for bit. CI runs this crate's tests optimized; an
+        // unoptimized build checks the first four sweeps only, to keep the
+        // debug suite's wall time.
+        let ts = TransitStubConfig {
+            transit_domains: 4,
+            transit_nodes_per_domain: 8,
+            stub_domains_per_transit_node: 4,
+            stub_nodes_per_domain: 8,
+            ..TransitStubConfig::default()
+        }
+        .generate(42);
+        let dm = DistanceMatrix::build(&ts.network, Metric::Cost);
+        let start = start_layout(&dm, 42);
+        let all = all_nodes(&dm);
+        let sweeps = if cfg!(debug_assertions) { 4 } else { 40 };
+        let reference = run(&start, sweeps, &|c, n| {
+            sweep(c, n, &dm, &all, true, Kernel::Scalar)
+        });
+        for kernel in kernels() {
+            let got = run(&start, sweeps, &triangle(&dm, kernel));
+            assert_bits_eq(&reference, &got, &format!("{kernel:?} triangle"));
+        }
+        let embedded = CostSpace::embed(&dm, 42, sweeps);
+        assert_bits_eq(&reference, &embedded.coords, "embed");
+    }
+
+    #[test]
+    fn triangle_sweep_reads_each_sides_own_row() {
+        use crate::graph::{LinkKind, Network};
+        // On the path 0 -0.1- 1 -0.2- 2 -0.3- 3 the matrix is not symmetric
+        // in bits: row 0 sums (0.1 + 0.2) + 0.3, row 3 sums (0.3 + 0.2) + 0.1.
+        // So node 3's term toward 0 must use dm[3][0], not dm[0][3]. Nine
+        // nodes (the weights repeated) put such pairs across AVX2 blocks too.
+        for n in [4u32, 9] {
+            let mut net = Network::new(n as usize);
+            for a in 1..n {
+                let w = [0.1, 0.2, 0.3][(a as usize - 1) % 3];
+                net.add_link(NodeId(a - 1), NodeId(a), w, 1.0, LinkKind::Stub);
+            }
+            let dm = DistanceMatrix::build(&net, Metric::Cost);
+            let bits = |a, b| dm.get(NodeId(a), NodeId(b)).to_bits();
+            assert_ne!(bits(0, 3), bits(3, 0));
+            assert!(n == 4 || bits(1, 4) != bits(4, 1));
+            assert_sweeps_agree(&dm, &start_layout(&dm, 4), &all_nodes(&dm), 10);
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! to individual links, which the [`RouteTable`] provides.
 //!
 //! All-pairs construction runs over the flat [`CsrGraph`][crate::csr::CsrGraph]
-//! layout with an radix-queue kernel ([`crate::csr::sssp_into`]), which is
-//! bit-identical to the adjacency-list [`dijkstra`] kept here as the
-//! reference implementation.
+//! layout ([`crate::csr::sssp_into`]), whose packed-key queue pops in the
+//! same `(dist, node id)` order as the adjacency-list [`dijkstra`] kept here
+//! as the independent reference, so the two are bit-identical. The in-place
+//! link repair settles its subtrees through that same queue.
 
 use crate::csr::{sssp_into, CsrGraph, SsspScratch};
 use crate::graph::{Network, NodeId};
@@ -67,7 +68,8 @@ impl PartialOrd for HeapEntry {
 ///
 /// This is the *reference* implementation: the all-pairs builders below run
 /// the CSR kernel ([`crate::csr::sssp_into`]) instead, which is proven
-/// bit-identical to this function by differential tests.
+/// bit-identical to this function by differential tests. It keeps its own
+/// comparator heap so that it shares no queue code with what it checks.
 pub fn dijkstra(net: &Network, source: NodeId, metric: Metric) -> (Vec<f64>, Vec<u32>) {
     let n = net.len();
     let mut dist = vec![f64::INFINITY; n];
@@ -207,7 +209,7 @@ struct RepairScratch {
     stack: Vec<u32>,
     /// The affected nodes of the current row with their pre-repair distance.
     affected: Vec<(u32, f64)>,
-    heap: BinaryHeap<HeapEntry>,
+    queue: SsspScratch,
 }
 
 /// Repair one tight row in place after the weight of link `near`–`far` rose
@@ -225,7 +227,7 @@ struct RepairScratch {
 /// the set (a relaxation out of it cannot beat an already-final distance).
 /// Distances are the minimum over paths of the left-to-right `d + w` sum,
 /// whichever order nodes settle in, so the row comes out bit-identical to a
-/// fresh single-source run.
+/// fresh single-source run. The settling runs on [`sssp_into`]'s queue.
 fn resettle_descendants(
     net: &Network,
     metric: Metric,
@@ -238,7 +240,7 @@ fn resettle_descendants(
         seen,
         stack,
         affected,
-        heap,
+        queue,
     } = scratch;
     seen[far.index()] = true;
     stack.push(far.0);
@@ -276,26 +278,20 @@ fn resettle_descendants(
             .fold(f64::INFINITY, f64::min);
         if best < row[v as usize] {
             row[v as usize] = best;
-            heap.push(HeapEntry {
-                dist: best,
-                node: NodeId(v),
-            });
+            queue.push(best, v);
         }
     }
     let mut settled = 0;
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if d > row[u.index()] {
+    while let Some((d, u)) = queue.pop() {
+        if d > row[u as usize] {
             continue; // stale entry
         }
         settled += 1;
-        for link in net.neighbors(u) {
+        for link in net.neighbors(NodeId(u)) {
             let nd = d + metric.weight(link);
             if nd < row[link.to.index()] {
                 row[link.to.index()] = nd;
-                heap.push(HeapEntry {
-                    dist: nd,
-                    node: link.to,
-                });
+                queue.push(nd, link.to.0);
             }
         }
     }
@@ -461,11 +457,14 @@ impl DistanceMatrix {
     /// which the old `0.0` sentinel could not distinguish from a genuinely
     /// zero-cost pair.
     ///
-    /// Scans the upper triangle only: the matrix is symmetric (undirected
-    /// links), so `(b, a)` adds nothing over `(a, b)` and the full scan was
-    /// 10⁸ redundant reads at 10k nodes. `diameter_upper_triangle_matches_
-    /// double_scan` pins the result against a both-triangles reference on
-    /// the seeded test topologies.
+    /// The diameter *is* the maximum over the upper triangle (`a < b`), by
+    /// definition: the cost-space embedding scales its initial layout by it,
+    /// so a different scan would move the embedding's bits. The matrix is
+    /// symmetric in value (undirected links) but not always in bits — row
+    /// `b`'s `(b, a)` sums the path's weights in the other order, and
+    /// `(0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1` — so the lower triangle can
+    /// differ in the last place. `diameter_upper_triangle_matches_double_scan`
+    /// pins that on the seeded test topologies the two scans agree.
     pub fn diameter(&self) -> Option<f64> {
         let mut best: Option<f64> = None;
         for a in 0..self.n {
@@ -553,7 +552,7 @@ impl DistanceMatrix {
             seen: vec![false; n],
             stack: Vec::new(),
             affected: Vec::new(),
-            heap: BinaryHeap::new(),
+            queue: SsspScratch::new(0),
         };
         // What a whole-row re-run needs, built on the first row that asks.
         let mut whole_row = None;

@@ -357,6 +357,15 @@ impl Sink {
     }
 }
 
+/// 64-bit FNV-1a of `bytes`: the workspace's one content hash (snapshot
+/// trailers, SQL string codes, golden digests). Stable across platforms
+/// and releases, unlike `std`'s hashers.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Aggregate state copied out of a [`Sink`] by [`Sink::snapshot`].
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
@@ -880,6 +889,13 @@ mod tests {
         assert_eq!((a.count, a.sum, a.min, a.max), (2, 8.0, 2.0, 6.0));
         a.merge(&Histogram::default());
         assert_eq!(a.count, 2);
+    }
+
+    #[test]
+    fn fnv64_matches_the_published_vectors() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -85,12 +85,7 @@ impl SelectivityHints {
 /// Fold a string literal to a stable numeric code (FNV-1a over the
 /// uppercased bytes, mapped into [0, 1e6)).
 pub fn string_code(s: &str) -> f64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.to_ascii_uppercase().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h % 1_000_000) as f64
+    (dsq_obs::fnv64(s.to_ascii_uppercase().as_bytes()) % 1_000_000) as f64
 }
 
 /// Parse a `SELECT … FROM … [WHERE …]` statement into a [`Query`].

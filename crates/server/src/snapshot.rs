@@ -18,6 +18,13 @@
 //! Nothing read back is trusted: a slot must pass the same checks a
 //! registration does, and every node and stream id must be in range.
 //!
+//! The last line is a trailer, `end = <lines> <fnv64>`: the number of lines
+//! before it and the [`dsq_obs::fnv64`] of their bytes. A document's last
+//! lines are optional scalars, so a snapshot cut short could otherwise
+//! parse and load a wrong state; [`restore`] refuses any document whose
+//! trailer is missing or does not match, naming the trailer in its error.
+//! Version 1 documents had no trailer and are refused the same way.
+//!
 //! Plans are guaranteed tree-reconstructible because drain waves always
 //! plan against a fresh [`dsq_query::ReuseRegistry`] — every plan leaf is
 //! a base stream, never a derived operator owned by another query.
@@ -36,7 +43,7 @@ use crate::state::{apply_fault_surgery, QuerySlot, ServiceCore, ServiceCounters}
 /// Serialize a core (call only with an empty queue, i.e. right after a
 /// drain — the service enforces this by snapshotting from the drain path).
 pub fn write(core: &ServiceCore) -> String {
-    let mut out = String::from("# dsq-server snapshot v1\n");
+    let mut out = String::from("# dsq-server snapshot v2\n");
     kv::write_fields(&mut out, ServiceConfig::PREFIX, &core.cfg);
     kv::put(&mut out, "epoch", core.epoch);
     kv::put(&mut out, "now_ms", core.now_ms);
@@ -101,11 +108,45 @@ pub fn write(core: &ServiceCore) -> String {
         core.registry.next_operator(),
     );
     kv::write_fields(&mut out, "advert_stat.", &core.registry.stats());
+    seal(&mut out);
     out
+}
+
+/// The trailer value for `body`: its line count and FNV-1a hash.
+fn trailer(body: &str) -> String {
+    let hash = dsq_obs::fnv64(body.as_bytes());
+    format!("{} {hash:016x}", body.lines().count())
+}
+
+/// Append the `end` trailer that seals everything written so far.
+fn seal(out: &mut String) {
+    let end = trailer(out);
+    kv::put(out, "end", end);
+}
+
+/// The body a whole document's trailer seals.
+fn unseal(text: &str) -> Result<&str, String> {
+    let sealed = text.strip_suffix('\n').and_then(|t| {
+        let start = t.rfind('\n').map_or(0, |i| i + 1);
+        Some((&text[..start], t[start..].strip_prefix("end = ")?))
+    });
+    let Some((body, end)) = sealed else {
+        return Err("snapshot has no `end` trailer: it was cut short, or predates v2".into());
+    };
+    let want = trailer(body);
+    if end != want {
+        return Err(format!(
+            "snapshot trailer `end = {end}` does not match the {} lines before it \
+             (`end = {want}`): the file is torn or was edited",
+            body.lines().count()
+        ));
+    }
+    Ok(body)
 }
 
 /// Rebuild a core from [`write`]'s output.
 pub fn restore(text: &str) -> Result<ServiceCore, String> {
+    let text = unseal(text)?;
     let mut config = ServiceConfig::default();
     let mut counters = ServiceCounters::default();
     let mut advert_stats = AdvertStats::default();
@@ -379,6 +420,14 @@ mod tests {
         core
     }
 
+    /// `text` with its trailer recomputed, so that a test's edit reaches
+    /// the checks behind the trailer.
+    fn reseal(text: &str) -> String {
+        let mut body = text[..text.rfind("end = ").unwrap()].to_string();
+        seal(&mut body);
+        body
+    }
+
     #[test]
     fn snapshot_round_trips_bit_exactly() {
         let core = populated_core();
@@ -432,6 +481,8 @@ mod tests {
             })
             .collect();
         let err = restore(&tampered).unwrap_err();
+        assert!(err.contains("trailer"), "{err}");
+        let err = restore(&reseal(&tampered)).unwrap_err();
         assert!(
             err.contains("diverged") || err.contains("placement"),
             "{err}"
@@ -479,7 +530,40 @@ mod tests {
         for (prefix, key, edit) in cases {
             let tampered = tamper(prefix, key, edit);
             assert_ne!(tampered, text, "{prefix}{key}: nothing tampered");
-            assert!(restore(&tampered).is_err(), "{prefix}{key}: loaded");
+            let err = restore(&tampered).unwrap_err();
+            assert!(err.contains("trailer"), "{prefix}{key}: {err}");
+            let err = restore(&reseal(&tampered)).unwrap_err();
+            assert!(!err.contains("trailer"), "{prefix}{key}: {err}");
         }
+    }
+
+    #[test]
+    fn cut_or_edited_snapshots_fail_the_trailer() {
+        let text = write(&populated_core());
+        assert!(text.starts_with("# dsq-server snapshot v2\n"));
+        assert!(text.lines().last().unwrap().starts_with("end = "));
+        // Every cut, at a line end or inside a line, loses or breaks it.
+        for cut in 0..text.len() {
+            let err = restore(&text[..cut]).err();
+            let err = err.unwrap_or_else(|| panic!("cut at byte {cut} loaded"));
+            assert!(err.contains("trailer"), "cut at byte {cut}: {err}");
+        }
+        // So does one changed byte anywhere before it, and a wrong count.
+        let body_len = text.rfind("end = ").unwrap();
+        for at in (0..body_len).step_by(7) {
+            let mut bytes = text.clone().into_bytes();
+            bytes[at] = if bytes[at] == b'1' { b'2' } else { b'1' };
+            let edited = String::from_utf8(bytes).unwrap();
+            let err = restore(&edited).unwrap_err();
+            assert!(err.contains("trailer"), "byte {at}: {err}");
+        }
+        let (lines, hash) = text[body_len + 6..].trim_end().split_once(' ').unwrap();
+        let lines: usize = lines.parse().unwrap();
+        let miscounted = format!("{}end = {} {hash}\n", &text[..body_len], lines + 1);
+        assert!(restore(&miscounted).unwrap_err().contains("trailer"));
+        // A v1 document (same lines, no trailer) is refused too.
+        let v1 = text[..body_len].replacen("snapshot v2", "snapshot v1", 1);
+        assert!(restore(&v1).unwrap_err().contains("trailer"));
+        assert!(restore(&text).is_ok());
     }
 }

@@ -208,6 +208,7 @@ fn an_unreadable_snapshot_falls_back_to_full_replay_on_an_uncompacted_journal() 
     let garbled = whole.replace(" = ", " ? ");
     let cut = whole.find("slot = ").expect("the script plans queries") + 12;
     let truncated = whole[..cut].to_string();
+    let halved = whole[..whole.len() / 2].to_string();
     let mut other = PlanningService::new(
         ServiceConfig {
             max_queue: cfg.max_queue + 1,
@@ -223,6 +224,7 @@ fn an_unreadable_snapshot_falls_back_to_full_replay_on_an_uncompacted_journal() 
     for (what, text) in [
         ("garbled", garbled),
         ("truncated", truncated),
+        ("halved", halved),
         ("mismatched config", mismatched),
     ] {
         std::fs::write(&snap, &text).unwrap();
@@ -272,6 +274,35 @@ fn an_unreadable_snapshot_still_errors_on_a_compacted_journal() {
         std::fs::write(&snap, text).unwrap();
         assert!(PlanningService::recover_from_path(&path).is_err());
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_half_length_snapshot_of_a_compacted_journal_is_refused() {
+    // The first half of a whole snapshot, what a write cut short leaves.
+    // A snapshot's last lines are optional scalars, so the cut document
+    // still parses, and without the trailer it recovered `Ok` with a
+    // fingerprint that differs from the live one. The journal is compacted
+    // behind the snapshot, so no replay can stand in for it: recovery must
+    // fail, and say why.
+    let cfg = ServiceConfig {
+        snapshot_every: 1,
+        ..ServiceConfig::default()
+    };
+    let lines = generate_script(&cfg, &small_script());
+    let dir = temp_dir("half-snapshot");
+    let path = dir.join("compacted.journal");
+    let snap = PathBuf::from(format!("{}.snap", path.display()));
+    let mut svc = PlanningService::new(cfg, Some(&path)).unwrap();
+    for l in &lines {
+        svc.submit_line(l);
+    }
+    assert!(svc.journal_retained() < svc.journal_len(), "compacted");
+    drop(svc);
+    let whole = std::fs::read_to_string(&snap).unwrap();
+    std::fs::write(&snap, &whole[..whole.len() / 2]).unwrap();
+    let err = PlanningService::recover_from_path(&path).unwrap_err();
+    assert!(err.contains("trailer"), "unexpected error: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -19,6 +19,7 @@
 //! mismatch prints the whole digested text; compare it against a checkout
 //! of the previous commit to see what moved.
 
+use dsq::obs::fnv64;
 use dsq::prelude::*;
 use dsq::server::chaos::run_plain;
 use dsq::server::{generate_script, PlanningService, ScriptConfig, ServiceConfig};
@@ -27,15 +28,8 @@ use dsq_fuzz::FuzzCase;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// 64-bit FNV-1a.
-fn digest(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn assert_golden(what: &str, text: &str, expected: u64) {
-    let got = digest(text);
+    let got = fnv64(text.as_bytes());
     assert_eq!(
         got, expected,
         "{what} moved: digest {got:#018x}, golden {expected:#018x}\n{text}"
@@ -121,7 +115,9 @@ fn journal_and_snapshot_files_are_pinned() {
     // each snapshot, so the file ends as header, marker and suffix.
     let (journal, snapshot) = service_files(2);
     assert_golden("compacted journal file", &journal, 0x4e24_a7b8_694e_e1f9);
-    assert_golden("snapshot file", &snapshot, 0x01e9_a37d_b422_7765);
+    // Snapshot v2: the v1 bytes (golden 0x01e9_a37d_b422_7765) with the
+    // header's version bumped and the `end` trailer appended.
+    assert_golden("snapshot file", &snapshot, 0xa0ad_c062_4174_774e);
     // Without snapshots the journal keeps every entry the script admitted.
     let (journal, snapshot) = service_files(0);
     assert!(snapshot.is_empty());
