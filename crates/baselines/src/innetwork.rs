@@ -71,7 +71,7 @@ impl Optimizer for InNetworkRunner<'_> {
         &self,
         catalog: &Catalog,
         query: &Query,
-        registry: &mut ReuseRegistry,
+        registry: &ReuseRegistry,
         stats: &mut SearchStats,
     ) -> Option<Deployment> {
         let (_, plan) = rate_optimal_tree(catalog, query, registry);
@@ -182,12 +182,12 @@ mod tests {
             env: &env,
         };
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut s = SearchStats::new();
-            let inw = runner.optimize(&wl.catalog, q, &mut r1, &mut s).unwrap();
+            let inw = runner.optimize(&wl.catalog, q, &r1, &mut s).unwrap();
             let opt = dsq_core::Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut r2, &mut s)
+                .optimize(&wl.catalog, q, &r2, &mut s)
                 .unwrap();
             assert!(inw.cost >= opt.cost - 1e-6);
             assert!(inw.cost.is_finite());
@@ -204,15 +204,12 @@ mod tests {
         };
         let (mut inw_total, mut rand_total) = (0.0, 0.0);
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut s = SearchStats::new();
-            inw_total += runner
-                .optimize(&wl.catalog, q, &mut r1, &mut s)
-                .unwrap()
-                .cost;
+            inw_total += runner.optimize(&wl.catalog, q, &r1, &mut s).unwrap().cost;
             rand_total += crate::RandomPlace::new(&env, 7)
-                .optimize(&wl.catalog, q, &mut r2, &mut s)
+                .optimize(&wl.catalog, q, &r2, &mut s)
                 .unwrap()
                 .cost;
         }

@@ -24,10 +24,10 @@ use dsq_query::{
 pub fn rate_optimal_tree(
     catalog: &Catalog,
     query: &Query,
-    registry: &mut ReuseRegistry,
+    registry: &ReuseRegistry,
 ) -> (JoinTree, FlatPlan) {
     let mut leaves: Vec<LeafSource> = query.sources.iter().map(|&s| LeafSource::Base(s)).collect();
-    leaves.extend(registry.usable_for(query));
+    leaves.extend(registry.peek_usable(query, |_| true));
 
     let sources = query.source_set();
     let mut covers = Vec::new();
@@ -163,8 +163,8 @@ mod tests {
             [StreamId(0), StreamId(1), StreamId(2)],
             NodeId(0),
         );
-        let mut reg = ReuseRegistry::new();
-        let (tree, plan) = rate_optimal_tree(&c, &q, &mut reg);
+        let reg = ReuseRegistry::new();
+        let (tree, plan) = rate_optimal_tree(&c, &q, &reg);
         // Best: (A⋈B) first (rate 1), then join C.
         match &tree {
             JoinTree::Join(l, _) => {
@@ -197,7 +197,7 @@ mod tests {
             NodeId(1),
             QueryId(0),
         );
-        let (tree, _) = rate_optimal_tree(&c, &q, &mut reg);
+        let (tree, _) = rate_optimal_tree(&c, &q, &reg);
         // With the derived {A,B} available at rate 1, the plan should use
         // it: fewer joins and the same (or better) intermediate volume.
         let uses_derived = tree
@@ -223,10 +223,10 @@ mod tests {
             })
             .collect();
         let q = Query::join(QueryId(0), ids.iter().copied(), NodeId(0));
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         // Past the enumeration cap this must not panic, and the greedy tree
         // must still be a valid disjoint cover of every source.
-        let (tree, plan) = rate_optimal_tree(&c, &q, &mut reg);
+        let (tree, plan) = rate_optimal_tree(&c, &q, &reg);
         assert_eq!(tree.covered(), q.source_set());
         assert_eq!(tree.join_count(), n - 1);
         assert!(plan.intermediate_rate_sum().is_finite());
@@ -236,8 +236,8 @@ mod tests {
     fn two_source_query_has_single_shape() {
         let c = catalog();
         let q = Query::join(QueryId(2), [StreamId(0), StreamId(2)], NodeId(0));
-        let mut reg = ReuseRegistry::new();
-        let (tree, _) = rate_optimal_tree(&c, &q, &mut reg);
+        let reg = ReuseRegistry::new();
+        let (tree, _) = rate_optimal_tree(&c, &q, &reg);
         assert_eq!(tree.join_count(), 1);
         assert_eq!(
             tree.covered(),

@@ -178,13 +178,13 @@ mod tests {
         .generate(&env.network);
         let candidates: Vec<NodeId> = env.network.nodes().collect();
         for q in &wl.queries {
-            let mut reg = ReuseRegistry::new();
-            let (_, plan) = crate::logical::rate_optimal_tree(&wl.catalog, q, &mut reg);
+            let reg = ReuseRegistry::new();
+            let (_, plan) = crate::logical::rate_optimal_tree(&wl.catalog, q, &reg);
             let fixed = optimal_placement(plan, q, &wl.catalog, &env.dm, &candidates);
-            let mut reg2 = ReuseRegistry::new();
+            let reg2 = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             let joint = dsq_core::Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut reg2, &mut stats)
+                .optimize(&wl.catalog, q, &reg2, &mut stats)
                 .unwrap();
             assert!(
                 fixed.cost >= joint.cost - 1e-6,

@@ -35,7 +35,7 @@ impl Optimizer for PlanThenDeploy<'_> {
         &self,
         catalog: &Catalog,
         query: &Query,
-        registry: &mut ReuseRegistry,
+        registry: &ReuseRegistry,
         stats: &mut SearchStats,
     ) -> Option<Deployment> {
         let (_, plan) = rate_optimal_tree(catalog, query, registry);
@@ -74,14 +74,14 @@ mod tests {
         let mut phased_total = 0.0;
         let mut joint_total = 0.0;
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut s = SearchStats::new();
             let phased = PlanThenDeploy::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut s)
+                .optimize(&wl.catalog, q, &r1, &mut s)
                 .unwrap();
             let joint = dsq_core::Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut r2, &mut s)
+                .optimize(&wl.catalog, q, &r2, &mut s)
                 .unwrap();
             assert!(phased.cost >= joint.cost - 1e-6);
             phased_total += phased.cost;

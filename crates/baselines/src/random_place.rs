@@ -39,7 +39,7 @@ impl Optimizer for RandomPlace<'_> {
         &self,
         catalog: &Catalog,
         query: &Query,
-        registry: &mut ReuseRegistry,
+        registry: &ReuseRegistry,
         stats: &mut SearchStats,
     ) -> Option<Deployment> {
         let (_, plan) = rate_optimal_tree(catalog, query, registry);
@@ -89,12 +89,12 @@ mod tests {
         .generate(&env.network);
         let q = &wl.queries[0];
         let mut s = SearchStats::new();
-        let mut r = ReuseRegistry::new();
+        let r = ReuseRegistry::new();
         let a = RandomPlace::new(&env, 5)
-            .optimize(&wl.catalog, q, &mut r, &mut s)
+            .optimize(&wl.catalog, q, &r, &mut s)
             .unwrap();
         let b = RandomPlace::new(&env, 5)
-            .optimize(&wl.catalog, q, &mut r, &mut s)
+            .optimize(&wl.catalog, q, &r, &mut s)
             .unwrap();
         assert_eq!(a.cost, b.cost, "same seed, same placement");
         assert!(a.cost.is_finite() && a.cost > 0.0);

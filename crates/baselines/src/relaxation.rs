@@ -47,7 +47,7 @@ impl Optimizer for Relaxation<'_> {
         &self,
         catalog: &Catalog,
         query: &Query,
-        registry: &mut ReuseRegistry,
+        registry: &ReuseRegistry,
         stats: &mut SearchStats,
     ) -> Option<Deployment> {
         let (_, plan) = rate_optimal_tree(catalog, query, registry);
@@ -164,14 +164,14 @@ mod tests {
     fn relaxation_is_feasible_and_at_least_optimal_cost() {
         let (env, wl) = setup();
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut s = SearchStats::new();
             let rel = Relaxation::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut s)
+                .optimize(&wl.catalog, q, &r1, &mut s)
                 .unwrap();
             let opt = dsq_core::Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut r2, &mut s)
+                .optimize(&wl.catalog, q, &r2, &mut s)
                 .unwrap();
             assert!(rel.cost.is_finite() && rel.cost > 0.0);
             assert!(rel.cost >= opt.cost - 1e-6);
@@ -184,15 +184,15 @@ mod tests {
         let mut rel_total = 0.0;
         let mut rand_total = 0.0;
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut s = SearchStats::new();
             rel_total += Relaxation::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut s)
+                .optimize(&wl.catalog, q, &r1, &mut s)
                 .unwrap()
                 .cost;
             rand_total += crate::RandomPlace::new(&env, 99)
-                .optimize(&wl.catalog, q, &mut r2, &mut s)
+                .optimize(&wl.catalog, q, &r2, &mut s)
                 .unwrap()
                 .cost;
         }
@@ -207,12 +207,12 @@ mod tests {
         let (env, wl) = setup();
         let q = &wl.queries[0];
         let mut s = SearchStats::new();
-        let mut r = ReuseRegistry::new();
+        let r = ReuseRegistry::new();
         let few = Relaxation::with_iterations(&env, 1)
-            .optimize(&wl.catalog, q, &mut r, &mut s)
+            .optimize(&wl.catalog, q, &r, &mut s)
             .unwrap();
         let many = Relaxation::with_iterations(&env, 50)
-            .optimize(&wl.catalog, q, &mut r, &mut s)
+            .optimize(&wl.catalog, q, &r, &mut s)
             .unwrap();
         assert!(many.cost.is_finite() && few.cost.is_finite());
     }

@@ -62,14 +62,14 @@ fn bench(c: &mut Criterion) {
     let mut gaps = Vec::new();
     let mut bounds_v = Vec::new();
     for q in &wl.queries {
-        let mut r1 = ReuseRegistry::new();
-        let mut r2 = ReuseRegistry::new();
+        let r1 = ReuseRegistry::new();
+        let r2 = ReuseRegistry::new();
         let mut s = SearchStats::new();
         let td = TopDown::new(&env)
-            .optimize(&wl.catalog, q, &mut r1, &mut s)
+            .optimize(&wl.catalog, q, &r1, &mut s)
             .unwrap();
         let opt = Optimal::new(&env)
-            .optimize(&wl.catalog, q, &mut r2, &mut s)
+            .optimize(&wl.catalog, q, &r2, &mut s)
             .unwrap();
         let gap = td.cost - opt.cost;
         let bound = bounds::theorem3_bound(&td, &env.hierarchy);
@@ -104,10 +104,10 @@ fn bench(c: &mut Criterion) {
     // Criterion: bound computations are cheap (they run inside planners).
     let wl2 = paper_workload(&env, 43, None);
     let q = &wl2.queries[0];
-    let mut r = ReuseRegistry::new();
+    let r = ReuseRegistry::new();
     let mut s = SearchStats::new();
     let d = TopDown::new(&env)
-        .optimize(&wl2.catalog, q, &mut r, &mut s)
+        .optimize(&wl2.catalog, q, &r, &mut s)
         .unwrap();
     c.bench_function("ablation_bounds_theorem3_eval", |b| {
         b.iter(|| bounds::theorem3_bound(&d, &env.hierarchy))

@@ -22,23 +22,23 @@ fn bench(c: &mut Criterion) {
         for q in &wl.queries {
             let mut s = SearchStats::new();
             bud += BottomUp::with_placement(&env, BottomUpPlacement::Descend)
-                .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut s)
+                .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut s)
                 .unwrap()
                 .cost;
             bum += BottomUp::with_placement(&env, BottomUpPlacement::MembersOnly)
-                .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut s)
+                .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut s)
                 .unwrap()
                 .cost;
             buc += BottomUp::with_input_colocation(&env)
-                .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut s)
+                .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut s)
                 .unwrap()
                 .cost;
             td += TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut s)
+                .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut s)
                 .unwrap()
                 .cost;
             opt += Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut s)
+                .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut s)
                 .unwrap()
                 .cost;
         }
@@ -93,7 +93,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut s = SearchStats::new();
             BottomUp::new(&env)
-                .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut s)
+                .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut s)
                 .unwrap()
                 .cost
         })
@@ -102,7 +102,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut s = SearchStats::new();
             BottomUp::with_input_colocation(&env)
-                .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut s)
+                .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut s)
                 .unwrap()
                 .cost
         })

@@ -14,13 +14,13 @@ fn run_with_penalty(penalty: f64) -> (f64, f64, usize) {
     let wl = paper_workload(&env, 600, None);
     // Capacity ≈ one operator's input volume, so stacking is punished.
     env.enable_load_model(LoadModel::uniform(env.network.len(), 150.0, penalty));
-    let mut registry = ReuseRegistry::new();
+    let registry = ReuseRegistry::new();
     let mut stats = SearchStats::new();
     let mut comm = 0.0;
     let mut spread: HashMap<dsq_net::NodeId, usize> = HashMap::new();
     for q in &wl.queries {
         let d = Optimal::new(&env)
-            .optimize(&wl.catalog, q, &mut registry, &mut stats)
+            .optimize(&wl.catalog, q, &registry, &mut stats)
             .unwrap();
         env.commit_load(&d);
         comm += d.cost;

@@ -51,12 +51,12 @@ fn run(
             }
             let mut stats = SearchStats::new();
             Optimal::new(env)
-                .optimize(catalog, q, &mut filtered, &mut stats)
+                .optimize(catalog, q, &filtered, &mut stats)
                 .unwrap()
         } else {
             let mut stats = SearchStats::new();
             Optimal::new(env)
-                .optimize(catalog, q, &mut registry, &mut stats)
+                .optimize(catalog, q, &registry, &mut stats)
                 .unwrap()
         };
         total += d.cost;

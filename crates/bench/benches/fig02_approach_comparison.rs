@@ -236,30 +236,30 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("top-down", |b| {
         b.iter(|| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             TopDown::new(&case.env)
-                .optimize(&case.wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&case.wl.catalog, q, &reg, &mut stats)
                 .unwrap()
                 .cost
         })
     });
     group.bench_function("plan-then-deploy", |b| {
         b.iter(|| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             PlanThenDeploy::new(&case.env)
-                .optimize(&case.wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&case.wl.catalog, q, &reg, &mut stats)
                 .unwrap()
                 .cost
         })
     });
     group.bench_function("relaxation", |b| {
         b.iter(|| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             Relaxation::new(&case.env)
-                .optimize(&case.wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&case.wl.catalog, q, &reg, &mut stats)
                 .unwrap()
                 .cost
         })

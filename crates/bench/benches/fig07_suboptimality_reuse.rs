@@ -84,11 +84,9 @@ fn bench(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut reg = ReuseRegistry::new();
+                let reg = ReuseRegistry::new();
                 let mut stats = SearchStats::new();
-                alg.optimize(&wl.catalog, q, &mut reg, &mut stats)
-                    .unwrap()
-                    .cost
+                alg.optimize(&wl.catalog, q, &reg, &mut stats).unwrap().cost
             })
         });
     }

@@ -95,23 +95,23 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("relaxation", |b| {
         b.iter(|| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             Relaxation::new(&env)
-                .optimize(&wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&wl.catalog, q, &reg, &mut stats)
                 .unwrap()
                 .cost
         })
     });
     group.bench_function("in-network", |b| {
         b.iter(|| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             InNetworkRunner {
                 zones: &zones,
                 env: &env,
             }
-            .optimize(&wl.catalog, q, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q, &reg, &mut stats)
             .unwrap()
             .cost
         })

@@ -50,22 +50,22 @@ fn bench(c: &mut Criterion) {
         let mut bu_plans = 0u128;
         let mut bum_plans = 0u128;
         for q in &wl.queries {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut s = SearchStats::new();
             TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut reg, &mut s)
+                .optimize(&wl.catalog, q, &reg, &mut s)
                 .unwrap();
             td_plans += s.plans_considered;
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut s = SearchStats::new();
             BottomUp::new(&env)
-                .optimize(&wl.catalog, q, &mut reg, &mut s)
+                .optimize(&wl.catalog, q, &reg, &mut s)
                 .unwrap();
             bu_plans += s.plans_considered;
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut s = SearchStats::new();
             BottomUp::with_placement(&env, BottomUpPlacement::MembersOnly)
-                .optimize(&wl.catalog, q, &mut reg, &mut s)
+                .optimize(&wl.catalog, q, &reg, &mut s)
                 .unwrap();
             bum_plans += s.plans_considered;
         }
@@ -332,20 +332,20 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("top-down", |b| {
         b.iter(|| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut s = SearchStats::new();
             TopDown::new(env)
-                .optimize(&wl.catalog, q, &mut reg, &mut s)
+                .optimize(&wl.catalog, q, &reg, &mut s)
                 .unwrap()
                 .cost
         })
     });
     group.bench_function("bottom-up", |b| {
         b.iter(|| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut s = SearchStats::new();
             BottomUp::new(env)
-                .optimize(&wl.catalog, q, &mut reg, &mut s)
+                .optimize(&wl.catalog, q, &reg, &mut s)
                 .unwrap()
                 .cost
         })

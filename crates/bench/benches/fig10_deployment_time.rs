@@ -55,15 +55,15 @@ fn bench(c: &mut Criterion) {
                     count: 0,
                 })
                 .collect();
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut grand = 0.0;
             for q in &wl.queries {
                 let mut stats = SearchStats::new();
                 let d = match variant {
-                    0 => BottomUp::new(&envs[ei]).optimize(&wl.catalog, q, &mut reg, &mut stats),
+                    0 => BottomUp::new(&envs[ei]).optimize(&wl.catalog, q, &reg, &mut stats),
                     1 => BottomUp::with_placement(&envs[ei], BottomUpPlacement::MembersOnly)
-                        .optimize(&wl.catalog, q, &mut reg, &mut stats),
-                    _ => TopDown::new(&envs[ei]).optimize(&wl.catalog, q, &mut reg, &mut stats),
+                        .optimize(&wl.catalog, q, &reg, &mut stats),
+                    _ => TopDown::new(&envs[ei]).optimize(&wl.catalog, q, &reg, &mut stats),
                 }
                 .expect("deployable");
                 let t = model.deployment_time(q.sink, &stats, &d).total_ms();
@@ -114,20 +114,20 @@ fn bench(c: &mut Criterion) {
     for (ei, &cs) in sizes.iter().enumerate() {
         group.bench_function(format!("top-down cs={cs}"), |b| {
             b.iter(|| {
-                let mut reg = ReuseRegistry::new();
+                let reg = ReuseRegistry::new();
                 let mut stats = SearchStats::new();
                 TopDown::new(&envs[ei])
-                    .optimize(&wl.catalog, q, &mut reg, &mut stats)
+                    .optimize(&wl.catalog, q, &reg, &mut stats)
                     .unwrap()
                     .cost
             })
         });
         group.bench_function(format!("bottom-up cs={cs}"), |b| {
             b.iter(|| {
-                let mut reg = ReuseRegistry::new();
+                let reg = ReuseRegistry::new();
                 let mut stats = SearchStats::new();
                 BottomUp::new(&envs[ei])
-                    .optimize(&wl.catalog, q, &mut reg, &mut stats)
+                    .optimize(&wl.catalog, q, &reg, &mut stats)
                     .unwrap()
                     .cost
             })

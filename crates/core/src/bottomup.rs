@@ -98,11 +98,15 @@ impl Optimizer for BottomUp<'_> {
         "bottom-up"
     }
 
+    fn is_live(&self, host: NodeId) -> bool {
+        self.env.hierarchy.is_active(host)
+    }
+
     fn optimize(
         &self,
         catalog: &Catalog,
         query: &Query,
-        registry: &mut ReuseRegistry,
+        registry: &ReuseRegistry,
         stats: &mut SearchStats,
     ) -> Option<Deployment> {
         let out = self.optimize_inner(catalog, query, registry, stats);
@@ -118,14 +122,14 @@ impl BottomUp<'_> {
         &self,
         catalog: &Catalog,
         query: &Query,
-        registry: &mut ReuseRegistry,
+        registry: &ReuseRegistry,
         stats: &mut SearchStats,
     ) -> Option<Deployment> {
         let _span = dsq_obs::span("bottomup.optimize", || vec![("query", query.id.0.into())]);
         let h = &self.env.hierarchy;
         let load = self.env.load_snapshot();
         let planner = ClusterPlanner::new(catalog, query).with_load(load.as_ref());
-        let deriveds = registry.usable_for_live(query, |n| h.is_active(n));
+        let deriveds = registry.peek_usable(query, |n| self.is_live(n));
 
         let mut remaining = query.source_set();
         // The accumulated partial result: (tree, covered set, output node).
@@ -340,10 +344,10 @@ mod tests {
         let env = env(8);
         let wl = workload(&env, 1, 10);
         for q in &wl.queries {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             let d = BottomUp::new(&env)
-                .optimize(&wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&wl.catalog, q, &reg, &mut stats)
                 .expect("feasible");
             assert!(d.cost.is_finite() && d.cost > 0.0);
             assert_eq!(d.plan.nodes().len(), 2 * q.sources.len() - 1);
@@ -371,14 +375,14 @@ mod tests {
         let env = env(8);
         let wl = workload(&env, 2, 10);
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut s = SearchStats::new();
             let bu = BottomUp::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut s)
+                .optimize(&wl.catalog, q, &r1, &mut s)
                 .unwrap();
             let opt = Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut r2, &mut s)
+                .optimize(&wl.catalog, q, &r2, &mut s)
                 .unwrap();
             assert!(
                 bu.cost >= opt.cost - 1e-6,
@@ -397,13 +401,13 @@ mod tests {
         for q in &wl.queries {
             let mut s_bu = SearchStats::new();
             let mut s_td = SearchStats::new();
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             BottomUp::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut s_bu)
+                .optimize(&wl.catalog, q, &r1, &mut s_bu)
                 .unwrap();
             TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut r2, &mut s_td)
+                .optimize(&wl.catalog, q, &r2, &mut s_td)
                 .unwrap();
             bu_total += s_bu.plans_considered;
             td_total += s_td.plans_considered;
@@ -422,7 +426,7 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let d0 = BottomUp::new(&env)
-            .optimize(&wl.catalog, q0, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q0, &reg, &mut stats)
             .unwrap();
         reg.register_deployment(q0, &d0);
         // An identical query from a different sink should not cost more
@@ -430,11 +434,11 @@ mod tests {
         let sinks = env.network.stub_nodes();
         let q1 = Query::join(dsq_query::QueryId(70), q0.sources.clone(), sinks[3]);
         let with = BottomUp::new(&env)
-            .optimize(&wl.catalog, &q1, &mut reg, &mut stats)
+            .optimize(&wl.catalog, &q1, &reg, &mut stats)
             .unwrap();
-        let mut empty = ReuseRegistry::new();
+        let empty = ReuseRegistry::new();
         let without = BottomUp::new(&env)
-            .optimize(&wl.catalog, &q1, &mut empty, &mut stats)
+            .optimize(&wl.catalog, &q1, &empty, &mut stats)
             .unwrap();
         assert!(with.cost <= without.cost + 1e-6);
     }
@@ -459,9 +463,9 @@ mod tests {
                 wl.queries
                     .iter()
                     .map(|q| {
-                        let mut reg = ReuseRegistry::new();
+                        let reg = ReuseRegistry::new();
                         let mut stats = SearchStats::new();
-                        bu.optimize(&wl.catalog, q, &mut reg, &mut stats)
+                        bu.optimize(&wl.catalog, q, &reg, &mut stats)
                             .map(|d| d.cost.to_bits())
                     })
                     .collect()
@@ -484,10 +488,10 @@ mod tests {
         let nodes = env.network.stub_nodes();
         let s = catalog.add_stream("S", 7.0, nodes[0], dsq_query::Schema::default());
         let q = Query::join(dsq_query::QueryId(0), [s], nodes[20]);
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let d = BottomUp::new(&env)
-            .optimize(&catalog, &q, &mut reg, &mut stats)
+            .optimize(&catalog, &q, &reg, &mut stats)
             .unwrap();
         assert!((d.cost - 7.0 * env.dm.get(nodes[0], nodes[20])).abs() < 1e-9);
     }
@@ -498,14 +502,14 @@ mod tests {
         assert_eq!(env.hierarchy.height(), 1);
         let wl = workload(&env, 6, 6);
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut s = SearchStats::new();
             let bu = BottomUp::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut s)
+                .optimize(&wl.catalog, q, &r1, &mut s)
                 .unwrap();
             let opt = Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut r2, &mut s)
+                .optimize(&wl.catalog, q, &r2, &mut s)
                 .unwrap();
             assert!(
                 (bu.cost - opt.cost).abs() < 1e-6,

@@ -1,15 +1,14 @@
-//! Multi-query deployment: incremental batches and consolidation.
+//! Multi-query deployment: incremental batches.
 //!
-//! The paper extends both algorithms to multi-query optimization by
-//! composing *consolidated queries* at the coordinator and exploiting
-//! derived streams across queries. Its experiments deploy query batches
-//! incrementally (cumulative cost vs. number of queries), which is what
-//! [`deploy_all`] drives: each query is planned against the registry state
-//! left by its predecessors, and its operators are advertised for the
-//! queries that follow. [`order_for_reuse`] is the consolidation heuristic:
-//! deploying narrow queries before the wide queries that contain them
-//! maximizes operator-level sharing, which is the observable effect of
-//! planning a consolidated query at the top of the hierarchy.
+//! The paper's experiments deploy query batches incrementally (cumulative
+//! cost vs. number of queries), exploiting derived streams across queries.
+//! [`deploy_all`] drives that: each query is planned against the registry
+//! state left by its predecessors, and its operators are advertised for
+//! the queries that follow. It is the one sequential committer of the
+//! workspace: the optimizer only reads the registry, and `deploy_all`
+//! records each query's reuse probe and registers its deployment. (The
+//! paper's joint pass over a consolidated query at the top of the
+//! hierarchy is not implemented.)
 
 use crate::stats::SearchStats;
 use crate::Optimizer;
@@ -35,9 +34,13 @@ impl BatchOutcome {
 
 /// Deploy `queries` one after another with `optimizer`.
 ///
-/// When `register` is true every deployment's operators are advertised in
-/// `registry`, enabling reuse by subsequent queries; pass `false` (and an
-/// empty registry) for the "without reuse" experiment arms.
+/// After each query is planned, its reuse probe is recorded in `registry`
+/// under the optimizer's liveness view, planned or not (LRU recency,
+/// re-derivation demand, served counts — see
+/// [`ReuseRegistry::usable_for_live`]). When `register` is true every
+/// deployment's operators are then advertised in `registry`, enabling
+/// reuse by subsequent queries; pass `false` (and an empty registry) for
+/// the "without reuse" experiment arms.
 pub fn deploy_all(
     optimizer: &dyn Optimizer,
     catalog: &Catalog,
@@ -51,6 +54,7 @@ pub fn deploy_all(
     let mut total = 0.0;
     for q in queries {
         let d = optimizer.optimize(catalog, q, registry, &mut stats);
+        registry.usable_for_live(q, |n| optimizer.is_live(n));
         if let Some(d) = &d {
             total += d.cost;
             if register {
@@ -58,62 +62,6 @@ pub fn deploy_all(
             }
         }
         deployments.push(d);
-        cumulative_cost.push(total);
-    }
-    BatchOutcome {
-        deployments,
-        cumulative_cost,
-        stats,
-    }
-}
-
-/// Consolidation order: queries sorted so that ones whose source sets are
-/// contained in later queries deploy first (ascending source count, ties by
-/// query id). Returns indices into `queries`.
-pub fn order_for_reuse(queries: &[Query]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..queries.len()).collect();
-    idx.sort_by_key(|&i| (queries[i].sources.len(), queries[i].id));
-    idx
-}
-
-/// Consolidated multi-query deployment (the paper's multi-query extension:
-/// "constructing a consolidated query at the top-most level of the
-/// hierarchy and then applying the algorithm to this consolidated query").
-///
-/// The observable effect of consolidation is maximal operator sharing,
-/// which this driver realizes by deploying the batch in reuse-friendly
-/// order — narrow queries (whose operators are building blocks) before the
-/// wide queries that contain them — with every operator advertised.
-/// Queries whose results are *contained* in an earlier deployment collapse
-/// to a single delivery edge automatically, because the earlier sink
-/// advertisement covers their full source set and the subsumption matcher
-/// handles the residual predicates.
-///
-/// Results are returned in the original arrival order.
-pub fn deploy_consolidated(
-    optimizer: &dyn Optimizer,
-    catalog: &Catalog,
-    queries: &[Query],
-    registry: &mut ReuseRegistry,
-) -> BatchOutcome {
-    let order = order_for_reuse(queries);
-    let mut deployments: Vec<Option<Deployment>> = vec![None; queries.len()];
-    let mut stats = SearchStats::new();
-    for &i in &order {
-        let q = &queries[i];
-        let d = optimizer.optimize(catalog, q, registry, &mut stats);
-        if let Some(d) = &d {
-            registry.register_deployment(q, d);
-        }
-        deployments[i] = d;
-    }
-    // Cumulative cost in arrival order (for curve comparability).
-    let mut cumulative_cost = Vec::with_capacity(queries.len());
-    let mut total = 0.0;
-    for d in &deployments {
-        if let Some(d) = d {
-            total += d.cost;
-        }
         cumulative_cost.push(total);
     }
     BatchOutcome {
@@ -203,47 +151,6 @@ mod tests {
             "with reuse {} vs without {}",
             with.total_cost(),
             without.total_cost()
-        );
-    }
-
-    #[test]
-    fn order_for_reuse_puts_narrow_queries_first() {
-        let (_, wl) = setup();
-        let order = order_for_reuse(&wl.queries);
-        for w in order.windows(2) {
-            assert!(wl.queries[w[0]].sources.len() <= wl.queries[w[1]].sources.len());
-        }
-    }
-
-    #[test]
-    fn consolidation_beats_adversarial_arrival_order() {
-        let (env, wl) = setup();
-        // Adversarial batch: the wide query arrives first, its subqueries
-        // after — incremental deployment can't share the narrow operators
-        // that don't exist yet, but consolidation deploys them first.
-        let base = wl.queries[0].sources.clone();
-        assert!(base.len() >= 3);
-        let sinks = env.network.stub_nodes();
-        let wide = Query::join(QueryId(0), base.clone(), sinks[0]);
-        let narrow_a = Query::join(QueryId(1), base[..2].to_vec(), sinks[5]);
-        let narrow_b = Query::join(QueryId(2), base[..2].to_vec(), sinks[9]);
-        let batch = vec![wide, narrow_a, narrow_b];
-
-        let mut reg1 = ReuseRegistry::new();
-        let incremental = deploy_all(&Optimal::new(&env), &wl.catalog, &batch, &mut reg1, true);
-        let mut reg2 = ReuseRegistry::new();
-        let consolidated = deploy_consolidated(&Optimal::new(&env), &wl.catalog, &batch, &mut reg2);
-        assert!(
-            consolidated.total_cost() <= incremental.total_cost() + 1e-6,
-            "consolidated {} vs incremental {}",
-            consolidated.total_cost(),
-            incremental.total_cost()
-        );
-        // Results come back in arrival order.
-        assert_eq!(consolidated.deployments.len(), 3);
-        assert_eq!(
-            consolidated.deployments[0].as_ref().unwrap().query,
-            QueryId(0)
         );
     }
 }

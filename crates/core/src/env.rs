@@ -276,20 +276,15 @@ mod tests {
         )
         .generate(&lat_env.network);
         for q in &wl.queries {
-            let mut reg = dsq_query::ReuseRegistry::new();
+            let reg = dsq_query::ReuseRegistry::new();
             let mut stats = SearchStats::new();
             let d = TopDown::new(&lat_env)
-                .optimize(&wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&wl.catalog, q, &reg, &mut stats)
                 .unwrap();
             // Deployment cost is rate-weighted latency under this metric.
             assert!(d.cost.is_finite() && d.cost > 0.0);
             let opt = crate::Optimal::new(&lat_env)
-                .optimize(
-                    &wl.catalog,
-                    q,
-                    &mut dsq_query::ReuseRegistry::new(),
-                    &mut stats,
-                )
+                .optimize(&wl.catalog, q, &dsq_query::ReuseRegistry::new(), &mut stats)
                 .unwrap();
             assert!(d.cost >= opt.cost - 1e-6);
         }

@@ -40,10 +40,10 @@
 //! catalog.set_selectivity(a, b, 0.01);
 //! let q = Query::join(QueryId(0), [a, b], stubs[50]);
 //!
-//! let mut registry = ReuseRegistry::new();
+//! let registry = ReuseRegistry::new();
 //! let mut stats = SearchStats::new();
 //! let d = TopDown::new(&env)
-//!     .optimize(&catalog, &q, &mut registry, &mut stats)
+//!     .optimize(&catalog, &q, &registry, &mut stats)
 //!     .expect("deployable");
 //! assert!(d.cost > 0.0);
 //!
@@ -81,6 +81,7 @@ pub use placed::PlacedTree;
 pub use stats::{PlanEvent, SearchStats};
 pub use topdown::TopDown;
 
+use dsq_net::NodeId;
 use dsq_query::{Catalog, Deployment, Query, ReuseRegistry};
 
 /// A joint plan + placement optimizer for continuous stream queries.
@@ -88,19 +89,30 @@ pub trait Optimizer {
     /// Short display name ("top-down", "bottom-up", "optimal", …).
     fn name(&self) -> &'static str;
 
-    /// Plan and place `query`, consulting `registry` for reusable derived
+    /// Plan and place `query`, reading `registry` for reusable derived
     /// streams (pass an empty registry to disable reuse). Returns `None`
     /// when no feasible deployment exists. The returned deployment's cost
     /// is always evaluated against *actual* shortest-path distances.
     ///
-    /// The caller decides whether to commit the deployment (registering its
-    /// operators in the registry via
-    /// [`ReuseRegistry::register_deployment`]).
+    /// The registry is only read ([`ReuseRegistry::peek_usable`] under
+    /// [`Self::is_live`]). The caller decides whether to commit the
+    /// deployment; a committer records the probe with
+    /// [`ReuseRegistry::usable_for_live`] under the same liveness view and
+    /// then registers the deployment's operators with
+    /// [`ReuseRegistry::register_deployment`].
     fn optimize(
         &self,
         catalog: &Catalog,
         query: &Query,
-        registry: &mut ReuseRegistry,
+        registry: &ReuseRegistry,
         stats: &mut SearchStats,
     ) -> Option<Deployment>;
+
+    /// The liveness view reuse probes are filtered through: adverts hosted
+    /// on a node this rejects are never served. Every host is live unless
+    /// the optimizer plans over a hierarchy, whose active-node set it then
+    /// answers with.
+    fn is_live(&self, _host: NodeId) -> bool {
+        true
+    }
 }

@@ -96,7 +96,7 @@ impl<'a> Optimal<'a> {
         &self,
         catalog: &Catalog,
         query: &Query,
-        registry: &mut ReuseRegistry,
+        registry: &ReuseRegistry,
         stats: &mut SearchStats,
     ) -> Result<Deployment, PlacementError> {
         let candidates: Vec<NodeId> = match self.restrict {
@@ -126,7 +126,7 @@ impl<'a> Optimal<'a> {
         // Reuse candidates are filtered through the same active-node view
         // as placement candidates: a derived stream hosted on a crashed
         // node is as unusable as a crashed placement site.
-        for leaf in registry.usable_for_live(query, |n| self.env.hierarchy.is_active(n)) {
+        for leaf in registry.peek_usable(query, |n| self.is_live(n)) {
             inputs.push(PlannerInput::derived(leaf));
         }
         stats.record(0, query.sink, query.sources.len(), candidates.len());
@@ -169,10 +169,14 @@ impl Optimizer for Optimal<'_> {
         &self,
         catalog: &Catalog,
         query: &Query,
-        registry: &mut ReuseRegistry,
+        registry: &ReuseRegistry,
         stats: &mut SearchStats,
     ) -> Option<Deployment> {
         self.try_optimize(catalog, query, registry, stats).ok()
+    }
+
+    fn is_live(&self, host: NodeId) -> bool {
+        self.env.hierarchy.is_active(host)
     }
 }
 
@@ -202,10 +206,10 @@ mod tests {
         );
         let wl = gen.generate(&env.network);
         for q in &wl.queries {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             let d = Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&wl.catalog, q, &reg, &mut stats)
                 .expect("feasible");
             // Naive comparison: left-deep plan, all joins at the sink.
             let naive = {
@@ -248,7 +252,7 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let d0 = Optimal::new(&env)
-            .optimize(&wl.catalog, &wl.queries[0], &mut reg, &mut stats)
+            .optimize(&wl.catalog, &wl.queries[0], &reg, &mut stats)
             .unwrap();
         reg.register_deployment(&wl.queries[0], &d0);
 
@@ -260,11 +264,11 @@ mod tests {
             wl.queries[1].sink,
         );
         let with_reuse = Optimal::new(&env)
-            .optimize(&wl.catalog, &q1, &mut reg, &mut stats)
+            .optimize(&wl.catalog, &q1, &reg, &mut stats)
             .unwrap();
-        let mut empty = ReuseRegistry::new();
+        let empty = ReuseRegistry::new();
         let without = Optimal::new(&env)
-            .optimize(&wl.catalog, &q1, &mut empty, &mut stats)
+            .optimize(&wl.catalog, &q1, &empty, &mut stats)
             .unwrap();
         assert!(with_reuse.cost <= without.cost + 1e-9);
         // The full result of q0 exists as a derived stream, so q1 should be
@@ -292,14 +296,14 @@ mod tests {
         let wl = gen.generate(&env.network);
         let few: Vec<NodeId> = env.network.nodes().take(4).collect();
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             let full = Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut stats)
+                .optimize(&wl.catalog, q, &r1, &mut stats)
                 .unwrap();
             let restricted = Optimal::restricted(&env, &few)
-                .optimize(&wl.catalog, q, &mut r2, &mut stats)
+                .optimize(&wl.catalog, q, &r2, &mut stats)
                 .unwrap();
             assert!(full.cost <= restricted.cost + 1e-9);
         }
@@ -312,10 +316,10 @@ mod tests {
         let nodes: Vec<NodeId> = env.network.nodes().collect();
         let s = catalog.add_stream("S", 5.0, nodes[10], dsq_query::Schema::default());
         let q = Query::join(QueryId(0), [s], nodes[40]);
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let d = Optimal::new(&env)
-            .optimize(&catalog, &q, &mut reg, &mut stats)
+            .optimize(&catalog, &q, &reg, &mut stats)
             .unwrap();
         assert!((d.cost - 5.0 * env.dm.get(nodes[10], nodes[40])).abs() < 1e-9);
     }

@@ -18,11 +18,11 @@
 //!   become visible only at the barrier — in both modes, after the same
 //!   wave.
 //!
-//! Queries are planned *independently* (each against a clone of the given
-//! advert registry, without cross-registration), matching the paper's
-//! Figure 9 multi-query methodology; use
-//! [`crate::consolidate::deploy_all`] when sequential reuse semantics are
-//! wanted instead.
+//! Queries are planned *independently*: every query reads the given advert
+//! registry, which planning never writes, and nothing is registered or
+//! recorded in it — matching the paper's Figure 9 multi-query methodology;
+//! use [`crate::consolidate::deploy_all`] when sequential reuse semantics
+//! are wanted instead.
 
 use crate::env::Environment;
 use crate::stats::SearchStats;
@@ -88,7 +88,7 @@ impl MultiQueryOutcome {
 
 /// The one wave loop: plan `queries[i]` for each `i` of `picked`, in that
 /// order, [`ParallelConfig::wave`] at a time. Each query records into a
-/// sub-sink of its own and plans against its own clone of `registry`; at
+/// sub-sink of its own and reads `registry`, which no query writes; at
 /// the wave barrier stats and sub-sinks are reduced in `picked` order and
 /// the subplans the wave staged are published. The outcome it returns is
 /// over the picked queries only, one deployment each.
@@ -111,9 +111,8 @@ fn plan_in_waves<O: Optimizer + Sync>(
         let job = |&qi: &usize| {
             let sub = sub_mode.map(dsq_obs::Sink::new);
             let _guard = sub.clone().map(dsq_obs::scoped);
-            let mut reg = registry.clone();
             let mut stats = SearchStats::new();
-            let d = optimizer.optimize(catalog, &queries[qi], &mut reg, &mut stats);
+            let d = optimizer.optimize(catalog, &queries[qi], registry, &mut stats);
             (d, stats, sub)
         };
         let results: Vec<(Option<Deployment>, SearchStats, Option<Arc<dsq_obs::Sink>>)> =
@@ -265,9 +264,9 @@ mod tests {
         assert_eq!(out.deployments.len(), wl.queries.len());
         // Same deployments as the classic one-query-at-a-time loop.
         for (q, d) in wl.queries.iter().zip(&out.deployments) {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
-            let expect = td.optimize(&wl.catalog, q, &mut reg, &mut stats);
+            let expect = td.optimize(&wl.catalog, q, &reg, &mut stats);
             assert_eq!(
                 expect.as_ref().map(|e| e.cost.to_bits()),
                 d.as_ref().map(|d| d.cost.to_bits())

@@ -385,11 +385,15 @@ impl Optimizer for TopDown<'_> {
         "top-down"
     }
 
+    fn is_live(&self, host: NodeId) -> bool {
+        self.env.hierarchy.is_active(host)
+    }
+
     fn optimize(
         &self,
         catalog: &Catalog,
         query: &Query,
-        registry: &mut ReuseRegistry,
+        registry: &ReuseRegistry,
         stats: &mut SearchStats,
     ) -> Option<Deployment> {
         let _span = dsq_obs::span("topdown.optimize", || vec![("query", query.id.0.into())]);
@@ -403,7 +407,7 @@ impl Optimizer for TopDown<'_> {
         // Only adverts on currently active hosts may become plan leaves —
         // the liveness view is the hierarchy's, so a crash the registry
         // has not heard about still filters the advert.
-        for leaf in registry.usable_for_live(query, |n| self.env.hierarchy.is_active(n)) {
+        for leaf in registry.peek_usable(query, |n| self.is_live(n)) {
             inputs.push(PlannerInput::derived(leaf));
         }
         let top = self.env.hierarchy.top();
@@ -451,10 +455,10 @@ mod tests {
         let env = env(8);
         let wl = workload(&env, 1, 8);
         for q in &wl.queries {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             let d = TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&wl.catalog, q, &reg, &mut stats)
                 .expect("feasible");
             assert!(d.cost.is_finite() && d.cost > 0.0);
             assert_eq!(d.plan.nodes().len(), 2 * q.sources.len() - 1);
@@ -468,14 +472,14 @@ mod tests {
         let env = env(8);
         let wl = workload(&env, 2, 10);
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut s = SearchStats::new();
             let td = TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut s)
+                .optimize(&wl.catalog, q, &r1, &mut s)
                 .unwrap();
             let opt = Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut r2, &mut s)
+                .optimize(&wl.catalog, q, &r2, &mut s)
                 .unwrap();
             assert!(
                 td.cost >= opt.cost - 1e-6,
@@ -491,14 +495,14 @@ mod tests {
         let env = env(8);
         let wl = workload(&env, 3, 10);
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut s = SearchStats::new();
             let td = TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut s)
+                .optimize(&wl.catalog, q, &r1, &mut s)
                 .unwrap();
             let opt = Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut r2, &mut s)
+                .optimize(&wl.catalog, q, &r2, &mut s)
                 .unwrap();
             let bound = crate::bounds::theorem3_bound(&td, &env.hierarchy);
             assert!(
@@ -516,10 +520,10 @@ mod tests {
         let wl = workload(&env, 4, 6);
         let n = env.network.len();
         for q in &wl.queries {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&wl.catalog, q, &reg, &mut stats)
                 .unwrap();
             let exhaustive = crate::bounds::lemma1_space(q.sources.len(), n);
             assert!(
@@ -539,7 +543,7 @@ mod tests {
         let mut reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let d0 = TopDown::new(&env)
-            .optimize(&wl.catalog, q0, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q0, &reg, &mut stats)
             .unwrap();
         reg.register_deployment(q0, &d0);
         // Same sources, different sink: with the registry populated, the
@@ -551,11 +555,11 @@ mod tests {
             sinks[sinks.len() / 2],
         );
         let with = TopDown::new(&env)
-            .optimize(&wl.catalog, &q1, &mut reg, &mut stats)
+            .optimize(&wl.catalog, &q1, &reg, &mut stats)
             .unwrap();
-        let mut empty = ReuseRegistry::new();
+        let empty = ReuseRegistry::new();
         let without = TopDown::new(&env)
-            .optimize(&wl.catalog, &q1, &mut empty, &mut stats)
+            .optimize(&wl.catalog, &q1, &empty, &mut stats)
             .unwrap();
         assert!(with.cost <= without.cost + 1e-6);
     }
@@ -568,14 +572,14 @@ mod tests {
         assert_eq!(env.hierarchy.height(), 1);
         let wl = workload(&env, 6, 6);
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut s = SearchStats::new();
             let td = TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut s)
+                .optimize(&wl.catalog, q, &r1, &mut s)
                 .unwrap();
             let opt = Optimal::new(&env)
-                .optimize(&wl.catalog, q, &mut r2, &mut s)
+                .optimize(&wl.catalog, q, &r2, &mut s)
                 .unwrap();
             assert!(
                 (td.cost - opt.cost).abs() < 1e-6,

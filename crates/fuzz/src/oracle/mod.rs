@@ -285,7 +285,7 @@ impl<'a> Ctx<'a> {
                     optimal.try_optimize(
                         self.catalog(),
                         q,
-                        &mut ReuseRegistry::new(),
+                        &ReuseRegistry::new(),
                         &mut SearchStats::new(),
                     )
                 })

@@ -209,8 +209,8 @@ pub(super) fn cost_bound(ctx: &Ctx) -> Vec<String> {
             Err(_) => None,
         };
         let mut stats = SearchStats::new();
-        let td = TopDown::new(env).optimize(catalog, q, &mut ReuseRegistry::new(), &mut stats);
-        let bu = BottomUp::new(env).optimize(catalog, q, &mut ReuseRegistry::new(), &mut stats);
+        let td = TopDown::new(env).optimize(catalog, q, &ReuseRegistry::new(), &mut stats);
+        let bu = BottomUp::new(env).optimize(catalog, q, &ReuseRegistry::new(), &mut stats);
         let Some(opt) = opt else {
             if td.is_some() || bu.is_some() {
                 out.push(format!(
@@ -246,7 +246,7 @@ pub(super) fn cost_bound(ctx: &Ctx) -> Vec<String> {
         // The zone baseline must stay feasible and suboptimal too.
         let zones = dsq_baselines::InNetwork::new(env, 3.min(env.network.len()));
         let runner = dsq_baselines::InNetworkRunner { zones: &zones, env };
-        if let Some(inw) = runner.optimize(catalog, q, &mut ReuseRegistry::new(), &mut stats) {
+        if let Some(inw) = runner.optimize(catalog, q, &ReuseRegistry::new(), &mut stats) {
             if inw.cost < opt.cost - eps {
                 out.push(format!(
                     "q{i}: in-network {} beat optimal {}",
@@ -327,7 +327,7 @@ pub(super) fn restricted(ctx: &Ctx) -> Vec<String> {
     match Optimal::restricted(env, &[]).try_optimize(
         catalog,
         q,
-        &mut ReuseRegistry::new(),
+        &ReuseRegistry::new(),
         &mut SearchStats::new(),
     ) {
         Err(PlacementError::NoCandidates) => {}
@@ -346,7 +346,7 @@ pub(super) fn restricted(ctx: &Ctx) -> Vec<String> {
     if let Some(d) = Optimal::restricted(env, &subset).optimize(
         catalog,
         q,
-        &mut ReuseRegistry::new(),
+        &ReuseRegistry::new(),
         &mut SearchStats::new(),
     ) {
         for &ji in &d.plan.join_indices() {
@@ -367,7 +367,7 @@ pub(super) fn restricted(ctx: &Ctx) -> Vec<String> {
         match Optimal::restricted(&churned, &removed).try_optimize(
             catalog,
             q,
-            &mut ReuseRegistry::new(),
+            &ReuseRegistry::new(),
             &mut SearchStats::new(),
         ) {
             Err(PlacementError::NoActiveCandidates) => {}
@@ -382,7 +382,7 @@ pub(super) fn restricted(ctx: &Ctx) -> Vec<String> {
         if let Some(d) = Optimal::restricted(&churned, &mixed).optimize(
             catalog,
             q,
-            &mut ReuseRegistry::new(),
+            &ReuseRegistry::new(),
             &mut SearchStats::new(),
         ) {
             for &ji in &d.plan.join_indices() {
@@ -398,12 +398,8 @@ pub(super) fn restricted(ctx: &Ctx) -> Vec<String> {
             zones: &zones,
             env: &churned,
         };
-        if let Some(d) = runner.optimize(
-            catalog,
-            q,
-            &mut ReuseRegistry::new(),
-            &mut SearchStats::new(),
-        ) {
+        if let Some(d) = runner.optimize(catalog, q, &ReuseRegistry::new(), &mut SearchStats::new())
+        {
             for &ji in &d.plan.join_indices() {
                 let at = d.placement[ji];
                 if !churned.hierarchy.is_active(at) {

@@ -87,8 +87,8 @@ pub(super) fn reuse(ctx: &Ctx) -> Vec<String> {
         }
         let td_churned = TopDown::new(&churned);
         for (i, q) in queries.iter().enumerate() {
-            let mut r = td_reg.clone();
-            let Some(d) = td_churned.optimize(catalog, q, &mut r, &mut SearchStats::new()) else {
+            let r = td_reg.clone();
+            let Some(d) = td_churned.optimize(catalog, q, &r, &mut SearchStats::new()) else {
                 continue;
             };
             for node in d.plan.nodes() {
@@ -209,7 +209,7 @@ pub(super) fn reuse(ctx: &Ctx) -> Vec<String> {
     let mut reg = ReuseRegistry::new();
     let mut stats = SearchStats::new();
     for ((i, q), without) in queries.iter().enumerate().zip(ctx.exact()) {
-        let with = Optimal::new(env).try_optimize(catalog, q, &mut reg, &mut stats);
+        let with = Optimal::new(env).try_optimize(catalog, q, &reg, &mut stats);
         // Adverts add planner inputs, so the with-reuse universe can blow
         // the DP's width budget where the base-only one does not. A typed
         // width refusal on either side means "no yardstick here".

@@ -518,11 +518,14 @@ impl CostSpace {
     ) -> Self {
         let n = dm.len();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // A disconnected (or degenerate) network has no diameter; any
-        // positive scale spreads the initial coordinates equally well. The
-        // initial coordinates are drawn for every node up front, in node
-        // order, so the pivot and exact paths start from the same layout.
-        let scale = dm.diameter().unwrap_or(0.0).max(1.0);
+        // The initial layout spans the diameter, so scaling every link
+        // cost by a power of two scales the embedding by the same factor,
+        // bit for bit. A disconnected (or degenerate) network has no
+        // positive diameter; any positive scale spreads the initial
+        // coordinates equally well. The initial coordinates are drawn for
+        // every node up front, in node order, so the pivot and exact paths
+        // start from the same layout.
+        let scale = dm.diameter().filter(|d| *d > 0.0).unwrap_or(1.0);
         let mut coords: Vec<Point> = (0..n)
             .map(|_| {
                 let mut p = [0.0; DIMS];
@@ -633,6 +636,34 @@ mod tests {
         let b = CostSpace::embed(&dm, 9, 10);
         for n in ts.network.nodes() {
             assert_eq!(a.coord(n), b.coord(n));
+        }
+    }
+
+    #[test]
+    fn embedding_scales_with_link_costs_bit_for_bit() {
+        // A power-of-two factor is exact in f64, and the embedding has no
+        // unit of its own: a network whose diameter falls below one cost
+        // unit must embed as the scaled original, not from a layout floored
+        // at one unit.
+        let net = TransitStubConfig::paper_64().generate(3).network;
+        let factor = (-10f64).exp2();
+        let mut scaled = net.clone();
+        for a in net.nodes() {
+            for l in net.neighbors(a).iter().filter(|l| a < l.to) {
+                scaled.set_link_cost(a, l.to, l.cost * factor);
+            }
+        }
+        let dm = DistanceMatrix::build(&net, Metric::Cost);
+        let scaled_dm = DistanceMatrix::build(&scaled, Metric::Cost);
+        assert!(scaled_dm.diameter().unwrap() < 1.0, "below the old floor");
+        let want = CostSpace::embed(&dm, 5, 20);
+        let got = CostSpace::embed(&scaled_dm, 5, 20);
+        for n in net.nodes() {
+            assert_eq!(
+                got.coord(n).map(f64::to_bits),
+                want.coord(n).map(|c| (c * factor).to_bits()),
+                "{n}"
+            );
         }
     }
 

@@ -23,7 +23,7 @@
 //!                                  host_crash / retire_query
 //! ```
 //!
-//! * **Live** — served by [`ReuseRegistry::usable_for`].
+//! * **Live** — served by [`ReuseRegistry::peek_usable`].
 //! * **Retired** — the origin query unregistered ([`ReuseRegistry::retire_query`],
 //!   terminal) or the host node crashed ([`ReuseRegistry::host_crashed`],
 //!   reversed by [`ReuseRegistry::host_rejoined`]). Never served.
@@ -37,6 +37,21 @@
 //! With an unbounded budget (the default) and no retirement calls, every
 //! advert stays Live and the registry behaves exactly like the historical
 //! append-only list — planner output is bit-identical.
+//!
+//! ## Readers and the one writer per plan
+//!
+//! Optimizers only read the registry: they take `&ReuseRegistry` and ask
+//! [`ReuseRegistry::peek_usable`] for their reuse leaves, so any number of
+//! queries can plan against one registry at once. A probe's bookkeeping —
+//! the LRU touch of each served advert, the re-derivation request for each
+//! matching evicted one, the served-candidate count and the `advert.*`
+//! counters — is recorded by the caller that commits the plan, which calls
+//! [`ReuseRegistry::usable_for_live`] with the planner's liveness view just
+//! before [`ReuseRegistry::register_deployment`]: `deploy_all` in
+//! `dsq_core::consolidate` and the planning service's drain. Both probes
+//! share one matching loop, and nothing writes the registry between the
+//! read and the record, so the committer records exactly what the planner
+//! read.
 //!
 //! Join compatibility note: join selectivities (and thus join semantics) are
 //! global per stream pair in the [`Catalog`](crate::Catalog), so two join
@@ -235,6 +250,16 @@ fn bucket_push(table: &mut Vec<Vec<u32>>, key: u32, idx: u32) {
         table.resize_with(key + 1, Vec::new);
     }
     table[key].push(idx);
+}
+
+/// What one probe matched: the served slots with their plan leaves, in
+/// candidate order, and the evicted slots it wanted re-derived.
+#[derive(Default)]
+struct Probe {
+    served: Vec<usize>,
+    leaves: Vec<LeafSource>,
+    wanted: Vec<usize>,
+    visited: usize,
 }
 
 impl ReuseRegistry {
@@ -551,9 +576,10 @@ impl ReuseRegistry {
     }
 
     /// The slots whose covered streams are a subset of `query`'s sources,
-    /// ascending. Only the `by_stream` buckets of those sources are looked
-    /// at: a subset's smallest stream is one of them.
-    fn probe_candidates(&self, query: &Query) -> Vec<usize> {
+    /// ascending, and how many slots were looked at to find them. Only the
+    /// `by_stream` buckets of those sources are looked at: a subset's
+    /// smallest stream is one of them.
+    fn probe_candidates(&self, query: &Query) -> (Vec<usize>, usize) {
         let source_bits = InputSet::from_bits(query.sources.iter().map(|s| s.0 as usize));
         let mut visited = 0;
         let mut out = Vec::new();
@@ -571,35 +597,19 @@ impl ReuseRegistry {
         // malformed query may name a source twice).
         out.sort_unstable();
         out.dedup();
-        dsq_obs::counter("advert.slots_visited", visited as u64);
-        out
+        (out, visited)
     }
 
-    /// Derived streams usable for `query`, already converted into plan
-    /// leaves with residual-selection-adjusted rates.
-    ///
-    /// A derived stream is usable when it is live, covers a subset (≥ 2) of
-    /// the query's sources and every selection it applied is implied by the
-    /// query's selections. Residual selections the query still requires are
-    /// folded into the leaf's rate. Served adverts have their recency
-    /// bumped (the eviction policy's LRU signal); matching *evicted*
-    /// adverts record a re-derivation request instead of a candidate.
-    pub fn usable_for(&mut self, query: &Query) -> Vec<LeafSource> {
-        self.usable_for_live(query, |_| true)
-    }
-
-    /// Like [`Self::usable_for`], but filtered through the caller's
-    /// liveness view (typically the hierarchy's active-node set): adverts
-    /// whose host `is_active` rejects are not served, so planning under
-    /// churn never consumes a derived stream hosted on a dead node even
-    /// before the registry hears about the crash.
-    pub fn usable_for_live(
-        &mut self,
-        query: &Query,
-        is_active: impl Fn(NodeId) -> bool,
-    ) -> Vec<LeafSource> {
-        let mut out = Vec::new();
-        for i in self.probe_candidates(query) {
+    /// The one matching loop behind [`Self::peek_usable`] and
+    /// [`Self::usable_for_live`]: what a probe serves and what it wants
+    /// re-derived, with nothing written.
+    fn probe(&self, query: &Query, is_active: impl Fn(NodeId) -> bool) -> Probe {
+        let (candidates, visited) = self.probe_candidates(query);
+        let mut probe = Probe {
+            visited,
+            ..Probe::default()
+        };
+        for i in candidates {
             let s = &self.slots[i];
             let required = restrict_selections(&query.selections, &s.stream.covered);
             if !selections_compatible(&s.stream.selections, &required) {
@@ -610,7 +620,7 @@ impl ReuseRegistry {
                 AdvertState::Live if !is_active(s.stream.host) => continue,
                 AdvertState::Evicted => {
                     if is_active(s.stream.host) {
-                        self.note_rederive_wanted(i);
+                        probe.wanted.push(i);
                     }
                     continue;
                 }
@@ -620,14 +630,63 @@ impl ReuseRegistry {
             let rate = residual
                 .iter()
                 .fold(s.stream.rate, |r, p| r * p.selectivity);
-            out.push(LeafSource::Derived {
+            probe.served.push(i);
+            probe.leaves.push(LeafSource::Derived {
                 id: s.stream.id,
                 covered: s.stream.covered.clone(),
                 rate,
                 host: s.stream.host,
             });
+        }
+        probe
+    }
+
+    /// Derived streams usable for `query` under the caller's liveness view
+    /// (typically the hierarchy's active-node set), already converted into
+    /// plan leaves with residual-selection-adjusted rates. A pure read: the
+    /// planners call this, and the caller that commits the plan records
+    /// the same probe with [`Self::usable_for_live`].
+    ///
+    /// A derived stream is usable when it is live, hosted on a node
+    /// `is_active` accepts, covers a subset (≥ 2) of the query's sources and
+    /// every selection it applied is implied by the query's selections.
+    /// Residual selections the query still requires are folded into the
+    /// leaf's rate. Adverts on hosts `is_active` rejects are not served, so
+    /// planning under churn never consumes a derived stream hosted on a
+    /// dead node even before the registry hears about the crash.
+    pub fn peek_usable(
+        &self,
+        query: &Query,
+        is_active: impl Fn(NodeId) -> bool,
+    ) -> Vec<LeafSource> {
+        self.probe(query, is_active).leaves
+    }
+
+    /// [`Self::usable_for_live`] with every host live.
+    pub fn usable_for(&mut self, query: &Query) -> Vec<LeafSource> {
+        self.usable_for_live(query, |_| true)
+    }
+
+    /// The recording probe: the leaves [`Self::peek_usable`] returns, plus
+    /// the probe's bookkeeping. Served adverts have their recency bumped in
+    /// candidate order (the eviction policy's LRU signal); each matching
+    /// *evicted* advert on a live host records a re-derivation request
+    /// instead of a candidate. Called once per query by whoever commits
+    /// the plan.
+    pub fn usable_for_live(
+        &mut self,
+        query: &Query,
+        is_active: impl Fn(NodeId) -> bool,
+    ) -> Vec<LeafSource> {
+        let probe = self.probe(query, is_active);
+        dsq_obs::counter("advert.slots_visited", probe.visited as u64);
+        for i in probe.wanted {
+            self.note_rederive_wanted(i);
+        }
+        for i in probe.served {
             self.touch(i);
         }
+        let out = probe.leaves;
         self.stats.reuse_candidates_served += out.len() as u64;
         dsq_obs::counter("advert.reuse_candidates_served", out.len() as u64);
         out
@@ -639,8 +698,10 @@ impl ReuseRegistry {
     /// This is the naive matching rule the reuse-matching ablation compares
     /// against.
     pub fn usable_for_exact(&mut self, query: &Query) -> Vec<LeafSource> {
+        let (candidates, visited) = self.probe_candidates(query);
+        dsq_obs::counter("advert.slots_visited", visited as u64);
         let mut out = Vec::new();
-        for i in self.probe_candidates(query) {
+        for i in candidates {
             let s = &self.slots[i];
             let required = restrict_selections(&query.selections, &s.stream.covered);
             if !same_selection_set(&s.stream.selections, &required) {
@@ -1173,6 +1234,35 @@ mod tests {
         assert!(reg.stats().conserved());
         // The drained request list was cleared.
         assert!(reg.drain_rederive_requests().is_empty());
+    }
+
+    #[test]
+    fn peeking_records_nothing_and_serves_what_the_recording_probe_serves() {
+        let mut reg = ReuseRegistry::with_budget(2);
+        for (a, b, host) in [(0, 1, 0), (1, 2, 1), (0, 2, 2)] {
+            reg.advertise(
+                StreamSet::from_iter([StreamId(a), StreamId(b)]),
+                vec![],
+                1.0,
+                NodeId(host),
+                QueryId(host),
+            );
+        }
+        assert_eq!(reg.stats().evicted, 1);
+        let probe = Query::join(
+            QueryId(9),
+            [StreamId(0), StreamId(1), StreamId(2)],
+            NodeId(3),
+        );
+        for view in [|_: NodeId| true, |n: NodeId| n != NodeId(2)] {
+            let before = reg.fingerprint();
+            let peeked = reg.peek_usable(&probe, view);
+            assert_eq!(reg.fingerprint(), before, "a peek writes nothing");
+            assert!(reg.drain_rederive_requests().is_empty());
+            assert_eq!(reg.usable_for_live(&probe, view), peeked);
+            assert_ne!(reg.fingerprint(), before, "the recording probe writes");
+            assert_eq!(reg.drain_rederive_requests().len(), 1);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::failures::{
 };
 use dsq_core::{catalog_dirty_streams, Environment, InvalidationMode};
 use dsq_net::NodeId;
-use dsq_query::{Catalog, Deployment, Query, QueryId, ReuseRegistry};
+use dsq_query::{Catalog, Deployment, Query, QueryId};
 
 /// A runtime link-cost change (congestion, re-pricing, failure-as-cost).
 #[derive(Clone, Copy, Debug)]
@@ -81,10 +81,6 @@ pub struct AdaptiveRuntime {
     /// (failure repairs, parked retries, degradation-triggered
     /// re-optimizations); see [`Self::queries_replanned`].
     queries_replanned: u64,
-    /// Advert registry mirroring the standing deployments: installs
-    /// publish, crashes/retirements retire, rejoins reinstate — so the
-    /// advertised set never dangles behind the deployments it describes.
-    registry: ReuseRegistry,
 }
 
 impl AdaptiveRuntime {
@@ -103,20 +99,7 @@ impl AdaptiveRuntime {
             invalidation: InvalidationMode::default(),
             last_catalog: None,
             queries_replanned: 0,
-            registry: ReuseRegistry::new(),
         }
-    }
-
-    /// The advert registry tracking the standing deployments' derived
-    /// streams through their lifecycle.
-    pub fn registry(&self) -> &ReuseRegistry {
-        &self.registry
-    }
-
-    /// Mutable access to the advert registry (e.g. to set a budget or run
-    /// reuse probes against the standing deployments).
-    pub fn registry_mut(&mut self) -> &mut ReuseRegistry {
-        &mut self.registry
     }
 
     /// How many replanning invocations this runtime has issued over its
@@ -157,10 +140,8 @@ impl AdaptiveRuntime {
         self
     }
 
-    /// Register a deployed query. The deployment's operators are
-    /// advertised as derived streams for later reuse.
+    /// Register a deployed query.
     pub fn install(&mut self, query: Query, deployment: Deployment) {
-        self.registry.register_deployment(&query, &deployment);
         let baseline = deployment.cost;
         self.stand(query, deployment, baseline);
     }
@@ -223,10 +204,6 @@ impl AdaptiveRuntime {
         report.cache_retired = self.env.plan_cache.retired() - retired_before;
         report.last_member_forfeit = !overlay_repaired;
 
-        // The crashed node's operators stop producing: their adverts must
-        // not be served to later planning passes (rejoin reinstates them).
-        self.registry.host_crashed(node);
-
         // 2. Classify every standing deployment and act on it: untouched
         //    ones stand as they were, the rest are torn down and retired
         //    (accounting for their forfeited service), parked, or replanned
@@ -245,8 +222,6 @@ impl AdaptiveRuntime {
             if !overlay_repaired {
                 action = CrashAction::Lost;
             }
-            // Its operators are torn down whatever happens next.
-            self.registry.retire_query(q.id);
             match action {
                 CrashAction::Keep => unreachable!("stood above"),
                 CrashAction::Lost => {
@@ -264,7 +239,6 @@ impl AdaptiveRuntime {
                         Some(new_d) => {
                             report.redeployed.push(q.id);
                             report.redeploy_cost_delta += new_d.cost - d.cost;
-                            self.registry.register_deployment(&q, &new_d);
                             // A replacement is a *repair*, not a
                             // re-baselining: keep measuring degradation
                             // against the cost the query was originally
@@ -356,9 +330,6 @@ impl AdaptiveRuntime {
         let join_messages = self.env.rejoin_node(node).map_or(0, |o| o.messages);
         self.flush_if_reference_arm();
         let cache_retired = self.env.plan_cache.retired() - retired_before;
-        // Adverts hosted on the rejoined node are servable again (unless
-        // their origin query is gone for good).
-        self.registry.host_rejoined(node);
         let redeployed = self.retry_parked(catalog, replan);
         RecoveryReport {
             join_messages,
@@ -461,8 +432,6 @@ impl AdaptiveRuntime {
                         report.migrated.push(self.queries[i].id);
                         report.state_transfer_cost += plan.state_transfer_cost;
                         report.plans.push(plan);
-                        self.registry.retire_query(self.queries[i].id);
-                        self.registry.register_deployment(&self.queries[i], &new_d);
                         self.baseline_cost[i] = new_d.cost;
                         self.deployments[i] = new_d;
                         continue;
@@ -506,11 +475,11 @@ mod tests {
         let env = Environment::build(net, 16);
         let wl = workload(&env);
         let mut rt = AdaptiveRuntime::new(env, 0.2);
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         for q in &wl.queries {
             let d = TopDown::new(&rt.env)
-                .optimize(&wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&wl.catalog, q, &reg, &mut stats)
                 .unwrap();
             rt.install(q.clone(), d);
         }
@@ -541,9 +510,9 @@ mod tests {
         let (mut rt, wl) = runtime();
         let changes = congestion(&rt);
         let report = rt.handle_changes(&changes, |env, q| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
-            Optimal::new(env).optimize(&wl.catalog, q, &mut reg, &mut stats)
+            Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut stats)
         });
         assert!(
             !report.migrated.is_empty(),
@@ -572,9 +541,9 @@ mod tests {
                 new_cost: old * 1.01,
             }],
             |env, q| {
-                let mut reg = ReuseRegistry::new();
+                let reg = ReuseRegistry::new();
                 let mut stats = SearchStats::new();
-                Optimal::new(env).optimize(&wl.catalog, q, &mut reg, &mut stats)
+                Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut stats)
             },
         );
         assert!(report.migrated.is_empty());
@@ -593,9 +562,9 @@ mod tests {
             catalog.set_rate(s, old * 20.0);
         }
         let report = rt.handle_data_changes(&catalog, |env, q| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
-            Optimal::new(env).optimize(&catalog, q, &mut reg, &mut stats)
+            Optimal::new(env).optimize(&catalog, q, &reg, &mut stats)
         });
         assert!(
             report.cost_before > 0.0,
@@ -633,9 +602,9 @@ mod tests {
         let (rt_base, wl) = runtime();
         let changes = congestion(&rt_base);
         let replan = |env: &Environment, q: &Query| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
-            Optimal::new(env).optimize(&wl.catalog, q, &mut reg, &mut stats)
+            Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut stats)
         };
 
         // Unconditional migration moves some queries…
@@ -702,10 +671,10 @@ mod tests {
         let mut env = Environment::build_latency(net, 16);
         env.isolate_cache(true);
         let wl = workload(&env);
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         for q in &wl.queries {
             TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut reg, &mut SearchStats::new())
+                .optimize(&wl.catalog, q, &reg, &mut SearchStats::new())
                 .unwrap();
         }
         let warm = env.plan_cache.len();
@@ -753,9 +722,9 @@ mod tests {
         let (mut rt, wl) = runtime();
         let before = rt.total_cost();
         let report = rt.handle_changes(&[], |env, q| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
-            Optimal::new(env).optimize(&wl.catalog, q, &mut reg, &mut stats)
+            Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut stats)
         });
         assert!(report.migrated.is_empty());
         assert!((rt.total_cost() - before).abs() < 1e-9);

@@ -137,9 +137,7 @@ mod tests {
         let td = TopDown::new(&env);
         for q in &wl.queries {
             let mut stats = dsq_core::SearchStats::new();
-            let d = td
-                .optimize(&wl.catalog, q, &mut registry, &mut stats)
-                .unwrap();
+            let d = td.optimize(&wl.catalog, q, &registry, &mut stats).unwrap();
             registry.register_deployment(q, &d);
         }
         let traffic = advertisement_traffic(&env, &registry, &[]);
@@ -170,9 +168,7 @@ mod tests {
         let td = TopDown::new(&env);
         for q in &wl.queries {
             let mut stats = dsq_core::SearchStats::new();
-            let d = td
-                .optimize(&wl.catalog, q, &mut registry, &mut stats)
-                .unwrap();
+            let d = td.optimize(&wl.catalog, q, &registry, &mut stats).unwrap();
             registry.register_deployment(q, &d);
         }
         let before = advertisement_traffic(&env, &registry, &[]);

@@ -341,9 +341,9 @@ impl Default for ChaosRunner {
 
 /// Plan one query with Top-Down against the current environment.
 fn plan(env: &Environment, catalog: &Catalog, q: &Query) -> Option<(Deployment, SearchStats)> {
-    let mut reg = ReuseRegistry::new();
+    let reg = ReuseRegistry::new();
     let mut stats = SearchStats::new();
-    let d = TopDown::new(env).optimize(catalog, q, &mut reg, &mut stats)?;
+    let d = TopDown::new(env).optimize(catalog, q, &reg, &mut stats)?;
     Some((d, stats))
 }
 

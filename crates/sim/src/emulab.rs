@@ -320,17 +320,17 @@ mod tests {
             let mut s_bu = SearchStats::new();
             let mut s_bum = SearchStats::new();
             let mut s_td = SearchStats::new();
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
-            let mut r3 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
+            let r3 = ReuseRegistry::new();
             let d_bu = BottomUp::new(&env)
-                .optimize(&wl.catalog, q, &mut r1, &mut s_bu)
+                .optimize(&wl.catalog, q, &r1, &mut s_bu)
                 .unwrap();
             let d_bum = BottomUp::with_placement(&env, dsq_core::BottomUpPlacement::MembersOnly)
-                .optimize(&wl.catalog, q, &mut r3, &mut s_bum)
+                .optimize(&wl.catalog, q, &r3, &mut s_bum)
                 .unwrap();
             let d_td = TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut r2, &mut s_td)
+                .optimize(&wl.catalog, q, &r2, &mut s_td)
                 .unwrap();
             bu_ms += model.deployment_time(q.sink, &s_bu, &d_bu).total_ms();
             bum_ms += model.deployment_time(q.sink, &s_bum, &d_bum).total_ms();
@@ -358,9 +358,9 @@ mod tests {
         let mut by_size: Vec<(usize, f64, usize)> = vec![(0, 0.0, 0); 8];
         for q in &wl.queries {
             let mut s = SearchStats::new();
-            let mut r = ReuseRegistry::new();
+            let r = ReuseRegistry::new();
             let d = TopDown::new(&env)
-                .optimize(&wl.catalog, q, &mut r, &mut s)
+                .optimize(&wl.catalog, q, &r, &mut s)
                 .unwrap();
             let t = model.deployment_time(q.sink, &s, &d).total_ms();
             let k = q.sources.len();
@@ -387,9 +387,9 @@ mod tests {
         let model = EmulabModel::new(&env.network);
         let q = &wl.queries[0];
         let mut s = SearchStats::new();
-        let mut r = ReuseRegistry::new();
+        let r = ReuseRegistry::new();
         let d = TopDown::new(&env)
-            .optimize(&wl.catalog, q, &mut r, &mut s)
+            .optimize(&wl.catalog, q, &r, &mut s)
             .unwrap();
         let t = model.deployment_time(q.sink, &s, &d);
         assert!(t.messaging_ms > 0.0);
@@ -406,9 +406,9 @@ mod tests {
             .iter()
             .map(|q| {
                 let mut s = SearchStats::new();
-                let mut r = ReuseRegistry::new();
+                let r = ReuseRegistry::new();
                 let d = TopDown::new(env)
-                    .optimize(&wl.catalog, q, &mut r, &mut s)
+                    .optimize(&wl.catalog, q, &r, &mut s)
                     .unwrap();
                 (q.sink, s, d)
             })

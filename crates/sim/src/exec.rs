@@ -242,9 +242,7 @@ mod tests {
             // the batch produces data, keep the numeric window.
             let mut q = q.clone();
             q.selections.retain(|s| s.value < 1000.0);
-            let d = td
-                .optimize(&sc.catalog, &q, &mut registry, &mut stats)
-                .unwrap();
+            let d = td.optimize(&sc.catalog, &q, &registry, &mut stats).unwrap();
             let got = execute_deployment(&tables, &q, &d);
             let want = reference_result(&tables, &q);
             assert!(
@@ -307,9 +305,9 @@ mod tests {
                 &BottomUp::new(&env),
                 &Optimal::new(&env),
             ] {
-                let mut reg = ReuseRegistry::new();
+                let reg = ReuseRegistry::new();
                 let mut stats = SearchStats::new();
-                let d = alg.optimize(&catalog, &q, &mut reg, &mut stats).unwrap();
+                let d = alg.optimize(&catalog, &q, &reg, &mut stats).unwrap();
                 let got = execute_deployment(&tables, &q, &d);
                 assert!(
                     same_result(&got, &want),

@@ -163,13 +163,13 @@ mod tests {
             41,
         )
         .generate(&env.network);
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let td = TopDown::new(&env);
         let ds: Vec<Deployment> = wl
             .queries
             .iter()
-            .map(|q| td.optimize(&wl.catalog, q, &mut reg, &mut stats).unwrap())
+            .map(|q| td.optimize(&wl.catalog, q, &reg, &mut stats).unwrap())
             .collect();
         (env, ds)
     }

@@ -341,10 +341,10 @@ mod tests {
             seed,
         )
         .generate(&env.network);
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let d = TopDown::new(&env)
-            .optimize(&wl.catalog, &wl.queries[0], &mut reg, &mut stats)
+            .optimize(&wl.catalog, &wl.queries[0], &reg, &mut stats)
             .unwrap();
         (env, wl, d)
     }

@@ -29,7 +29,7 @@ fn main() {
     let mut stats = SearchStats::new();
     for q in &wl.queries {
         let d = TopDown::new(&runtime.env)
-            .optimize(&wl.catalog, q, &mut registry, &mut stats)
+            .optimize(&wl.catalog, q, &registry, &mut stats)
             .expect("deployable");
         registry.register_deployment(q, &d);
         runtime.install(q.clone(), d);
@@ -62,9 +62,9 @@ fn main() {
 
     // The middleware re-costs everything and re-plans the degraded queries.
     let report = runtime.handle_changes(&changes, |env, q| {
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut st = SearchStats::new();
-        Optimal::new(env).optimize(&wl.catalog, q, &mut reg, &mut st)
+        Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut st)
     });
     println!(
         "\nafter congestion: standing cost ballooned to {:.1}",

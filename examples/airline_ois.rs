@@ -34,7 +34,7 @@ fn main() {
     let mut stats = SearchStats::new();
     let optimizer = TopDown::new(&env);
     let d2 = optimizer
-        .optimize(catalog, q2, &mut registry, &mut stats)
+        .optimize(catalog, q2, &registry, &mut stats)
         .expect("Q2 deploys");
     println!("\n== Q2: FLIGHTS ⋈ CHECK-INS -> Sink3 ==");
     print!("{}", d2.describe(catalog));
@@ -47,15 +47,15 @@ fn main() {
 
     // Q1 with reuse: the planner can tap Q2's join.
     let d1_reuse = optimizer
-        .optimize(catalog, q1, &mut registry, &mut stats)
+        .optimize(catalog, q1, &registry, &mut stats)
         .expect("Q1 deploys");
     println!("\n== Q1 (with reuse of Q2's operator) ==");
     print!("{}", d1_reuse.describe(catalog));
 
     // Q1 without reuse: plan from base streams only.
-    let mut empty = ReuseRegistry::new();
+    let empty = ReuseRegistry::new();
     let d1_fresh = optimizer
-        .optimize(catalog, q1, &mut empty, &mut stats)
+        .optimize(catalog, q1, &empty, &mut stats)
         .expect("Q1 deploys");
     println!("\n== Q1 (from scratch, no reuse) ==");
     print!("{}", d1_fresh.describe(catalog));
@@ -71,7 +71,7 @@ fn main() {
     let mut reg2 = ReuseRegistry::new();
     reg2.register_deployment(q2, &d2);
     let opt = Optimal::new(&env)
-        .optimize(catalog, q1, &mut reg2, &mut stats)
+        .optimize(catalog, q1, &reg2, &mut stats)
         .unwrap();
     println!(
         "optimal Q1 (reuse allowed) costs {:.2}; top-down is within {:.1}%",

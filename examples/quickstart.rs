@@ -49,10 +49,10 @@ fn main() {
 }
 
 fn run(optimizer: &dyn dsq_core::Optimizer, wl: &Workload) -> Deployment {
-    let mut registry = ReuseRegistry::new();
+    let registry = ReuseRegistry::new();
     let mut stats = SearchStats::new();
     let d = optimizer
-        .optimize(&wl.catalog, &wl.queries[0], &mut registry, &mut stats)
+        .optimize(&wl.catalog, &wl.queries[0], &registry, &mut stats)
         .expect("the query is deployable");
     println!(
         "[{}] plans considered: {}, cost: {:.2}",

@@ -52,13 +52,13 @@ fn main() {
     let optimizer = TopDown::new(&env);
 
     let d2 = optimizer
-        .optimize(catalog, &q2, &mut registry, &mut stats)
+        .optimize(catalog, &q2, &registry, &mut stats)
         .expect("Q2 deploys");
     registry.register_deployment(&q2, &d2);
     println!("\nQ2 deployed:\n{}", d2.describe(catalog));
 
     let d1 = optimizer
-        .optimize(catalog, &q1, &mut registry, &mut stats)
+        .optimize(catalog, &q1, &registry, &mut stats)
         .expect("Q1 deploys");
     println!(
         "Q1 deployed (reusing Q2 where profitable):\n{}",

@@ -113,8 +113,8 @@ const USAGE: &str =
   --advert-budget N
                  reuse-registry advert budget: publishing past N live adverts
                  evicts the coldest; probes matching an evicted advert queue
-                 re-derivation (default 0 = unbounded). Applies to `plan`,
-                 `serve` and `fuzz`
+                 re-derivation (default 0 = unbounded). Applies to `serve`
+                 and `fuzz`
   --save FILE    write the generated topology to FILE (text format)
   --load FILE    read the topology from FILE instead of generating one
   --dot          emit Graphviz DOT instead of a summary";
@@ -455,7 +455,7 @@ fn plan(o: &Opts) -> ExitCode {
         &td,
         &wl.catalog,
         &wl.queries,
-        &ReuseRegistry::with_budget(o.advert_budget.unwrap_or(0)),
+        &ReuseRegistry::new(),
         &cfg,
     );
     let wall = start.elapsed();
@@ -481,7 +481,7 @@ fn simulate(o: &Opts) -> ExitCode {
         "query", "streams", "predicted", "measured", "results", "latency(ms)"
     );
     for q in wl.queries.iter().take(5) {
-        let d = match TopDown::new(&env).optimize(&wl.catalog, q, &mut registry, &mut stats) {
+        let d = match TopDown::new(&env).optimize(&wl.catalog, q, &registry, &mut stats) {
             Some(d) => d,
             None => continue,
         };
@@ -979,9 +979,9 @@ fn sql(o: &Opts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut registry = ReuseRegistry::new();
+    let registry = ReuseRegistry::new();
     let mut stats = SearchStats::new();
-    match TopDown::new(&env).optimize(&scenario.catalog, &query, &mut registry, &mut stats) {
+    match TopDown::new(&env).optimize(&scenario.catalog, &query, &registry, &mut stats) {
         Some(d) => {
             print!("{}", d.describe(&scenario.catalog));
             if o.dot {

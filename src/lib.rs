@@ -48,10 +48,10 @@
 //! let wl = gen.generate(&env.network);
 //!
 //! // Jointly plan and deploy with the Top-Down algorithm.
-//! let mut registry = ReuseRegistry::new();
+//! let registry = ReuseRegistry::new();
 //! let mut stats = SearchStats::default();
 //! let deployment = TopDown::new(&env)
-//!     .optimize(&wl.catalog, &wl.queries[0], &mut registry, &mut stats)
+//!     .optimize(&wl.catalog, &wl.queries[0], &registry, &mut stats)
 //!     .expect("deployable");
 //! assert!(deployment.cost > 0.0);
 //! ```

@@ -27,12 +27,12 @@ fn middleware_tracks_a_rate_trace() {
 
     // Initial deployment; keep a frozen copy for the do-nothing shadow.
     let mut rt = AdaptiveRuntime::new(env, 0.25).with_migration_horizon(50.0);
-    let mut reg = ReuseRegistry::new();
+    let reg = ReuseRegistry::new();
     let mut stats = SearchStats::new();
     let mut initial: Vec<Deployment> = Vec::new();
     for q in &wl.queries {
         let d = TopDown::new(&rt.env)
-            .optimize(&catalog, q, &mut reg, &mut stats)
+            .optimize(&catalog, q, &reg, &mut stats)
             .unwrap();
         initial.push(d.clone());
         rt.install(q.clone(), d);
@@ -58,9 +58,9 @@ fn middleware_tracks_a_rate_trace() {
     for step in 0..trace.len() {
         trace.apply(&mut catalog, step);
         let report = rt.handle_data_changes(&catalog, |env, q| {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut st = SearchStats::new();
-            Optimal::new(env).optimize(&catalog, q, &mut reg, &mut st)
+            Optimal::new(env).optimize(&catalog, q, &reg, &mut st)
         });
         total_migrations += report.migrated.len();
         adapted_cost_integral += rt.total_cost();

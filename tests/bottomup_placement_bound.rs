@@ -29,10 +29,10 @@ fn bottomup_placement_is_within_bound_of_same_tree_optimum() {
     let (env, wl) = setup(32);
     let candidates: Vec<NodeId> = env.network.nodes().collect();
     for q in &wl.queries {
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let bu = BottomUp::new(&env)
-            .optimize(&wl.catalog, q, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q, &reg, &mut stats)
             .unwrap();
         // Optimal placement of the very same plan (tree shape fixed).
         let fixed = optimal_placement(bu.plan.clone(), q, &wl.catalog, &env.dm, &candidates);
@@ -61,10 +61,10 @@ fn bottomup_beats_random_placement_of_its_own_tree() {
     let n = env.network.len() as u32;
     let (mut bu_total, mut rand_total) = (0.0, 0.0);
     for q in &wl.queries {
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let bu = BottomUp::new(&env)
-            .optimize(&wl.catalog, q, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q, &reg, &mut stats)
             .unwrap();
         bu_total += bu.cost;
         // Random placement of the identical plan.
@@ -86,10 +86,10 @@ fn members_only_variant_also_respects_the_placement_bound() {
     let (env, wl) = setup(16);
     let candidates: Vec<NodeId> = env.network.nodes().collect();
     for q in wl.queries.iter().take(6) {
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let bu = BottomUp::with_placement(&env, BottomUpPlacement::MembersOnly)
-            .optimize(&wl.catalog, q, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q, &reg, &mut stats)
             .unwrap();
         let fixed = optimal_placement(bu.plan.clone(), q, &wl.catalog, &env.dm, &candidates);
         let bound = bounds::placement_bound(&bu, &env.hierarchy);

@@ -105,9 +105,9 @@ fn fig9_shape_search_space_reduction() {
         for alg in [&TopDown::new(&env) as &dyn Optimizer, &BottomUp::new(&env)] {
             let mut total = 0u128;
             for q in &wl.queries {
-                let mut reg = ReuseRegistry::new();
+                let reg = ReuseRegistry::new();
                 let mut stats = SearchStats::new();
-                alg.optimize(&wl.catalog, q, &mut reg, &mut stats).unwrap();
+                alg.optimize(&wl.catalog, q, &reg, &mut stats).unwrap();
                 total += stats.plans_considered;
             }
             let per_query = total as f64 / wl.queries.len() as f64;
@@ -140,24 +140,24 @@ fn fig10_11_shape_emulab_tradeoff() {
     .generate(&net);
     let (mut td_cost, mut bu_cost) = (0.0, 0.0);
     let (mut td_ms, mut bum_ms) = (0.0, 0.0);
-    let mut reg_td = ReuseRegistry::new();
-    let mut reg_bu = ReuseRegistry::new();
-    let mut reg_bum = ReuseRegistry::new();
+    let reg_td = ReuseRegistry::new();
+    let reg_bu = ReuseRegistry::new();
+    let reg_bum = ReuseRegistry::new();
     for q in &wl.queries {
         let mut s_td = SearchStats::new();
         let d_td = TopDown::new(&env)
-            .optimize(&wl.catalog, q, &mut reg_td, &mut s_td)
+            .optimize(&wl.catalog, q, &reg_td, &mut s_td)
             .unwrap();
         td_ms += model.deployment_time(q.sink, &s_td, &d_td).total_ms();
         td_cost += d_td.cost;
         let mut s = SearchStats::new();
         bu_cost += BottomUp::new(&env)
-            .optimize(&wl.catalog, q, &mut reg_bu, &mut s)
+            .optimize(&wl.catalog, q, &reg_bu, &mut s)
             .unwrap()
             .cost;
         let mut s_bum = SearchStats::new();
         let d_bum = BottomUp::with_placement(&env, BottomUpPlacement::MembersOnly)
-            .optimize(&wl.catalog, q, &mut reg_bum, &mut s_bum)
+            .optimize(&wl.catalog, q, &reg_bum, &mut s_bum)
             .unwrap();
         bum_ms += model.deployment_time(q.sink, &s_bum, &d_bum).total_ms();
     }

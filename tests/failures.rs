@@ -19,11 +19,11 @@ fn runtime() -> (AdaptiveRuntime, Workload) {
     )
     .generate(&env.network);
     let mut rt = AdaptiveRuntime::new(env, 0.2);
-    let mut reg = ReuseRegistry::new();
+    let reg = ReuseRegistry::new();
     let mut stats = SearchStats::new();
     for q in &wl.queries {
         let d = TopDown::new(&rt.env)
-            .optimize(&wl.catalog, q, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q, &reg, &mut stats)
             .unwrap();
         rt.install(q.clone(), d);
     }
@@ -39,9 +39,9 @@ fn coordinator_failure_fails_over_and_redeploys() {
     assert!(roles_before >= 1);
 
     let report = rt.handle_node_failure(&wl.catalog, top_coord, |env, q| {
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
-        Optimal::new(env).optimize(&wl.catalog, q, &mut reg, &mut stats)
+        Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut stats)
     });
     assert_eq!(report.coordinator_roles_failed_over, roles_before);
     assert!(!rt.env.hierarchy.is_active(top_coord));
@@ -89,9 +89,9 @@ fn source_node_failure_loses_the_dependent_queries() {
     assert!(!dependent.is_empty());
 
     let report = rt.handle_node_failure(&wl.catalog, victim_node, |env, q| {
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
-        Optimal::new(env).optimize(&wl.catalog, q, &mut reg, &mut stats)
+        Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut stats)
     });
     for qid in &report.lost {
         assert!(dependent.contains(qid), "{qid} lost but not dependent");

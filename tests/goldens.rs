@@ -19,6 +19,7 @@
 //! mismatch prints the whole digested text; compare it against a checkout
 //! of the previous commit to see what moved.
 
+use dsq::core::consolidate;
 use dsq::obs::fnv64;
 use dsq::prelude::*;
 use dsq::server::chaos::run_plain;
@@ -228,4 +229,87 @@ fn chaos_report_crashing_every_member_is_pinned() {
         &format!("{report:#?}"),
         0xd132_8a00_ab08_dd81,
     );
+}
+
+/// The advert bookkeeping a budgeted Top-Down batch leaves behind: every
+/// LRU touch, re-derivation request and served-candidate count lands in
+/// the registry fingerprint, its stats and the drained requests, so the
+/// digest pins that `deploy_all` records exactly the probe the planner
+/// read. One advert host crashes in the environment only — the registry
+/// still calls its adverts Live, so only the optimizer's liveness view
+/// keeps them out — and another crashes in both.
+#[test]
+fn a_budgeted_reuse_batch_is_pinned() {
+    let net = TransitStubConfig::paper_64().generate(29).network;
+    let env = Environment::build(net, 16);
+    let wl = WorkloadGenerator::new(
+        WorkloadConfig {
+            streams: 24,
+            queries: 24,
+            joins_per_query: 2..=4,
+            source_skew: Some(1.2),
+            ..WorkloadConfig::default()
+        },
+        31,
+    )
+    .generate(&env.network);
+    let mut reg = ReuseRegistry::with_budget(3);
+    let first = consolidate::deploy_all(
+        &TopDown::new(&env),
+        &wl.catalog,
+        &wl.queries,
+        &mut reg,
+        true,
+    );
+
+    let protected: Vec<NodeId> = wl
+        .catalog
+        .streams()
+        .iter()
+        .map(|s| s.node)
+        .chain(wl.queries.iter().map(|q| q.sink))
+        .collect();
+    let hosts: std::collections::BTreeSet<NodeId> = reg.deriveds().map(|d| d.host).collect();
+    let mut churned = env.clone();
+    churned.isolate_cache(false);
+    let mut crashed = Vec::new();
+    for host in hosts {
+        if crashed.len() == 2 {
+            break;
+        }
+        if !protected.contains(&host) && churned.crash_node(host) {
+            crashed.push(host);
+        }
+    }
+    assert_eq!(crashed.len(), 2, "two unprotected advert hosts");
+    reg.host_crashed(crashed[1]);
+    let second = consolidate::deploy_all(
+        &TopDown::new(&churned),
+        &wl.catalog,
+        &wl.queries,
+        &mut reg,
+        true,
+    );
+
+    let mut text = format!("crashed {crashed:?}\n{}\n", reg.fingerprint());
+    for (name, v) in reg.stats().fields() {
+        text += &format!("{name} = {v}\n");
+    }
+    for (pass, out) in [("first", &first), ("second", &second)] {
+        for d in &out.deployments {
+            match d {
+                Some(d) => {
+                    text += &format!(
+                        "{pass} {:?} {:#018x} {:?}\n",
+                        d.query,
+                        d.cost.to_bits(),
+                        d.placement
+                    )
+                }
+                None => text += &format!("{pass} none\n"),
+            }
+        }
+    }
+    text += &format!("rederive {:?}\n", reg.drain_rederive_requests());
+    assert_golden("budgeted reuse batch", &text, 0xd44f_b2a6_30c2_257e);
 }

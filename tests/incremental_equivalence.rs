@@ -45,9 +45,9 @@ fn build_workload(env: &Environment, seed: u64) -> Workload {
 /// Plan one query with Top-Down against the runtime's current environment
 /// (goes through the environment's subplan cache when enabled).
 fn replan(env: &Environment, catalog: &Catalog, q: &Query) -> Option<Deployment> {
-    let mut reg = ReuseRegistry::new();
+    let reg = ReuseRegistry::new();
     let mut stats = SearchStats::new();
-    TopDown::new(env).optimize(catalog, q, &mut reg, &mut stats)
+    TopDown::new(env).optimize(catalog, q, &reg, &mut stats)
 }
 
 /// Byte-level fingerprint of a runtime's standing state.

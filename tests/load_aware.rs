@@ -30,7 +30,7 @@ fn overloaded_node_is_avoided() {
     // Where does the unloaded optimum place its joins?
     let mut stats = SearchStats::new();
     let free = Optimal::new(&env)
-        .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut stats)
+        .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut stats)
         .unwrap();
     let hot = free.operator_nodes()[0];
 
@@ -41,7 +41,7 @@ fn overloaded_node_is_avoided() {
     env.enable_load_model(LoadModel::with_capacities(caps, 50.0));
 
     let loaded = Optimal::new(&env)
-        .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut stats)
+        .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut stats)
         .unwrap();
     assert!(
         !loaded.operator_nodes().contains(&hot),
@@ -59,11 +59,11 @@ fn committed_load_spreads_a_batch() {
     env.enable_load_model(LoadModel::uniform(env.network.len(), 120.0, 100.0));
 
     let mut spread_nodes: HashMap<NodeId, usize> = HashMap::new();
-    let mut reg = ReuseRegistry::new();
+    let reg = ReuseRegistry::new();
     let mut stats = SearchStats::new();
     for q in &wl.queries {
         let d = Optimal::new(&env)
-            .optimize(&wl.catalog, q, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q, &reg, &mut stats)
             .unwrap();
         env.commit_load(&d);
         for n in d.operator_nodes() {
@@ -77,10 +77,10 @@ fn committed_load_spreads_a_batch() {
         Environment::build(net, 16)
     };
     let mut free_nodes: HashMap<NodeId, usize> = HashMap::new();
-    let mut reg2 = ReuseRegistry::new();
+    let reg2 = ReuseRegistry::new();
     for q in &wl.queries {
         let d = Optimal::new(&env_free)
-            .optimize(&wl.catalog, q, &mut reg2, &mut stats)
+            .optimize(&wl.catalog, q, &reg2, &mut stats)
             .unwrap();
         for n in d.operator_nodes() {
             *free_nodes.entry(n).or_insert(0) += 1;
@@ -105,7 +105,7 @@ fn release_load_supports_migration() {
     let q = &wl.queries[0];
     let mut stats = SearchStats::new();
     let d = Optimal::new(&env)
-        .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut stats)
+        .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut stats)
         .unwrap();
     env.commit_load(&d);
     let after_commit = env.load_snapshot().unwrap();
@@ -122,7 +122,7 @@ fn hierarchical_optimizers_respect_load_too() {
     let q = &wl.queries[1];
     let mut stats = SearchStats::new();
     let free = TopDown::new(&env)
-        .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut stats)
+        .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut stats)
         .unwrap();
     let hot = free.operator_nodes()[0];
     let mut caps = vec![1e6; env.network.len()];
@@ -134,7 +134,7 @@ fn hierarchical_optimizers_respect_load_too() {
         &BottomUp::new(&env),
     ] {
         let d = alg
-            .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut stats)
+            .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut stats)
             .unwrap();
         assert!(
             !d.operator_nodes().contains(&hot),

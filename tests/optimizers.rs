@@ -88,17 +88,17 @@ fn all_algorithms_produce_valid_deployments_no_cheaper_than_optimal() {
         ("random", Box::new(RandomPlace::new(&env, 4))),
     ];
     for q in &wl.queries {
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let opt = Optimal::new(&env)
-            .optimize(&wl.catalog, q, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q, &reg, &mut stats)
             .unwrap();
         check_structure(&opt, q, &wl.catalog);
         for (name, alg) in &algorithms {
-            let mut reg = ReuseRegistry::new();
+            let reg = ReuseRegistry::new();
             let mut stats = SearchStats::new();
             let d = alg
-                .optimize(&wl.catalog, q, &mut reg, &mut stats)
+                .optimize(&wl.catalog, q, &reg, &mut stats)
                 .unwrap_or_else(|| panic!("{name} failed on {:?}", q.id));
             check_structure(&d, q, &wl.catalog);
             assert!(
@@ -118,11 +118,11 @@ fn flat_hierarchy_collapses_hierarchical_algorithms_to_optimal() {
     for q in &wl.queries {
         let mut stats = SearchStats::new();
         let opt = Optimal::new(&env)
-            .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut stats)
+            .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut stats)
             .unwrap();
         for alg in [&TopDown::new(&env) as &dyn Optimizer, &BottomUp::new(&env)] {
             let d = alg
-                .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut stats)
+                .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut stats)
                 .unwrap();
             assert!(
                 (d.cost - opt.cost).abs() < 1e-6,
@@ -146,10 +146,10 @@ fn deployments_are_deterministic() {
         for q in &wl.queries.iter().take(4).collect::<Vec<_>>() {
             let mut s = SearchStats::new();
             let a = alg
-                .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut s)
+                .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut s)
                 .unwrap();
             let b = alg
-                .optimize(&wl.catalog, q, &mut ReuseRegistry::new(), &mut s)
+                .optimize(&wl.catalog, q, &ReuseRegistry::new(), &mut s)
                 .unwrap();
             assert_eq!(a.cost, b.cost, "{} must be deterministic", alg.name());
             assert_eq!(a.placement, b.placement);
@@ -166,14 +166,14 @@ fn derived_only_plan_when_full_result_already_deployed() {
     let mut reg = ReuseRegistry::new();
     let mut stats = SearchStats::new();
     let d0 = Optimal::new(&env)
-        .optimize(&wl.catalog, q0, &mut reg, &mut stats)
+        .optimize(&wl.catalog, q0, &reg, &mut stats)
         .unwrap();
     reg.register_deployment(q0, &d0);
 
     let stubs = env.network.stub_nodes();
     let q1 = Query::join(dsq_query::QueryId(900), q0.sources.clone(), stubs[7]);
     let d1 = Optimal::new(&env)
-        .optimize(&wl.catalog, &q1, &mut reg, &mut stats)
+        .optimize(&wl.catalog, &q1, &reg, &mut stats)
         .unwrap();
     // The whole covered set should come from one derived leaf.
     let derived_full = d1.plan.nodes().iter().any(|n| {

@@ -62,7 +62,7 @@ fn empty_candidate_set_is_a_typed_error() {
         .try_optimize(
             &wl.catalog,
             &wl.queries[0],
-            &mut ReuseRegistry::new(),
+            &ReuseRegistry::new(),
             &mut SearchStats::new(),
         )
         .expect_err("empty candidate set must not produce a deployment");
@@ -78,7 +78,7 @@ fn fully_churned_candidate_set_is_rejected() {
         .try_optimize(
             &wl.catalog,
             &wl.queries[0],
-            &mut ReuseRegistry::new(),
+            &ReuseRegistry::new(),
             &mut SearchStats::new(),
         )
         .expect_err("all-inactive candidate set must not produce a deployment");
@@ -97,7 +97,7 @@ fn mixed_candidate_set_only_uses_survivors() {
             .try_optimize(
                 &wl.catalog,
                 q,
-                &mut ReuseRegistry::new(),
+                &ReuseRegistry::new(),
                 &mut SearchStats::new(),
             )
             .expect("active members remain, so the query must stay placeable");
@@ -127,7 +127,7 @@ fn innetwork_zone_search_skips_dead_zones() {
         let Some(d) = runner.optimize(
             &wl.catalog,
             q,
-            &mut ReuseRegistry::new(),
+            &ReuseRegistry::new(),
             &mut SearchStats::new(),
         ) else {
             continue; // no active zone reachable is an acceptable refusal

@@ -102,7 +102,7 @@ fn derived_streams_survive_registration_round_trip() {
     let mut stats = SearchStats::new();
     let td = TopDown::new(&env);
     for q in &wl.queries {
-        let d = td.optimize(&wl.catalog, q, &mut reg, &mut stats).unwrap();
+        let d = td.optimize(&wl.catalog, q, &reg, &mut stats).unwrap();
         reg.register_deployment(q, &d);
     }
     // Registry contents must be internally consistent.
@@ -114,7 +114,7 @@ fn derived_streams_survive_registration_round_trip() {
     // Duplicate suppression kicks in when re-registering.
     let before = reg.len();
     let q = &wl.queries[0];
-    let d = td.optimize(&wl.catalog, q, &mut reg, &mut stats).unwrap();
+    let d = td.optimize(&wl.catalog, q, &reg, &mut stats).unwrap();
     reg.register_deployment(q, &d);
     let after = reg.len();
     assert!(after >= before, "registry never shrinks");
@@ -184,7 +184,7 @@ fn crashed_advert_host_stops_serving_until_rejoin() {
     if let Some(d) = TopDown::new(&env).optimize(
         &wl.catalog,
         &consumer,
-        &mut reg.clone(),
+        &reg.clone(),
         &mut SearchStats::new(),
     ) {
         for node in d.plan.nodes() {

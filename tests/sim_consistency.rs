@@ -32,12 +32,12 @@ fn flow_simulator_reproduces_every_algorithms_costs() {
         &BottomUp::new(&env),
         &Optimal::new(&env),
     ] {
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
         let ds: Vec<Deployment> = wl
             .queries
             .iter()
-            .map(|q| alg.optimize(&wl.catalog, q, &mut reg, &mut stats).unwrap())
+            .map(|q| alg.optimize(&wl.catalog, q, &reg, &mut stats).unwrap())
             .collect();
         let refs: Vec<&Deployment> = ds.iter().collect();
         let flow = sim.evaluate(&refs).total_cost;
@@ -54,12 +54,12 @@ fn flow_simulator_reproduces_every_algorithms_costs() {
 fn tuple_simulator_tracks_analytic_costs_within_tolerance() {
     let (env, wl) = setup();
     let sim = TupleSimulator::new(&env.network);
-    let mut reg = ReuseRegistry::new();
+    let reg = ReuseRegistry::new();
     let mut stats = SearchStats::new();
     let mut checked = 0;
     for q in wl.queries.iter().filter(|q| q.sources.len() <= 3).take(3) {
         let d = TopDown::new(&env)
-            .optimize(&wl.catalog, q, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q, &reg, &mut stats)
             .unwrap();
         let r = sim.run(
             &wl.catalog,
@@ -90,10 +90,10 @@ fn emulab_model_is_additive_and_positive() {
     let (env, wl) = setup();
     let model = EmulabModel::new(&env.network);
     let q = &wl.queries[0];
-    let mut reg = ReuseRegistry::new();
+    let reg = ReuseRegistry::new();
     let mut stats = SearchStats::new();
     let d = TopDown::new(&env)
-        .optimize(&wl.catalog, q, &mut reg, &mut stats)
+        .optimize(&wl.catalog, q, &reg, &mut stats)
         .unwrap();
     let t = model.deployment_time(q.sink, &stats, &d);
     assert!(t.messaging_ms > 0.0 && t.planning_ms > 0.0);
@@ -113,11 +113,11 @@ fn adaptivity_round_trip_with_flow_detection() {
     // doing nothing.
     let (env, wl) = setup();
     let mut rt = AdaptiveRuntime::new(env, 0.15);
-    let mut reg = ReuseRegistry::new();
+    let reg = ReuseRegistry::new();
     let mut stats = SearchStats::new();
     for q in &wl.queries {
         let d = TopDown::new(&rt.env)
-            .optimize(&wl.catalog, q, &mut reg, &mut stats)
+            .optimize(&wl.catalog, q, &reg, &mut stats)
             .unwrap();
         rt.install(q.clone(), d);
     }
@@ -134,9 +134,9 @@ fn adaptivity_round_trip_with_flow_detection() {
         })
         .collect();
     let report = rt.handle_changes(&changes, |env, q| {
-        let mut reg = ReuseRegistry::new();
+        let reg = ReuseRegistry::new();
         let mut stats = SearchStats::new();
-        Optimal::new(env).optimize(&wl.catalog, q, &mut reg, &mut stats)
+        Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut stats)
     });
     assert!(report.cost_after <= report.cost_before);
     assert!(!report.migrated.is_empty());

@@ -75,11 +75,11 @@ proptest! {
         );
         let wl = gen.generate(&env.network);
         for q in &wl.queries {
-            let mut r1 = ReuseRegistry::new();
-            let mut r2 = ReuseRegistry::new();
+            let r1 = ReuseRegistry::new();
+            let r2 = ReuseRegistry::new();
             let mut stats = SearchStats::new();
-            let td = TopDown::new(&env).optimize(&wl.catalog, q, &mut r1, &mut stats).unwrap();
-            let opt = Optimal::new(&env).optimize(&wl.catalog, q, &mut r2, &mut stats).unwrap();
+            let td = TopDown::new(&env).optimize(&wl.catalog, q, &r1, &mut stats).unwrap();
+            let opt = Optimal::new(&env).optimize(&wl.catalog, q, &r2, &mut stats).unwrap();
             let bound = bounds::theorem3_bound(&td, &env.hierarchy);
             prop_assert!(td.cost + 1e-9 >= opt.cost, "td below optimal");
             prop_assert!(
@@ -116,9 +116,9 @@ proptest! {
             let bound = bounds::hierarchical_space_bound(k, n, 6, h_height)
                 .max(bounds::lemma1_space_f64(k, 6) * h_height as f64);
             for alg in [&TopDown::new(&env) as &dyn dsq_core::Optimizer, &BottomUp::new(&env)] {
-                let mut reg = ReuseRegistry::new();
+                let reg = ReuseRegistry::new();
                 let mut stats = SearchStats::new();
-                alg.optimize(&wl.catalog, q, &mut reg, &mut stats).unwrap();
+                alg.optimize(&wl.catalog, q, &reg, &mut stats).unwrap();
                 prop_assert!(
                     (stats.plans_considered as f64) <= bound * 4.0,
                     "{}: {} plans vs bound {bound}",
