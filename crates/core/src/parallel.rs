@@ -75,6 +75,9 @@ pub struct MultiQueryOutcome {
     pub deployments: Vec<Option<Deployment>>,
     /// Search statistics merged in query-index order.
     pub stats: SearchStats,
+    /// Each query's own search statistics, parallel to `deployments`
+    /// (empty for a query [`optimize_dirty`] left standing).
+    pub query_stats: Vec<SearchStats>,
     /// Sum of the feasible deployments' costs.
     pub total_cost: f64,
 }
@@ -125,6 +128,7 @@ fn plan_in_waves<O: Optimizer + Sync>(
         // subplans for the next wave.
         for (d, stats, sub) in results {
             outcome.stats.merge(&stats);
+            outcome.query_stats.push(stats);
             if let (Some(sub), Some(parent)) = (sub, handle.sink()) {
                 parent.absorb(&sub);
             }
@@ -217,8 +221,13 @@ pub fn optimize_dirty<O: Optimizer + Sync>(
     // standing deployment bit-for-bit; the total is re-added in query order
     // from 0.0 as the wave loop does (`sum()` starts at -0.0).
     let fresh = std::mem::replace(&mut outcome.deployments, prior.to_vec());
-    for (&qi, d) in replan_idx.iter().zip(fresh) {
+    let fresh_stats = std::mem::replace(
+        &mut outcome.query_stats,
+        vec![SearchStats::new(); queries.len()],
+    );
+    for ((&qi, d), stats) in replan_idx.iter().zip(fresh).zip(fresh_stats) {
         outcome.deployments[qi] = d;
+        outcome.query_stats[qi] = stats;
     }
     let costs = outcome.deployments.iter().flatten().map(|d| d.cost);
     outcome.total_cost = costs.fold(0.0, |sum, cost| sum + cost);

@@ -59,6 +59,15 @@ pub enum JournalEntry {
         /// Arrival time.
         at_ms: u64,
     },
+    /// An admitted stream-rate observation.
+    Observe {
+        /// Catalog stream id.
+        stream: u32,
+        /// Measured rate in thousandths.
+        rate_milli: u64,
+        /// Arrival time.
+        at_ms: u64,
+    },
     /// A drain marker: everything journaled since the previous marker was
     /// applied in one wave at `at_ms`.
     Drain {
@@ -114,6 +123,15 @@ impl JournalEntry {
                 fault: fault.clone(),
                 at_ms: *at_ms,
             }),
+            Request::Observe {
+                stream,
+                rate_milli,
+                at_ms,
+            } => Some(JournalEntry::Observe {
+                stream: *stream,
+                rate_milli: *rate_milli,
+                at_ms: *at_ms,
+            }),
             Request::Drain { at_ms } => Some(JournalEntry::Drain { at_ms: *at_ms }),
             Request::Query { .. } | Request::Stats => None,
         }
@@ -126,6 +144,7 @@ impl JournalEntry {
             | JournalEntry::Unregister { at_ms, .. }
             | JournalEntry::Replan { at_ms, .. }
             | JournalEntry::Fault { at_ms, .. }
+            | JournalEntry::Observe { at_ms, .. }
             | JournalEntry::Drain { at_ms }
             | JournalEntry::Shed { at_ms, .. } => *at_ms,
         }
@@ -165,6 +184,11 @@ impl fmt::Display for JournalEntry {
                         .put("factor_milli", factor_milli),
                 }
             }
+            JournalEntry::Observe {
+                stream, rate_milli, ..
+            } => RecordWriter::new(f, "observe")
+                .put("stream", stream)
+                .put("rate_milli", rate_milli),
             JournalEntry::Drain { .. } => RecordWriter::new(f, "drain"),
             JournalEntry::Shed { op, id, .. } => {
                 RecordWriter::new(f, "shed").put("op", op).opt("id", *id)
@@ -208,6 +232,11 @@ impl FromStr for JournalEntry {
                     },
                     other => return Err(format!("fault: unknown kind {other:?}")),
                 },
+                at_ms,
+            },
+            "observe" => JournalEntry::Observe {
+                stream: r.get("stream")?,
+                rate_milli: r.get("rate_milli")?,
                 at_ms,
             },
             "drain" => JournalEntry::Drain { at_ms },
@@ -415,6 +444,11 @@ mod tests {
             JournalEntry::Fault {
                 fault: FaultReq::Crash(5),
                 at_ms: 150,
+            },
+            JournalEntry::Observe {
+                stream: 2,
+                rate_milli: 45_000,
+                at_ms: 155,
             },
             JournalEntry::Drain { at_ms: 160 },
             JournalEntry::Unregister { id: 3, at_ms: 170 },

@@ -14,6 +14,7 @@
 //! {"op":"fault","kind":"crash","node":5,"at_ms":1200}
 //! {"op":"fault","kind":"rejoin","node":5,"at_ms":1300}
 //! {"op":"fault","kind":"degrade","a":1,"b":2,"factor_milli":8000,"at_ms":1400}
+//! {"op":"observe","stream":2,"rate_milli":45000,"at_ms":1450}
 //! {"op":"drain","at_ms":1500}
 //! {"op":"query","id":3}
 //! {"op":"stats"}
@@ -83,6 +84,16 @@ pub enum Request {
         /// Virtual arrival time.
         at_ms: u64,
     },
+    /// Report a stream's measured rate (a data-condition change): standing
+    /// plans are re-estimated and the degraded ones replanned.
+    Observe {
+        /// Catalog stream id.
+        stream: u32,
+        /// Measured rate in thousandths of a tuple per time unit (nonzero).
+        rate_milli: u64,
+        /// Virtual arrival time.
+        at_ms: u64,
+    },
     /// Flush the queue: apply every queued request and run one planning
     /// wave.
     Drain {
@@ -117,6 +128,7 @@ impl Request {
             Request::Unregister { .. } => "unregister",
             Request::Replan { .. } => "replan",
             Request::Fault { .. } => "fault",
+            Request::Observe { .. } => "observe",
             Request::Drain { .. } => "drain",
             Request::Query { .. } => "query",
             Request::Stats => "stats",
@@ -174,6 +186,11 @@ impl Request {
                     at_ms: at(&j)?,
                 })
             }
+            "observe" => Ok(Request::Observe {
+                stream: u32_field(&j, "stream")?,
+                rate_milli: u64_field(&j, "rate_milli")?,
+                at_ms: at(&j)?,
+            }),
             "drain" => Ok(Request::Drain { at_ms: at(&j)? }),
             "query" => Ok(Request::Query {
                 id: u32_field(&j, "id")?,
@@ -293,6 +310,15 @@ mod tests {
             }
         );
         assert!(Request::parse(r#"{"op":"stats"}"#).unwrap() == Request::Stats);
+        let o = Request::parse(r#"{"op":"observe","stream":2,"rate_milli":45000,"at_ms":7}"#);
+        assert_eq!(
+            o.unwrap(),
+            Request::Observe {
+                stream: 2,
+                rate_milli: 45000,
+                at_ms: 7
+            }
+        );
         let f = Request::parse(
             r#"{"op":"fault","kind":"degrade","a":1,"b":2,"factor_milli":8000,"at_ms":9}"#,
         )
@@ -316,6 +342,8 @@ mod tests {
         assert!(Request::parse(r#"{"op":"register","id":-1}"#).is_err());
         assert!(Request::parse(r#"{"op":"warp"}"#).is_err());
         assert!(Request::parse(r#"{"op":"fault","kind":"meteor"}"#).is_err());
+        assert!(Request::parse(r#"{"op":"observe","stream":1,"rate_milli":-2}"#).is_err());
+        assert!(Request::parse(r#"{"op":"observe","rate_milli":2}"#).is_err());
         // Optional fields may be absent or null, never malformed.
         let register = |extra: &str| {
             Request::parse(&format!(

@@ -104,6 +104,14 @@ impl PlanningService {
         }
         // Mutating, non-drain: validate, then admission-control, then
         // journal (write-ahead) and queue.
+        if let Request::Observe {
+            stream, rate_milli, ..
+        } = req
+        {
+            if let Err(e) = self.core.validate_observe(*stream, *rate_milli) {
+                return resp_error(req.op(), req.id(), &e);
+            }
+        }
         if let Request::Register {
             id, sources, sink, ..
         } = req
@@ -402,6 +410,26 @@ mod tests {
         assert!(r.contains("duplicate stream"), "{r}");
         assert_eq!(s.queue_len(), 0);
         assert_eq!(s.core().counters.admitted, 0);
+    }
+
+    #[test]
+    fn invalid_observations_are_rejected_not_journaled() {
+        let mut s = svc(ServiceConfig::default());
+        let r = s.submit_line(r#"{"op":"observe","stream":8,"rate_milli":500,"at_ms":1}"#);
+        assert_eq!(
+            r,
+            r#"{"ok":false,"op":"observe","error":"unknown stream 8"}"#
+        );
+        let r = s.submit_line(r#"{"op":"observe","stream":0,"rate_milli":0,"at_ms":1}"#);
+        assert_eq!(
+            r,
+            r#"{"ok":false,"op":"observe","error":"rate_milli must be positive"}"#
+        );
+        assert_eq!(s.journal_len(), 0);
+        let r = s.submit_line(r#"{"op":"observe","stream":0,"rate_milli":500,"at_ms":1}"#);
+        assert!(r.contains("\"ok\":true"), "{r}");
+        s.submit_line(r#"{"op":"drain","at_ms":2}"#);
+        assert_eq!(s.core().catalog.stream(dsq_query::StreamId(0)).rate, 0.5);
     }
 
     #[test]

@@ -375,3 +375,57 @@ fn a_torn_snapshot_temp_file_is_ignored_and_then_replaced() {
     assert_eq!(again.fingerprint(), live);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `small_script` with a stream-rate observation after every third
+/// request: lulls and surges over the catalog's streams.
+fn observing_script(cfg: &ServiceConfig) -> Vec<String> {
+    let mut lines = Vec::new();
+    for (i, line) in generate_script(cfg, &small_script())
+        .into_iter()
+        .enumerate()
+    {
+        lines.push(line);
+        if i % 3 == 2 {
+            let stream = i % cfg.streams;
+            let rate_milli = [250, 4_000, 30_000][i / 3 % 3];
+            lines.push(format!(
+                r#"{{"op":"observe","stream":{stream},"rate_milli":{rate_milli},"at_ms":{i}}}"#
+            ));
+        }
+    }
+    lines
+}
+
+#[test]
+fn observations_recover_exactly_at_every_journal_index() {
+    // With and without snapshots: a snapshot must carry the observations
+    // behind it, a replay must re-apply the ones after it.
+    for snapshot_every in [0, 2] {
+        let cfg = ServiceConfig {
+            snapshot_every,
+            ..ServiceConfig::default()
+        };
+        let lines = observing_script(&cfg);
+        let reference = run_plain(&cfg, &lines).unwrap();
+        let unobserved = run_plain(&cfg, &generate_script(&cfg, &small_script())).unwrap();
+        assert_ne!(
+            reference.fingerprint, unobserved.fingerprint,
+            "the observations moved some plan"
+        );
+        let dir = temp_dir(&format!("observe-{snapshot_every}"));
+        let len = journal_len_of(&cfg, &lines, &dir);
+        assert_eq!(len, lines.len(), "every observation is journaled");
+        for k in 1..=len {
+            let path = dir.join(format!("kill-{k}.journal"));
+            let schedule = CrashSchedule { kill_at: vec![k] };
+            let crashed = run_with_crashes(&cfg, &lines, &schedule, &path).unwrap();
+            assert_eq!(crashed.kills, 1, "kill point {k} never triggered");
+            assert_eq!(
+                crashed.fingerprint, reference.fingerprint,
+                "state diverged after a crash at journal index {k} (snapshot_every {snapshot_every})"
+            );
+            assert_eq!(crashed.responses, reference.responses, "kill point {k}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
