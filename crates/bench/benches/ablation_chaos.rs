@@ -12,7 +12,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsq_bench::{small_env, Table};
-use dsq_sim::chaos::{ChaosRunner, FaultConfig, FaultSchedule};
+use dsq_server::ChaosRunner;
+use dsq_sim::chaos::{FaultConfig, FaultSchedule};
 use dsq_sim::emulab::RetryPolicy;
 use dsq_workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -58,7 +59,6 @@ fn bench(c: &mut Criterion) {
             let runner = ChaosRunner {
                 policy: *policy,
                 protocol_seed: 9,
-                threshold: 0.2,
                 ..ChaosRunner::default()
             };
             let r = runner.run(env.clone(), &wl.catalog, &wl.queries, &schedule);
@@ -103,7 +103,6 @@ fn bench(c: &mut Criterion) {
     let runner = ChaosRunner {
         policy: RetryPolicy::lossy(0.1),
         protocol_seed: 3,
-        threshold: 0.2,
         ..ChaosRunner::default()
     };
     c.bench_function("ablation_chaos_run_20_events", |b| {

@@ -10,7 +10,8 @@ use dsq_core::{
 };
 use dsq_net::{DistanceMatrix, NodeId};
 use dsq_query::ReuseRegistry;
-use dsq_sim::chaos::{ChaosReport, ChaosRunner, Fault};
+use dsq_server::{ChaosReport, ChaosRunner, ServiceConfig};
+use dsq_sim::chaos::Fault;
 use dsq_sim::emulab::RetryPolicy;
 use dsq_sim::migrate::plan_migration;
 
@@ -263,8 +264,11 @@ pub(super) fn chaos(ctx: &Ctx) -> Vec<String> {
                 RetryPolicy::lossy(case.drop_milli as f64 / 1000.0)
             },
             protocol_seed: case.seed,
-            threshold: 0.2,
-            cache,
+            service: ServiceConfig {
+                threshold_milli: 200,
+                cache,
+                ..ServiceConfig::default()
+            },
             invalidation,
         };
         let schedule = &ctx.inst().schedule;

@@ -29,9 +29,11 @@
 //!   epoch's plan, flagged `stale` in responses, and catch up once the
 //!   storm passes. Plans invalidated by a crash are *never* served stale.
 //! * **Fault injection** ([`chaos`]) — seeded request scripts built on the
-//!   sim crate's [`dsq_sim::chaos::FaultSchedule`], plus seeded
-//!   crash/restart schedules that kill the service mid-run and recover it
-//!   through the journal.
+//!   sim crate's [`dsq_sim::chaos::FaultSchedule`], seeded crash/restart
+//!   schedules that kill the service mid-run and recover it through the
+//!   journal, and the chaos runner, which replays a fault schedule against
+//!   an in-memory core with every new deployment instantiated over a lossy
+//!   protocol.
 //!
 //! Observability: the service emits `server.*` counters
 //! (`requests_admitted` / `requests_shed` / `requests_timed_out`,
@@ -39,6 +41,8 @@
 //! `recovery_replayed`) and a `server.drain` span per wave, all on the
 //! deterministic virtual clock of [`dsq_obs`].
 
+#[cfg(test)]
+mod adapt;
 pub mod chaos;
 pub mod config;
 pub mod journal;
@@ -49,7 +53,8 @@ pub mod snapshot;
 pub mod state;
 
 pub use chaos::{
-    generate_script, run_plain, run_with_crashes, ChaosOutcome, CrashSchedule, ScriptConfig,
+    generate_script, run_plain, run_with_crashes, ChaosOutcome, ChaosReport, ChaosRunner,
+    CrashSchedule, ScriptConfig,
 };
 pub use config::ServiceConfig;
 pub use journal::{Journal, JournalEntry};

@@ -19,74 +19,15 @@
 //!    planned at all) and [`degraded`] (did a re-costed deployment drift
 //!    past its baseline).
 //!
-//! [`crate::adapt::AdaptiveRuntime`] (driven by [`crate::chaos`]) and the
-//! planning service's `ServiceCore` are schedulers over those two halves:
-//! the runtime replans on the spot through a caller-supplied closure, the
-//! service queues the work for its next drain wave. Each mirrors the
-//! outcome into its advert registry (`host_crashed` / `retire_query` /
-//! `host_rejoined` / `register_deployment`) as it applies it.
+//! The planning service's `ServiceCore` (`dsq-server`) is the one
+//! scheduler over those two halves: it queues the work each fault leaves
+//! for its next drain wave and mirrors the outcome into its advert
+//! registry (`host_crashed` / `retire_query` / `host_rejoined` /
+//! `register_deployment`) as it applies it.
 
 use dsq_hierarchy::Hierarchy;
 use dsq_net::NodeId;
-use dsq_query::{Catalog, Deployment, Query, QueryId};
-
-/// What a failure-recovery pass did.
-#[derive(Clone, Debug, Default)]
-pub struct FailureReport {
-    /// Coordinator roles the failed node held (count of cluster levels it
-    /// coordinated) — each was taken over by the cluster's re-elected
-    /// coordinator.
-    pub coordinator_roles_failed_over: usize,
-    /// Queries redeployed because an operator ran on the failed node.
-    pub redeployed: Vec<QueryId>,
-    /// Queries lost because their sink was on the node, or forfeited
-    /// because the overlay was at its floor. (A crashed source origin
-    /// parks, see `source_parked`.)
-    pub lost: Vec<QueryId>,
-    /// Queries that touched the node but could not be replanned; they are
-    /// *parked* in the runtime and retried on later membership changes.
-    pub unplaced: Vec<QueryId>,
-    /// Queries parked because a *source stream's origin* crashed: their
-    /// data stops flowing, but resumes if the origin rejoins, so they wait
-    /// in the parked pool (gated on data availability) instead of being
-    /// forfeited like sink losses.
-    pub source_parked: Vec<QueryId>,
-    /// Standing cost before the failure was handled.
-    pub cost_before: f64,
-    /// Standing cost after recovery (lost queries excluded).
-    pub cost_after: f64,
-    /// Standing cost forfeited by the lost queries: the steady-state service
-    /// they were receiving at failure time, now permanently gone.
-    pub forfeited_cost: f64,
-    /// Standing cost of the deployments torn down for parked queries; it
-    /// comes back (possibly at a different level) when a retry places them.
-    pub parked_cost: f64,
-    /// `Σ (new − old)` over the redeployed queries' costs: the per-event
-    /// recovery cost inflation.
-    pub redeploy_cost_delta: f64,
-    /// True when the overlay could not excise the node (it was at
-    /// [`dsq_core::OVERLAY_FLOOR`]): every affected query was forfeited
-    /// without replanning.
-    pub last_member_forfeit: bool,
-    /// Memoized subplans retired by this failure's hierarchy surgery —
-    /// just the crashed node's dirty ancestor chain (the whole cache in
-    /// the flush reference arm).
-    pub cache_retired: u64,
-}
-
-/// What a node-recovery (rejoin) pass did.
-#[derive(Clone, Debug, Default)]
-pub struct RecoveryReport {
-    /// Protocol messages the join routing exchanged (Section 2.1.1).
-    pub join_messages: usize,
-    /// Parked queries successfully placed after the rejoin.
-    pub redeployed: Vec<QueryId>,
-    /// Queries still parked after the retry pass.
-    pub still_parked: usize,
-    /// Memoized subplans retired because the rejoin changed cluster
-    /// membership along the recovered node's ancestor chain.
-    pub cache_retired: u64,
-}
+use dsq_query::{Catalog, Deployment, Query};
 
 /// What the crash of one node means for one registered query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,9 +45,9 @@ pub enum CrashAction {
 }
 
 /// Classify `query` — with its current deployment, if it has one — against
-/// the crash of `node`. The single definition of the rule every scheduler
-/// applies: the runtime replans the [`CrashAction::Replan`] class on the
-/// spot, the service queues it for the next drain wave.
+/// the crash of `node`. The service queues the [`CrashAction::Replan`]
+/// class for its next drain wave; at the overlay floor, where the node
+/// cannot be excised, it loses every class but [`CrashAction::Keep`].
 pub fn classify_crash(
     catalog: &Catalog,
     query: &Query,
@@ -150,7 +91,7 @@ pub fn degraded(cost: f64, baseline: f64, threshold: f64) -> bool {
 mod tests {
     use super::*;
     use dsq_net::{DistanceMatrix, LinkKind, Metric, Network};
-    use dsq_query::{FlatPlan, JoinTree, Schema, StreamId};
+    use dsq_query::{FlatPlan, JoinTree, QueryId, Schema, StreamId};
 
     #[test]
     fn crash_classification_table() {

@@ -15,16 +15,15 @@
 //!   1–6 ms links and every coordinator pays search time proportional to
 //!   the plans it examines (replayed from
 //!   [`SearchStats`](dsq_core::SearchStats) events).
-//! * [`adapt`] — the self-adaptivity middleware: watches link-cost changes,
-//!   re-costs standing deployments and re-triggers optimization for those
-//!   whose cost degraded beyond a threshold (the Middleware Layer of
-//!   IFLOW \[13\]).
-//! * [`failures`] — the query-lifecycle core: what a crash, a rejoin or a
-//!   degradation means for one registered query. [`adapt`], [`chaos`] and
-//!   the planning service schedule work over these rules and over the
-//!   environment surgery on [`dsq_core::Environment`].
+//! * [`failures`] — the query-lifecycle rules: what a crash, a rejoin or a
+//!   degradation means for one registered query. The planning service
+//!   (`dsq-server`'s `ServiceCore`) is the one scheduler of the lifecycle:
+//!   it applies these rules over the environment surgery on
+//!   [`dsq_core::Environment`], and re-triggers optimization when network
+//!   or data conditions change (the Middleware Layer of IFLOW \[13\]).
+//! * [`chaos`] — seeded fault schedules, which the service's chaos runner
+//!   replays.
 
-pub mod adapt;
 pub mod adverts;
 pub mod chaos;
 pub mod emulab;
@@ -35,12 +34,10 @@ pub mod migrate;
 pub mod monitor;
 pub mod tuple_sim;
 
-pub use adapt::{AdaptiveRuntime, LinkChange, MigrationReport};
 pub use adverts::{advertisement_traffic, AdvertTraffic};
-pub use chaos::{ChaosReport, ChaosRunner, Fault, FaultConfig, FaultSchedule, TimedFault};
+pub use chaos::{Fault, FaultConfig, FaultSchedule, TimedFault};
 pub use emulab::{DeploymentTime, EmulabModel, LossyProtocol, RetryPolicy};
 pub use exec::{execute_deployment, generate_tables, reference_result, same_result, Row, Tables};
-pub use failures::FailureReport;
 pub use flow::{FlowReport, FlowSimulator, UtilizationSummary};
 pub use migrate::{plan_migration, MigrationPlan, OperatorMove};
 pub use monitor::{RateEstimator, SelectivityEstimator, StatsMonitor};

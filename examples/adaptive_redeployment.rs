@@ -1,13 +1,14 @@
 //! Runtime adaptivity: congestion hits the deployed queries' hot links and
-//! the middleware re-triggers optimization (the IFLOW loop of Figure 1(b)).
+//! the planning service re-triggers optimization (the IFLOW loop of
+//! Figure 1(b)).
 //!
 //! ```text
 //! cargo run --release --example adaptive_redeployment
 //! ```
 
 use dsq::prelude::*;
-use dsq_core::{Optimal, Optimizer};
-use dsq_sim::{AdaptiveRuntime, LinkChange};
+use dsq::server::chaos::install;
+use dsq::server::{FaultReq, JournalEntry, ServiceConfig, ServiceCore};
 
 fn main() {
     let ts = TransitStubConfig::paper_64().generate(99);
@@ -23,61 +24,64 @@ fn main() {
     );
     let wl = gen.generate(&env.network);
 
-    // Deploy everything with Top-Down and install into the runtime.
-    let mut runtime = AdaptiveRuntime::new(env, 0.2);
-    let mut registry = ReuseRegistry::new();
-    let mut stats = SearchStats::new();
-    for q in &wl.queries {
-        let d = TopDown::new(&runtime.env)
-            .optimize(&wl.catalog, q, &registry, &mut stats)
-            .expect("deployable");
-        registry.register_deployment(q, &d);
-        runtime.install(q.clone(), d);
-    }
+    // Register everything with the service; its first drain plans it all
+    // with Top-Down.
+    let mut core = ServiceCore::over(ServiceConfig::default(), env, wl.catalog.clone());
+    let installed = install(&mut core, &wl.queries);
     println!(
         "installed {} queries, standing cost {:.1}",
-        runtime.deployments().len(),
-        runtime.total_cost()
+        installed.planned, installed.total_cost
     );
 
     // Congest the two hottest links by 25x.
-    let flow = FlowSimulator::new(&runtime.env.network);
-    let refs: Vec<&Deployment> = runtime.deployments().iter().collect();
+    let standing: Vec<Deployment> = core
+        .slots
+        .values()
+        .filter_map(|s| s.deployment.clone())
+        .collect();
+    let flow = FlowSimulator::new(&core.env.network);
+    let refs: Vec<&Deployment> = standing.iter().collect();
     let hot = flow.evaluate(&refs).hottest_links(2);
-    let changes: Vec<LinkChange> = hot
+    let faults: Vec<JournalEntry> = hot
         .iter()
         .map(|&((a, b), rate)| {
-            let old = runtime.env.network.find_link(a, b).unwrap().cost;
+            let old = core.env.network.find_link(a, b).unwrap().cost;
             println!(
                 "congesting {a} <-> {b} (carrying {rate:.1}): cost {old:.1} -> {:.1}",
                 old * 25.0
             );
-            LinkChange {
-                a,
-                b,
-                new_cost: old * 25.0,
+            JournalEntry::Fault {
+                fault: FaultReq::Degrade {
+                    a: a.0,
+                    b: b.0,
+                    factor_milli: 25_000,
+                },
+                at_ms: 10,
             }
         })
         .collect();
 
-    // The middleware re-costs everything and re-plans the degraded queries.
-    let report = runtime.handle_changes(&changes, |env, q| {
-        let reg = ReuseRegistry::new();
-        let mut st = SearchStats::new();
-        Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut st)
-    });
+    // The next drain re-costs everything and re-plans the degraded queries,
+    // adopting a replacement only when it is cheaper.
+    let summary = core.drain(&faults, 20);
+    let congested: f64 = standing
+        .into_iter()
+        .map(|mut d| {
+            d.recompute_cost(&core.env.dm);
+            d.cost
+        })
+        .sum();
+    println!("\nafter congestion: standing cost ballooned to {congested:.1}");
+    let migrated: Vec<u32> = summary.adopted.iter().map(|(id, _)| *id).collect();
     println!(
-        "\nafter congestion: standing cost ballooned to {:.1}",
-        report.cost_before
-    );
-    println!(
-        "middleware migrated {} queries: {:?}",
-        report.migrated.len(),
-        report.migrated
+        "the service replanned {} queries and migrated {}: {:?}",
+        summary.replanned,
+        migrated.len(),
+        migrated
     );
     println!(
         "standing cost after migration: {:.1} ({:.1}% of the congested cost)",
-        report.cost_after,
-        report.cost_after / report.cost_before * 100.0
+        summary.total_cost,
+        summary.total_cost / congested * 100.0
     );
 }

@@ -1,12 +1,12 @@
 //! Long-running adaptivity scenario: 12 queries live through a 15-step
-//! rate trace with surges; the middleware re-estimates, replans on
-//! degradation and gates migrations on the break-even horizon. Asserts the
-//! closed-loop system stays coherent and that adaptation beats doing
-//! nothing.
+//! rate trace with surges; each step's rates reach the planning service as
+//! `observe` requests, and the service re-estimates, replans on
+//! degradation and adopts only cheaper plans. Asserts the closed-loop
+//! system stays coherent and that adaptation beats doing nothing.
 
 use dsq::prelude::*;
-use dsq_core::Optimal;
-use dsq_sim::AdaptiveRuntime;
+use dsq::server::chaos::install;
+use dsq::server::{JournalEntry, ServiceConfig, ServiceCore};
 use dsq_workload::{RateTrace, RateTraceConfig};
 
 #[test]
@@ -23,24 +23,24 @@ fn middleware_tracks_a_rate_trace() {
         81,
     )
     .generate(&env.network);
-    let mut catalog = wl.catalog.clone();
 
     // Initial deployment; keep a frozen copy for the do-nothing shadow.
-    let mut rt = AdaptiveRuntime::new(env, 0.25).with_migration_horizon(50.0);
-    let reg = ReuseRegistry::new();
-    let mut stats = SearchStats::new();
-    let mut initial: Vec<Deployment> = Vec::new();
-    for q in &wl.queries {
-        let d = TopDown::new(&rt.env)
-            .optimize(&catalog, q, &reg, &mut stats)
-            .unwrap();
-        initial.push(d.clone());
-        rt.install(q.clone(), d);
-    }
+    let cfg = ServiceConfig {
+        threshold_milli: 250,
+        ..ServiceConfig::default()
+    };
+    let mut core = ServiceCore::over(cfg, env, wl.catalog.clone());
+    install(&mut core, &wl.queries);
+    let initial: Vec<(Query, Deployment)> = core
+        .slots
+        .values()
+        .map(|s| (s.query.clone(), s.deployment.clone().expect("deployable")))
+        .collect();
+    assert_eq!(initial.len(), wl.queries.len());
 
     // A surging trace.
     let trace = RateTrace::generate(
-        &catalog,
+        &wl.catalog,
         &RateTraceConfig {
             steps: 15,
             drift: 0.05,
@@ -55,29 +55,35 @@ fn middleware_tracks_a_rate_trace() {
     let mut adapted_cost_integral = 0.0;
     let mut static_cost_integral = 0.0;
 
-    for step in 0..trace.len() {
-        trace.apply(&mut catalog, step);
-        let report = rt.handle_data_changes(&catalog, |env, q| {
-            let reg = ReuseRegistry::new();
-            let mut st = SearchStats::new();
-            Optimal::new(env).optimize(&catalog, q, &reg, &mut st)
-        });
-        total_migrations += report.migrated.len();
-        adapted_cost_integral += rt.total_cost();
+    for (step, rates) in trace.steps.iter().enumerate() {
+        let at_ms = step as u64 * 10;
+        let observations: Vec<JournalEntry> = rates
+            .iter()
+            .map(|&(stream, rate)| JournalEntry::Observe {
+                stream: stream.0,
+                rate_milli: ((rate * 1000.0).round() as u64).max(1),
+                at_ms,
+            })
+            .collect();
+        let summary = core.drain(&observations, at_ms + 5);
+        total_migrations += summary.adopted.len();
+        adapted_cost_integral += summary.total_cost;
 
         // Shadow: the initial deployments, re-estimated but never replanned.
         let static_cost: f64 = initial
             .iter()
-            .zip(&wl.queries)
-            .map(|(d0, q)| d0.reestimate(q, &catalog, &rt.env.dm).cost)
+            .map(|(q, d0)| d0.reestimate(q, &core.catalog, &core.env.dm).cost)
             .sum();
         static_cost_integral += static_cost;
 
         // Closed-loop consistency: every standing deployment's cost matches
         // a fresh re-estimate under the current catalog.
-        for d in rt.deployments() {
-            let q = wl.queries.iter().find(|q| q.id == d.query).unwrap();
-            let fresh = d.reestimate(q, &catalog, &rt.env.dm);
+        for slot in core.slots.values() {
+            let d = slot
+                .deployment
+                .as_ref()
+                .expect("rate changes lose no query");
+            let fresh = d.reestimate(&slot.query, &core.catalog, &core.env.dm);
             assert!((fresh.cost - d.cost).abs() < 1e-9);
         }
     }

@@ -1,11 +1,13 @@
-//! End-to-end node-failure recovery: coordinator failover, operator
-//! redeployment, and loss reporting for unrecoverable queries.
+//! End-to-end node-failure recovery through the planning service's core:
+//! coordinator failover, operator redeployment, and loss reporting for
+//! unrecoverable queries.
 
 use dsq::prelude::*;
-use dsq_core::Optimal;
-use dsq_sim::AdaptiveRuntime;
+use dsq::query::QueryId;
+use dsq::server::chaos::install;
+use dsq::server::{DrainSummary, FaultReq, JournalEntry, ServiceConfig, ServiceCore, SlotStatus};
 
-fn runtime() -> (AdaptiveRuntime, Workload) {
+fn service() -> (ServiceCore, Workload) {
     let net = TransitStubConfig::paper_64().generate(27).network;
     let env = Environment::build(net, 8);
     let wl = WorkloadGenerator::new(
@@ -18,60 +20,86 @@ fn runtime() -> (AdaptiveRuntime, Workload) {
         71,
     )
     .generate(&env.network);
-    let mut rt = AdaptiveRuntime::new(env, 0.2);
-    let reg = ReuseRegistry::new();
-    let mut stats = SearchStats::new();
-    for q in &wl.queries {
-        let d = TopDown::new(&rt.env)
-            .optimize(&wl.catalog, q, &reg, &mut stats)
-            .unwrap();
-        rt.install(q.clone(), d);
-    }
-    (rt, wl)
+    let mut core = ServiceCore::over(ServiceConfig::default(), env, wl.catalog.clone());
+    assert_eq!(install(&mut core, &wl.queries).planned, wl.queries.len());
+    (core, wl)
+}
+
+fn crash(core: &mut ServiceCore, node: NodeId) -> DrainSummary {
+    let fault = JournalEntry::Fault {
+        fault: FaultReq::Crash(node.0),
+        at_ms: 10,
+    };
+    core.drain(&[fault], 20)
+}
+
+/// Ids of the slots in `status`.
+fn in_status(core: &ServiceCore, status: SlotStatus) -> Vec<QueryId> {
+    core.slots
+        .iter()
+        .filter(|(_, s)| s.status == status)
+        .map(|(&id, _)| QueryId(id))
+        .collect()
 }
 
 #[test]
 fn coordinator_failure_fails_over_and_redeploys() {
-    let (mut rt, wl) = runtime();
+    let (mut core, wl) = service();
     // Fail the top coordinator: the node holding the most roles.
-    let top_coord = rt.env.hierarchy.cluster(rt.env.hierarchy.top()).coordinator;
-    let roles_before = rt.env.hierarchy.coordinator_roles(top_coord).len();
+    let top_coord = core
+        .env
+        .hierarchy
+        .cluster(core.env.hierarchy.top())
+        .coordinator;
+    let roles_before = core.env.hierarchy.coordinator_roles(top_coord).len();
     assert!(roles_before >= 1);
 
-    let report = rt.handle_node_failure(&wl.catalog, top_coord, |env, q| {
-        let reg = ReuseRegistry::new();
-        let mut stats = SearchStats::new();
-        Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut stats)
-    });
-    assert_eq!(report.coordinator_roles_failed_over, roles_before);
-    assert!(!rt.env.hierarchy.is_active(top_coord));
-    rt.env.hierarchy.check_invariants();
+    crash(&mut core, top_coord);
+    assert!(!core.env.hierarchy.is_active(top_coord));
+    assert!(
+        core.env.hierarchy.coordinator_roles(top_coord).is_empty(),
+        "every role the node held was failed over"
+    );
+    core.env.hierarchy.check_invariants();
     assert_ne!(
-        rt.env.hierarchy.cluster(rt.env.hierarchy.top()).coordinator,
+        core.env
+            .hierarchy
+            .cluster(core.env.hierarchy.top())
+            .coordinator,
         top_coord,
         "a new top coordinator must be elected"
     );
     // No surviving deployment may still reference the failed node as an
     // operator host.
-    for d in rt.deployments() {
+    for d in core.slots.values().filter_map(|s| s.deployment.as_ref()) {
         assert!(!d.operator_nodes().contains(&top_coord));
     }
-    // Accounting adds up: surviving deployments (kept + redeployed), the
-    // parked pool (unplaced plus source-outage waits) and the lost cover
-    // every installed query.
-    assert_eq!(
-        rt.deployments().len() + rt.parked().len() + report.lost.len(),
-        wl.queries.len(),
+    // Accounting adds up: planned (kept + redeployed), parked and lost
+    // slots cover every installed query, and only the node's own queries
+    // left the planned pot.
+    let (planned, parked, lost) = (
+        in_status(&core, SlotStatus::Planned),
+        in_status(&core, SlotStatus::Parked),
+        in_status(&core, SlotStatus::Lost),
     );
-    assert_eq!(
-        rt.parked().len(),
-        report.unplaced.len() + report.source_parked.len()
-    );
+    assert_eq!(planned.len() + parked.len() + lost.len(), wl.queries.len());
+    for id in lost {
+        assert_eq!(core.slots[&id.0].query.sink, top_coord, "{id} lost");
+    }
+    for id in parked {
+        let q = &core.slots[&id.0].query;
+        assert!(
+            q.sources
+                .iter()
+                .any(|&s| wl.catalog.stream(s).node == top_coord),
+            "{id} parked without a source on the crashed node"
+        );
+    }
 }
 
 #[test]
 fn source_node_failure_loses_the_dependent_queries() {
-    let (mut rt, wl) = runtime();
+    let (mut core, wl) = service();
     // Fail a node hosting a stream used by at least one query.
     let victim_stream = wl.queries[0].sources[0];
     let victim_node = wl.catalog.stream(victim_stream).node;
@@ -88,34 +116,32 @@ fn source_node_failure_loses_the_dependent_queries() {
         .collect();
     assert!(!dependent.is_empty());
 
-    let report = rt.handle_node_failure(&wl.catalog, victim_node, |env, q| {
-        let reg = ReuseRegistry::new();
-        let mut stats = SearchStats::new();
-        Optimal::new(env).optimize(&wl.catalog, q, &reg, &mut stats)
-    });
-    for qid in &report.lost {
+    crash(&mut core, victim_node);
+    let lost = in_status(&core, SlotStatus::Lost);
+    let parked = in_status(&core, SlotStatus::Parked);
+    for qid in &lost {
         assert!(dependent.contains(qid), "{qid} lost but not dependent");
     }
     // Source-outage parking only applies to queries that depended on the
     // node; sink-on-node losses stay losses.
-    for qid in &report.source_parked {
+    for qid in &parked {
         assert!(dependent.contains(qid), "{qid} parked but not dependent");
     }
     assert!(
-        !report.lost.is_empty() || !report.source_parked.is_empty(),
+        !lost.is_empty() || !parked.is_empty(),
         "killing a source origin must cost somebody their data"
     );
-    rt.env.hierarchy.check_invariants();
+    core.env.hierarchy.check_invariants();
 }
 
 #[test]
 fn backup_coordinator_is_a_sensible_member() {
-    let (rt, _) = runtime();
-    let h = &rt.env.hierarchy;
+    let (core, _) = service();
+    let h = &core.env.hierarchy;
     for level in 1..=h.height() {
         for (i, c) in h.level(level).iter().enumerate() {
             let id = dsq_hierarchy::ClusterId { level, index: i };
-            match h.backup_coordinator(id, &rt.env.dm) {
+            match h.backup_coordinator(id, &core.env.dm) {
                 Some(b) => {
                     assert!(c.members.contains(&b));
                     assert_ne!(b, c.coordinator);
@@ -128,24 +154,31 @@ fn backup_coordinator_is_a_sensible_member() {
 
 #[test]
 fn unrelated_failure_leaves_deployments_untouched() {
-    let (mut rt, wl) = runtime();
+    let (mut core, _) = service();
     // Find a node no deployment references.
-    let used: Vec<NodeId> = rt
-        .deployments()
-        .iter()
+    let used: Vec<NodeId> = core
+        .slots
+        .values()
+        .filter_map(|s| s.deployment.as_ref())
         .flat_map(|d| d.placement.iter().copied().chain([d.sink]))
         .collect();
-    let idle = rt
+    let idle = core
         .env
         .network
         .nodes()
         .find(|n| !used.contains(n))
         .expect("some idle node exists");
-    let before = rt.total_cost();
-    let n_before = rt.deployments().len();
-    let report = rt.handle_node_failure(&wl.catalog, idle, |_, _| None);
-    assert!(report.redeployed.is_empty());
-    assert!(report.lost.is_empty());
-    assert_eq!(rt.deployments().len(), n_before);
-    assert!((rt.total_cost() - before).abs() < 1e-9);
+    let fingerprint = |core: &ServiceCore| -> Vec<(u32, u64, Vec<NodeId>)> {
+        core.slots
+            .iter()
+            .filter_map(|(&id, s)| {
+                let d = s.deployment.as_ref()?;
+                Some((id, d.cost.to_bits(), d.placement.clone()))
+            })
+            .collect()
+    };
+    let before = fingerprint(&core);
+    let s = crash(&mut core, idle);
+    assert_eq!((s.planned, s.replanned, s.parked, s.lost), (0, 0, 0, 0));
+    assert_eq!(fingerprint(&core), before);
 }
