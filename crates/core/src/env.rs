@@ -33,9 +33,9 @@ pub struct Environment {
     /// [`Environment::commit_load`]).
     pub load: Option<Arc<RwLock<LoadModel>>>,
     /// Shared memoized subplan cache (disabled by default; see
-    /// [`crate::cache::PlanCache`]). Cloned environments share it; the
-    /// adaptive runtime invalidates it whenever distances, the hierarchy, or
-    /// the catalog change.
+    /// [`crate::cache::PlanCache`]). Cloned environments share it; fault
+    /// surgery (below) and the planning service's rate observations retire
+    /// the entries a change of distances, hierarchy or catalog reaches.
     pub plan_cache: Arc<crate::cache::PlanCache>,
 }
 
@@ -155,10 +155,10 @@ pub const OVERLAY_FLOOR: usize = 2;
 /// Fault surgery: the one place a crash, a rejoin or a link-cost change is
 /// applied to an environment. Each routine leaves hierarchy, distances and
 /// hierarchy statistics consistent and retires exactly the memoized subplans
-/// the change could have reached, so the adaptive runtime, the chaos runner
-/// and the planning service cannot apply different fault rules. All three
-/// are pure functions of `(self, arguments)` — snapshot recovery replays
-/// them against a freshly built environment.
+/// the change could have reached, so the planning service and the oracle's
+/// fault checks cannot apply different fault rules. All three are pure
+/// functions of `(self, arguments)` — snapshot recovery replays them
+/// against a freshly built environment.
 impl Environment {
     /// Run one membership operation and retire the subplans planned against
     /// the clusters it changed.

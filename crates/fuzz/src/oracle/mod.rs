@@ -15,8 +15,11 @@
 //!    fingerprints and epochs; admission counters must conserve against
 //!    the acked responses; stale flags must only ever point at strictly
 //!    older epochs; and the replay's virtual-clock obs trace must be
-//!    byte-identical to the live run's. It runs even when the planner batch
-//!    is empty.
+//!    byte-identical to the live run's. No drain may leave a slot whose
+//!    plan was still valid without a plan, or serving one costlier than
+//!    its standing plan re-costed, and one drain of the script's
+//!    registrations must plan alike in either arrival order. It runs even
+//!    when the planner batch is empty.
 //! 4. **Cross-arm equivalence** — serial, parallel, cache-on, cache-off and
 //!    warm-replay arms of `optimize_all` produce bit-identical deployments,
 //!    costs and search statistics.
@@ -50,8 +53,9 @@
 //!     time exists iff the steady-state saving is positive and equals
 //!     transfer/saving, and `worthwhile` is monotone in the horizon.
 //! 14. **Chaos equivalence** — every degrade event's matrix repair matches
-//!     a rebuild, and the scoped, flush and cache-off arms of the chaos
-//!     runner agree on every report field that is schedule-determined.
+//!     a rebuild, and the scoped, flush and cache-off arms of the service's
+//!     chaos runner agree on every report field that is
+//!     schedule-determined.
 //!
 //! Any panic inside a check (internal assertion, unwrap, overflow) becomes
 //! a violation of that check, so library bugs surface as shrinkable
@@ -84,9 +88,10 @@ pub enum CheckId {
     /// `Hierarchy::check_invariants` failed on the built instance.
     Hierarchy,
     /// The resident service's three-way differential diverged (uncrashed vs
-    /// crash-recovered vs journal replay), or a response-level service
-    /// invariant broke: admission accounting, drain-epoch monotonicity,
-    /// stale-flag direction, journal conservation or obs-trace equality.
+    /// crash-recovered vs journal replay), or a service invariant broke:
+    /// admission accounting, drain-epoch monotonicity, stale-flag
+    /// direction, journal conservation, obs-trace equality, the adoption
+    /// rule or arrival-order independence.
     Service,
     /// Two planner arms disagreed bit-for-bit.
     CrossArm,

@@ -2,9 +2,14 @@
 //! differential over a service-mode case's request script.
 
 use super::Ctx;
+use dsq_net::NodeId;
 use dsq_obs::mini_json::{self, Json};
 use dsq_obs::{scoped, ClockMode, Sink};
-use dsq_server::{run_with_crashes, PlanningService, Request, ServiceConfig};
+use dsq_query::{Deployment, Query};
+use dsq_server::{
+    run_with_crashes, FaultReq, JournalEntry, PlanningService, Request, ServiceConfig, ServiceCore,
+};
+use dsq_sim::failures::{classify_crash, CrashAction};
 
 /// Stats responses embed the `recovery_replayed` counter, which
 /// legitimately differs between an uncrashed run and one that crashed and
@@ -24,6 +29,87 @@ fn mask_recovery(resp: &str) -> String {
     }
 }
 
+/// The planned slots' standing plans, read just before a drain.
+fn standing_plans(core: &ServiceCore) -> Vec<(u32, Query, Deployment)> {
+    core.slots
+        .iter()
+        .filter_map(|(&id, s)| Some((id, s.query.clone(), s.deployment.clone()?)))
+        .collect()
+}
+
+/// The adoption rule, checked across one drain: a slot whose standing plan
+/// no crash of the batch touched still serves a plan after the drain, and
+/// never one costlier than the standing plan re-costed in the post-drain
+/// world (its distances and rates).
+fn check_adoption(
+    before: &[(u32, Query, Deployment)],
+    crashed: &[u32],
+    core: &ServiceCore,
+    epoch: u64,
+) -> Vec<String> {
+    let mut out = Vec::new();
+    for (id, query, old) in before {
+        let touched = crashed.iter().any(|&n| {
+            classify_crash(&core.catalog, query, Some(old), NodeId(n)) != CrashAction::Keep
+        });
+        let Some(slot) = core.slots.get(id) else {
+            continue; // unregistered in this batch
+        };
+        if touched || slot.query.sources != query.sources || slot.query.sink != query.sink {
+            continue;
+        }
+        let recosted = old.reestimate(query, &core.catalog, &core.env.dm).cost;
+        match &slot.deployment {
+            None => out.push(format!(
+                "drain {epoch}: slot {id} dropped its valid plan (cost {recosted}) and is {}",
+                slot.status.name()
+            )),
+            Some(d) if d.cost > recosted * (1.0 + 1e-9) + 1e-9 => out.push(format!(
+                "drain {epoch}: slot {id} adopted a plan costing {} over its re-costed \
+                 standing plan {recosted}",
+                d.cost
+            )),
+            Some(_) => {}
+        }
+    }
+    out
+}
+
+/// Arrival order: with an empty registry, one drain's plans do not depend
+/// on the order its registrations arrived in. The script's registrations
+/// (first of each id) are drained into a fresh core forwards and reversed.
+fn check_arrival_order(cfg: &ServiceConfig, lines: &[String]) -> Option<String> {
+    let mut regs: Vec<JournalEntry> = Vec::new();
+    for line in lines {
+        if let Ok(req @ Request::Register { id, .. }) = Request::parse(line) {
+            let fresh = !regs
+                .iter()
+                .any(|e| matches!(e, JournalEntry::Register { id: seen, .. } if *seen == id));
+            if fresh {
+                regs.extend(JournalEntry::from_request(&req));
+            }
+        }
+    }
+    if regs.len() < 2 {
+        return None;
+    }
+    let plan = |batch: &[JournalEntry]| {
+        let mut core = ServiceCore::new(cfg.clone());
+        core.drain(batch, 0);
+        core.fingerprint()
+    };
+    let forwards = plan(&regs);
+    regs.reverse();
+    let reversed = plan(&regs);
+    (forwards != reversed).then(|| {
+        format!(
+            "one drain of {} registrations planned differently in reverse arrival order\n\
+             forwards:\n{forwards}\nreversed:\n{reversed}",
+            regs.len()
+        )
+    })
+}
+
 /// Three-way service differential over the case's generated request script
 /// and crash schedule:
 ///
@@ -40,7 +126,10 @@ fn mask_recovery(resp: &str) -> String {
 /// drain epochs must strictly increase, stale answers must point at
 /// strictly older epochs (and never appear under an unbounded replan
 /// budget), the journal must account for every entry, and the replay's obs
-/// trace must be byte-identical to the live one.
+/// trace must be byte-identical to the live one. Every drain of the
+/// uncrashed run must keep the adoption rule ([`check_adoption`]), and the
+/// script's registrations must plan alike in either arrival order
+/// ([`check_arrival_order`]).
 pub(super) fn service(ctx: &Ctx) -> Vec<String> {
     let case = ctx.case;
     let mut out = Vec::new();
@@ -70,7 +159,29 @@ pub(super) fn service(ctx: &Ctx) -> Vec<String> {
         let _g = scoped(live_sink.clone());
         match PlanningService::new(nosnap, Some(&live_path)) {
             Ok(mut svc) => {
-                let responses: Vec<String> = lines.iter().map(|l| svc.submit_line(l)).collect();
+                let mut responses = Vec::with_capacity(lines.len());
+                // Crash reports admitted since the last drain.
+                let mut crashed: Vec<u32> = Vec::new();
+                for line in &lines {
+                    let req = Request::parse(line);
+                    let before = matches!(req, Ok(Request::Drain { .. }))
+                        .then(|| standing_plans(svc.core()));
+                    let resp = svc.submit_line(line);
+                    if let Some(before) = before {
+                        let epoch = svc.core().epoch;
+                        out.extend(check_adoption(&before, &crashed, svc.core(), epoch));
+                        crashed.clear();
+                    } else if let Ok(Request::Fault {
+                        fault: FaultReq::Crash(n),
+                        ..
+                    }) = req
+                    {
+                        if resp.starts_with("{\"ok\":true") {
+                            crashed.push(n);
+                        }
+                    }
+                    responses.push(resp);
+                }
                 Ok((responses, svc))
             }
             Err(e) => Err(format!("cannot start journaled service: {e}")),
@@ -304,6 +415,7 @@ pub(super) fn service(ctx: &Ctx) -> Vec<String> {
         Err(e) => out.push(format!("journal replay failed: {e}")),
     }
 
+    out.extend(check_arrival_order(&cfg, &lines));
     std::fs::remove_dir_all(&dir).ok();
     out
 }
