@@ -48,7 +48,7 @@ pub struct ServiceConfig {
     pub replan_budget: usize,
     /// Degradation threshold: a planned query whose re-costed deployment
     /// exceeds its baseline by this fraction (in thousandths) is marked for
-    /// replanning after a link change.
+    /// replanning after a link change or a rate observation.
     pub threshold_milli: u64,
     /// Write a snapshot every this many drains (`0` = never). Recovery from
     /// a snapshot replays only the journal suffix.
