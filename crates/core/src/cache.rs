@@ -51,7 +51,9 @@ use crate::stats::SearchStats;
 use dsq_hierarchy::{ClusterId, Hierarchy, HierarchyDelta};
 use dsq_net::{ChangedEntries, DistanceMatrix, NodeId};
 use dsq_query::{Catalog, DerivedId, InputSet, LeafSource, StreamId};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -111,6 +113,13 @@ pub struct PlanKey {
     cluster: ClusterId,
     dest: NodeId,
     inputs: Vec<InputKey>,
+}
+
+impl PlanKey {
+    /// The cluster the invocation planned in.
+    pub fn cluster(&self) -> ClusterId {
+        self.cluster
+    }
 }
 
 /// Memoized result of one invocation: the planner's output (possibly
@@ -223,8 +232,176 @@ pub fn retag(tree: &PlacedTree, from: &[usize], to: &[usize]) -> PlacedTree {
 
 #[derive(Default)]
 struct CacheInner {
-    committed: HashMap<PlanKey, Arc<CacheEntry>>,
+    /// Keys are shared with [`DepIndex`]'s handles, never cloned for it.
+    committed: HashMap<Arc<PlanKey>, Arc<CacheEntry>>,
     staged: Vec<(PlanKey, Arc<CacheEntry>)>,
+    deps: DepIndex,
+}
+
+impl CacheInner {
+    /// Drop the committed entry under `key`, keeping the index in step.
+    fn remove(&mut self, key: &PlanKey) {
+        if let Some((key, entry)) = self.committed.remove_entry(key) {
+            self.deps.remove(&key, &entry.deps);
+        }
+    }
+}
+
+/// A committed key as the dependency index holds it: the committed map's
+/// own `Arc`, hashed and compared by address, so a posting costs a pointer.
+#[derive(Clone)]
+struct Handle(Arc<PlanKey>);
+
+impl PartialEq for Handle {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for Handle {}
+
+impl Hash for Handle {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(Arc::as_ptr(&self.0) as usize);
+    }
+}
+
+/// Hashes a [`Handle`]'s address with one multiply (Fibonacci hashing):
+/// addresses are distinct and the high bits of the product spread them.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (n as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
+    }
+}
+
+type Postings = HashSet<Handle, BuildHasherDefault<AddrHasher>>;
+
+/// Which committed entries a membership change can reach, posted from
+/// each entry's key and [`EntryDeps::locations`] and emptied as entries
+/// leave, whichever path retires them. Staged entries are not indexed:
+/// they are few, and membership retirement scans them.
+#[derive(Default)]
+struct DepIndex {
+    /// By node id: the entries that reference the node as a raw location.
+    by_location: Vec<Postings>,
+    /// The entries keyed at each cluster.
+    by_cluster: HashMap<ClusterId, Postings>,
+    /// Changes not applied to the postings yet, oldest first: `true` to
+    /// post an entry, `false` to drop its postings. Commits and scanning
+    /// retirements only append here, and the index's reader, membership
+    /// retirement, applies them first — so planning and repricing pay a
+    /// push per entry rather than five scattered hash updates. Applied
+    /// early once it outgrows the committed map.
+    pending: Vec<(bool, Handle, Arc<CacheEntry>)>,
+}
+
+impl DepIndex {
+    /// Apply every pending change, in order.
+    fn catch_up(&mut self) {
+        for (post, Handle(key), entry) in std::mem::take(&mut self.pending) {
+            if post {
+                self.insert(&key, &entry.deps);
+            } else {
+                self.remove(&key, &entry.deps);
+            }
+        }
+    }
+
+    /// Apply the pending changes if they outnumber `live` entries.
+    fn bound(&mut self, live: usize) {
+        if self.pending.len() > live {
+            self.catch_up();
+        }
+    }
+
+    fn insert(&mut self, key: &Arc<PlanKey>, deps: &EntryDeps) {
+        let h = Handle(Arc::clone(key));
+        for loc in &deps.locations {
+            if self.by_location.len() <= loc.index() {
+                self.by_location
+                    .resize_with(loc.index() + 1, Postings::default);
+            }
+            self.by_location[loc.index()].insert(h.clone());
+        }
+        self.by_cluster.entry(key.cluster).or_default().insert(h);
+    }
+
+    fn remove(&mut self, key: &Arc<PlanKey>, deps: &EntryDeps) {
+        let h = Handle(Arc::clone(key));
+        for loc in &deps.locations {
+            self.by_location[loc.index()].remove(&h);
+        }
+        if let Entry::Occupied(mut at) = self.by_cluster.entry(key.cluster) {
+            at.get_mut().remove(&h);
+            if at.get().is_empty() {
+                at.remove();
+            }
+        }
+    }
+
+    /// Every committed entry [`membership_stale`] can hold stale after
+    /// `delta` (non-full) left `hierarchy`: the entries keyed at a dirty
+    /// cluster, those referencing an inactive node, and those with a
+    /// location under a dirty cluster that is planned at or above that
+    /// cluster's level — the only levels whose ancestor chain reaches it.
+    fn membership_candidates(&self, hierarchy: &Hierarchy, delta: &HierarchyDelta) -> Postings {
+        let mut out = Postings::default();
+        for id in &delta.dirty {
+            if let Some(at) = self.by_cluster.get(id) {
+                out.extend(at.iter().cloned());
+            }
+        }
+        for (n, at) in self.by_location.iter().enumerate() {
+            if !at.is_empty() && !hierarchy.is_active(NodeId(n as u32)) {
+                out.extend(at.iter().cloned());
+            }
+        }
+        for id in &delta.dirty {
+            let exists =
+                id.level <= hierarchy.height() && id.index < hierarchy.level(id.level).len();
+            if !exists {
+                continue;
+            }
+            for node in hierarchy.subtree_nodes(*id) {
+                let Some(at) = self.by_location.get(node.index()) else {
+                    continue;
+                };
+                out.extend(at.iter().filter(|h| h.0.cluster.level >= id.level).cloned());
+            }
+        }
+        out
+    }
+}
+
+/// Whether membership surgery that left `hierarchy` with `delta` (non-full)
+/// reached the entry under `key`; see [`PlanCache::retire_membership`].
+fn membership_stale(
+    hierarchy: &Hierarchy,
+    delta: &HierarchyDelta,
+    key: &PlanKey,
+    entry: &CacheEntry,
+) -> bool {
+    delta.dirty.contains(&key.cluster)
+        || entry.deps.locations.iter().any(|&loc| {
+            !hierarchy.is_active(loc)
+                || hierarchy
+                    .ancestor_chain(loc, key.cluster.level)
+                    .iter()
+                    .any(|c| delta.dirty.contains(c))
+        })
 }
 
 /// A shared, epoch-versioned subplan cache. Disabled by default; enable via
@@ -327,7 +504,49 @@ impl PlanCache {
     /// The committed keys, in no particular order.
     pub fn keys(&self) -> Vec<PlanKey> {
         let inner = self.inner.lock().unwrap();
-        inner.committed.keys().cloned().collect()
+        inner.committed.keys().map(|k| PlanKey::clone(k)).collect()
+    }
+
+    /// The committed entries with their keys, in no particular order.
+    pub fn entries(&self) -> Vec<(PlanKey, Arc<CacheEntry>)> {
+        let inner = self.inner.lock().unwrap();
+        inner
+            .committed
+            .iter()
+            .map(|(k, e)| (PlanKey::clone(k), Arc::clone(e)))
+            .collect()
+    }
+
+    /// Panics unless the dependency index holds exactly what rebuilding it
+    /// from the committed entries gives — no posting missing, none left
+    /// behind by a retired entry.
+    pub fn check_index(&self) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.deps.catch_up();
+        let mut rebuilt = DepIndex::default();
+        for (key, entry) in &inner.committed {
+            rebuilt.insert(key, &entry.deps);
+        }
+        let held = &inner.deps;
+        let nonempty = |index: &DepIndex| -> Vec<(usize, Postings)> {
+            let mut out: Vec<(usize, Postings)> = index
+                .by_location
+                .iter()
+                .enumerate()
+                .filter(|(_, at)| !at.is_empty())
+                .map(|(n, at)| (n, at.clone()))
+                .collect();
+            out.sort_by_key(|(n, _)| *n);
+            out
+        };
+        assert!(
+            nonempty(held) == nonempty(&rebuilt),
+            "location index differs from the committed entries"
+        );
+        assert!(
+            held.by_cluster == rebuilt.by_cluster,
+            "cluster index differs from the committed entries"
+        );
     }
 
     /// Drop every entry (committed and staged) and advance the epoch, so
@@ -341,6 +560,7 @@ impl PlanCache {
         self.retired.fetch_add(dropped, Ordering::Relaxed);
         inner.committed.clear();
         inner.staged.clear();
+        inner.deps = DepIndex::default();
         dsq_obs::counter("planner.cache_invalidations", 1);
     }
 
@@ -352,9 +572,27 @@ impl PlanCache {
     fn retire_where(&self, stale: impl Fn(&PlanKey, &CacheEntry) -> bool) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         let before = inner.committed.len() + inner.staged.len();
-        inner.committed.retain(|k, e| !stale(k, e));
-        inner.staged.retain(|(k, e)| !stale(k, e));
+        let CacheInner {
+            committed,
+            staged,
+            deps,
+        } = &mut *inner;
+        committed.retain(|k, e| {
+            let gone = stale(k, e);
+            if gone {
+                deps.pending
+                    .push((false, Handle(Arc::clone(k)), Arc::clone(e)));
+            }
+            !gone
+        });
+        deps.bound(committed.len());
+        staged.retain(|(k, e)| !stale(k, e));
         let retired = (before - inner.committed.len() - inner.staged.len()) as u64;
+        self.count_retired(retired)
+    }
+
+    /// Account `retired` entries as dropped; returns it.
+    fn count_retired(&self, retired: u64) -> u64 {
         self.retired.fetch_add(retired, Ordering::Relaxed);
         if retired > 0 {
             dsq_obs::counter("planner.cache_retired", retired);
@@ -376,7 +614,12 @@ impl PlanCache {
     ///   (content-identical clusters at the same ids) reproduces the same
     ///   representatives the entry was planned with.
     ///
-    /// Returns the number of entries retired.
+    /// The dependency index first catches up with the commits and
+    /// retirements since the last call; then only the committed entries it
+    /// names as candidates
+    /// are tested (their count goes to the `planner.cache_membership_visited`
+    /// counter), so a change costs the entries it could reach, not the
+    /// cache. Returns the number of entries retired.
     pub fn retire_membership(&self, hierarchy: &Hierarchy, delta: &HierarchyDelta) -> u64 {
         if delta.is_empty() {
             return 0;
@@ -393,16 +636,22 @@ impl PlanCache {
             }
             return n;
         }
-        self.retire_where(|key, entry| {
-            delta.dirty.contains(&key.cluster)
-                || entry.deps.locations.iter().any(|&loc| {
-                    !hierarchy.is_active(loc)
-                        || hierarchy
-                            .ancestor_chain(loc, key.cluster.level)
-                            .iter()
-                            .any(|c| delta.dirty.contains(c))
-                })
-        })
+        let mut inner = self.inner.lock().unwrap();
+        inner.deps.catch_up();
+        let candidates = inner.deps.membership_candidates(hierarchy, delta);
+        dsq_obs::counter("planner.cache_membership_visited", candidates.len() as u64);
+        let before = inner.committed.len() + inner.staged.len();
+        for Handle(key) in candidates {
+            if membership_stale(hierarchy, delta, &key, &inner.committed[&key]) {
+                inner.remove(&key);
+            }
+        }
+        inner
+            .staged
+            .retain(|(k, e)| !membership_stale(hierarchy, delta, k, e));
+        let retired = (before - inner.committed.len() - inner.staged.len()) as u64;
+        drop(inner);
+        self.count_retired(retired)
     }
 
     /// Scoped retirement after a distance change: drop entries whose DP
@@ -559,12 +808,21 @@ impl PlanCache {
     pub fn barrier_commit(&self) {
         let epoch = self.epoch();
         let mut inner = self.inner.lock().unwrap();
-        let staged = std::mem::take(&mut inner.staged);
-        for (key, entry) in staged {
+        let CacheInner {
+            committed,
+            staged,
+            deps,
+        } = &mut *inner;
+        for (key, entry) in std::mem::take(staged) {
             if key.epoch == epoch {
-                inner.committed.entry(key).or_insert(entry);
+                if let Entry::Vacant(at) = committed.entry(Arc::new(key)) {
+                    deps.pending
+                        .push((true, Handle(Arc::clone(at.key())), Arc::clone(&entry)));
+                    at.insert(entry);
+                }
             }
         }
+        deps.bound(committed.len());
     }
 
     /// Suspend [`commit`](PlanCache::commit) until the guard drops. Taken

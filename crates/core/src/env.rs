@@ -2,7 +2,7 @@
 
 use crate::load::LoadModel;
 use dsq_hierarchy::membership::{self, JoinOutcome};
-use dsq_hierarchy::{Hierarchy, HierarchyConfig};
+use dsq_hierarchy::{Hierarchy, HierarchyConfig, HierarchyDelta};
 use dsq_net::{CostSpace, DistanceMatrix, LinkRepair, Metric, Network, NodeId};
 use std::sync::{Arc, RwLock};
 
@@ -161,14 +161,12 @@ pub const OVERLAY_FLOOR: usize = 2;
 /// against a freshly built environment.
 impl Environment {
     /// Run one membership operation and retire the subplans planned against
-    /// the clusters it changed.
+    /// the clusters it reports changed.
     fn membership_surgery<T>(
         &mut self,
-        op: impl FnOnce(&mut Hierarchy, &DistanceMatrix) -> T,
+        op: impl FnOnce(&mut Hierarchy, &DistanceMatrix) -> (T, HierarchyDelta),
     ) -> T {
-        let before = self.hierarchy.snapshot();
-        let out = op(&mut self.hierarchy, &self.dm);
-        let delta = before.diff(&self.hierarchy.snapshot());
+        let (out, delta) = op(&mut self.hierarchy, &self.dm);
         self.plan_cache.retire_membership(&self.hierarchy, &delta);
         out
     }
@@ -178,11 +176,14 @@ impl Environment {
     /// when `node` is not an active member or the overlay is at
     /// [`OVERLAY_FLOOR`].
     pub fn crash_node(&mut self, node: NodeId) -> bool {
-        if !self.hierarchy.is_active(node) || self.hierarchy.active_nodes().len() <= OVERLAY_FLOOR {
+        if !self.hierarchy.is_active(node) || self.hierarchy.active_count() <= OVERLAY_FLOOR {
             return false;
         }
-        self.membership_surgery(|h, dm| membership::remove_node(h, dm, node))
-            .expect("guarded: node active, above floor");
+        self.membership_surgery(|h, dm| {
+            let delta =
+                membership::remove_node(h, dm, node).expect("guarded: node active, above floor");
+            ((), delta)
+        });
         true
     }
 
@@ -193,11 +194,10 @@ impl Environment {
         if self.hierarchy.is_active(node) {
             return None;
         }
-        let via = *self
+        let via = self
             .hierarchy
-            .active_nodes()
-            .iter()
-            .min_by(|&&a, &&b| {
+            .active()
+            .min_by(|&a, &b| {
                 self.dm
                     .get(a, node)
                     .total_cmp(&self.dm.get(b, node))

@@ -3,13 +3,15 @@
 //! ignore tag labels (and nothing else), and a cache hit whose tags are
 //! remapped must rebuild the same deployment a cold miss computes. And the
 //! retirement a link repair drives from its own changed-entry record must
-//! match the matrix-diffing reference, key for key.
+//! match the matrix-diffing reference, key for key, as membership
+//! retirement through the dependency index must match a scan of every
+//! entry.
 
-use dsq_core::cache::{external_tags, retag, PlanCache, PlanKey};
+use dsq_core::cache::{external_tags, retag, CacheEntry, PlanCache, PlanKey};
 use dsq_core::engine::{ClusterPlanner, PlannerInput};
 use dsq_core::placed::PlacedTree;
 use dsq_core::{optimize_all, Environment, ParallelConfig};
-use dsq_hierarchy::ClusterId;
+use dsq_hierarchy::{ClusterId, Hierarchy, HierarchyDelta};
 use dsq_net::{NodeId, TransitStubConfig};
 use dsq_query::{Catalog, Query, QueryId, ReuseRegistry, Schema, StreamId, StreamSet};
 use rand::{Rng, SeedableRng};
@@ -304,4 +306,130 @@ fn record_driven_retirement_matches_the_matrix_diff() {
     assert!(base.plan_cache.retired() > 0);
     assert!(kept_some > 0, "no degrade retired only part of the cache");
     assert!(spared_all < 20, "every degrade missed the cache");
+}
+
+/// The membership rule as a scan over every entry would apply it: an entry
+/// is stale iff its cluster is dirty, or one of its raw locations went
+/// inactive or has a dirty cluster on its ancestor chain up to the entry's
+/// level. A full delta (the height changed) retires everything.
+fn scan_stale(h: &Hierarchy, delta: &HierarchyDelta, key: &PlanKey, entry: &CacheEntry) -> bool {
+    delta.full
+        || delta.dirty.contains(&key.cluster())
+        || entry.deps.locations.iter().any(|&loc| {
+            !h.is_active(loc)
+                || h.ancestor_chain(loc, key.cluster().level)
+                    .iter()
+                    .any(|c| delta.dirty.contains(c))
+        })
+}
+
+/// Crashes and rejoins, with link repricings and re-planning between them:
+/// membership retirement, which tests only the candidates its dependency
+/// index names, must keep exactly the entries a scan of every entry keeps,
+/// and every retirement path must leave the index equal to a rebuild from
+/// the committed entries.
+#[test]
+fn indexed_membership_retirement_matches_a_scan() {
+    for seed in 0..4u64 {
+        let net = TransitStubConfig::paper_128().generate(seed + 3).network;
+        let mut env = Environment::build(net, 6);
+        let wl = dsq_workload::WorkloadGenerator::new(
+            dsq_workload::WorkloadConfig {
+                streams: 16,
+                queries: 24,
+                joins_per_query: 2..=3,
+                source_skew: Some(1.0),
+                ..dsq_workload::WorkloadConfig::default()
+            },
+            seed,
+        )
+        .generate(&env.network);
+        env.isolate_cache(true);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1DE7 + seed);
+        let mut down: Vec<NodeId> = Vec::new();
+        let (mut partial, mut retired_some) = (0, 0);
+        for step in 0..24 {
+            // Only queries whose sink and origins are up can be planned.
+            let h = &env.hierarchy;
+            let servable: Vec<Query> = wl
+                .queries
+                .iter()
+                .filter(|q| {
+                    h.is_active(q.sink)
+                        && q.sources
+                            .iter()
+                            .all(|&s| h.is_active(wl.catalog.stream(s).node))
+                })
+                .cloned()
+                .collect();
+            optimize_all(
+                &env,
+                &dsq_core::TopDown::new(&env),
+                &wl.catalog,
+                &servable,
+                &ReuseRegistry::new(),
+                &ParallelConfig::serial(),
+            );
+            env.plan_cache.check_index();
+            let entries = env.plan_cache.entries();
+            assert!(
+                !entries.is_empty(),
+                "seed {seed} step {step}: planning warmed the cache"
+            );
+
+            if step % 5 == 4 {
+                // A repricing retires through the scan arm; the index must
+                // follow it.
+                let a = NodeId(rng.gen_range(0..env.network.len() as u32));
+                let b = env.network.neighbors(a)[rng.gen_range(0..env.network.degree(a))].to;
+                let cost = env.network.find_link(a, b).unwrap().cost * 3.0;
+                env.reprice_link(a, b, cost).expect("a real link");
+                env.plan_cache.check_index();
+                continue;
+            }
+
+            let before = env.hierarchy.snapshot();
+            let rejoin = !down.is_empty() && rng.gen_bool(0.4);
+            if rejoin {
+                let n = down.swap_remove(rng.gen_range(0..down.len()));
+                assert!(env.rejoin_node(n).is_some());
+            } else {
+                let active = env.hierarchy.active_nodes();
+                let n = active[rng.gen_range(0..active.len())];
+                if !env.crash_node(n) {
+                    continue;
+                }
+                down.push(n);
+            }
+            let delta = before.diff(&env.hierarchy.snapshot());
+            let want: HashSet<PlanKey> = entries
+                .iter()
+                .filter(|(k, e)| !scan_stale(&env.hierarchy, &delta, k, e))
+                .map(|(k, _)| k.clone())
+                .collect();
+            let got: HashSet<PlanKey> = env.plan_cache.keys().into_iter().collect();
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "seed {seed} step {step}: survivors differ from the scan's"
+            );
+            assert!(
+                got == want,
+                "seed {seed} step {step}: survivors differ from the scan's"
+            );
+            env.plan_cache.check_index();
+            partial += usize::from(!want.is_empty() && want.len() < entries.len());
+            retired_some += usize::from(want.len() < entries.len());
+        }
+        env.plan_cache.invalidate();
+        env.plan_cache.check_index();
+        assert!(
+            partial > 0,
+            "seed {seed}: no membership change kept part of the cache"
+        );
+        assert!(
+            retired_some > 0,
+            "seed {seed}: no membership change retired anything"
+        );
+    }
 }

@@ -139,17 +139,13 @@ pub(super) fn service(ctx: &Ctx) -> Vec<String> {
     }
     let cfg = case.service_config();
 
-    // Scratch dir unique to this oracle invocation: campaigns and shrink
-    // loops run the oracle thousands of times in one process.
-    static DIR_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = DIR_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("dsq-fuzz-service-{}-{seq}", std::process::id()));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        return vec![format!("cannot create scratch dir: {e}")];
-    }
+    let dir = match ScratchDir::create("dsq-fuzz-service") {
+        Ok(dir) => dir,
+        Err(e) => return vec![format!("cannot create scratch dir: {e}")],
+    };
 
     // --- Arm 1: journaled, uncrashed, snapshots off. ---------------------
-    let live_path = dir.join("live.journal");
+    let live_path = dir.path().join("live.journal");
     let nosnap = ServiceConfig {
         snapshot_every: 0,
         ..cfg.clone()
@@ -189,10 +185,7 @@ pub(super) fn service(ctx: &Ctx) -> Vec<String> {
     };
     let (responses, live_svc) = match live {
         Ok(v) => v,
-        Err(e) => {
-            std::fs::remove_dir_all(&dir).ok();
-            return vec![e];
-        }
+        Err(e) => return vec![e],
     };
     let live_trace = live_sink.to_jsonl();
     let live_fp = live_svc.fingerprint();
@@ -331,7 +324,7 @@ pub(super) fn service(ctx: &Ctx) -> Vec<String> {
 
     // --- Arm 2: crashed-and-recovered, with the case's snapshot cadence. -
     let schedule = case.service_crashes(&lines);
-    let crash_path = dir.join("crash.journal");
+    let crash_path = dir.path().join("crash.journal");
     match run_with_crashes(&cfg, &lines, &schedule, &crash_path) {
         Ok(crashed) => {
             // Kill points beyond the final journal length can never fire
@@ -416,6 +409,50 @@ pub(super) fn service(ctx: &Ctx) -> Vec<String> {
     }
 
     out.extend(check_arrival_order(&cfg, &lines));
-    std::fs::remove_dir_all(&dir).ok();
     out
+}
+
+/// A scratch directory of its own, removed when dropped — on every return
+/// path, and when a check panics part-way and the oracle's guard catches
+/// it. Campaigns and shrink loops run the oracle thousands of times in one
+/// process, so each directory is unique to its process and call.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn create(prefix: &str) -> std::io::Result<ScratchDir> {
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("{prefix}-{}-{seq}", std::process::id()));
+        std::fs::create_dir_all(&dir)?;
+        Ok(ScratchDir(dir))
+    }
+
+    fn path(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ScratchDir;
+
+    #[test]
+    fn a_scratch_dir_is_removed_when_its_check_panics() {
+        let mut seen = None;
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let dir = ScratchDir::create("dsq-fuzz-scratch-test").unwrap();
+            std::fs::write(dir.path().join("live.journal"), "entry\n").unwrap();
+            seen = Some(dir.path().to_path_buf());
+            panic!("a check failed part-way");
+        }));
+        assert!(caught.is_err());
+        let dir = seen.expect("the directory was created");
+        assert!(!dir.exists(), "{} outlived the panic", dir.display());
+    }
 }

@@ -61,6 +61,9 @@ pub struct Cluster {
     pub coordinator: NodeId,
     /// Index of the parent cluster at level + 1 (`None` at the top level).
     pub parent: Option<usize>,
+    /// Largest traversal cost between two members, as of the cluster's
+    /// last election; `d_i` is the maximum of these over level `i`.
+    pub(crate) diameter: f64,
 }
 
 /// The virtual clustering hierarchy over the active nodes of a network.
@@ -78,6 +81,10 @@ pub struct Hierarchy {
     /// `d[i-1]` = `d_i`: maximum intra-cluster traversal cost at level `i`.
     d: Vec<f64>,
     config: HierarchyConfig,
+    /// [`DistanceMatrix::version`] every coordinator and diameter was last
+    /// computed against; `None` once the statistics were refreshed against
+    /// other distances than the coordinators were elected under.
+    elected_against: Option<u64>,
 }
 
 impl Hierarchy {
@@ -99,6 +106,7 @@ impl Hierarchy {
             leaf_of: vec![None; dm.len()],
             d: Vec::new(),
             config,
+            elected_against: None,
         };
         h.rebuild(active, dm, space);
         h
@@ -130,6 +138,7 @@ impl Hierarchy {
                     None => Vec::new(),
                 };
                 clusters.push(Cluster {
+                    diameter: max_pairwise(&members, dm),
                     members,
                     children,
                     coordinator,
@@ -158,7 +167,8 @@ impl Hierarchy {
             current = coords;
             child_indices = Some(child_idx);
         }
-        self.recompute_d(dm);
+        self.recompute_d();
+        self.elected_against = Some(dm.version());
     }
 
     fn cluster_nodes(
@@ -178,23 +188,65 @@ impl Hierarchy {
 
     /// Refresh the `d_i` statistics against updated distances (e.g. after
     /// runtime link-cost changes detected by the adaptivity middleware).
-    /// The cluster structure itself is kept.
+    /// The cluster structure and the coordinators are kept; the next
+    /// membership operation re-elects every coordinator against `dm`.
     pub fn refresh_statistics(&mut self, dm: &DistanceMatrix) {
-        self.recompute_d(dm);
+        for c in self.levels.iter_mut().flatten() {
+            c.diameter = max_pairwise(&c.members, dm);
+        }
+        self.recompute_d();
+        if self.elected_against != Some(dm.version()) {
+            self.elected_against = None;
+        }
     }
 
-    /// Recompute the `d_i` statistics after structural changes.
-    pub(crate) fn recompute_d(&mut self, dm: &DistanceMatrix) {
+    /// Whether every coordinator and diameter is current for `dm`, so an
+    /// election needs to visit only the clusters a change touched.
+    pub(crate) fn elected_against(&self, dm: &DistanceMatrix) -> bool {
+        self.elected_against == Some(dm.version())
+    }
+
+    /// Re-elect the clusters `ids` — `(level, index)` pairs, sorted so
+    /// that every level comes before the one above it — against `dm`: a
+    /// cluster above level 1 first takes its children's coordinators as
+    /// members, then the medoid becomes its coordinator and its diameter
+    /// is measured. `d_i` is then refreshed from the cached diameters.
+    /// Afterwards the hierarchy counts as current for `dm`, so `ids` must
+    /// be every cluster unless [`Self::elected_against`] already held.
+    pub(crate) fn elect(&mut self, dm: &DistanceMatrix, ids: &[(usize, usize)]) {
+        dsq_obs::counter("hierarchy.coordinator_elections", ids.len() as u64);
+        for &(level, i) in ids {
+            if level > 1 {
+                let (below, here) = self.levels.split_at_mut(level - 1);
+                let c = &mut here[0][i];
+                c.members.clear();
+                c.members
+                    .extend(c.children.iter().map(|&k| below[level - 2][k].coordinator));
+            }
+            let c = &mut self.levels[level - 1][i];
+            c.coordinator = dm
+                .medoid(&c.members, &c.members)
+                .expect("surgery never leaves an empty cluster");
+            c.diameter = max_pairwise(&c.members, dm);
+        }
+        self.recompute_d();
+        self.elected_against = Some(dm.version());
+    }
+
+    /// `d_i` as the maximum of level `i`'s cached cluster diameters.
+    fn recompute_d(&mut self) {
         self.d = self
             .levels
             .iter()
-            .map(|clusters| {
-                clusters
-                    .iter()
-                    .map(|c| max_pairwise(&c.members, dm))
-                    .fold(0.0, f64::max)
-            })
+            .map(|clusters| clusters.iter().map(|c| c.diameter).fold(0.0, f64::max))
             .collect();
+    }
+
+    /// Members and coordinator of the cluster at `id`, or `None` when no
+    /// cluster holds that position — what [`Hierarchy::snapshot`] records.
+    pub(crate) fn content(&self, id: ClusterId) -> Option<(Vec<NodeId>, NodeId)> {
+        let c = self.levels.get(id.level.checked_sub(1)?)?.get(id.index)?;
+        Some((c.members.clone(), c.coordinator))
     }
 
     /// Number of levels `h` in the hierarchy.
@@ -256,10 +308,20 @@ impl Hierarchy {
 
     /// All active nodes.
     pub fn active_nodes(&self) -> Vec<NodeId> {
+        self.active().collect()
+    }
+
+    /// The active nodes, leaf cluster by leaf cluster, without collecting
+    /// them.
+    pub fn active(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.levels[0]
             .iter()
             .flat_map(|c| c.members.iter().copied())
-            .collect()
+    }
+
+    /// Number of active nodes.
+    pub fn active_count(&self) -> usize {
+        self.levels[0].iter().map(|c| c.members.len()).sum()
     }
 
     /// The leaf (level 1) cluster containing an active node.
@@ -582,9 +644,10 @@ impl HierarchySnapshot {
     }
 }
 
-/// Dirty-cluster set between two hierarchy snapshots; consumed by the plan
-/// cache's scoped retirement.
-#[derive(Clone, Debug, Default)]
+/// Dirty-cluster set between two hierarchy snapshots — or reported by the
+/// membership operation itself; consumed by the plan cache's scoped
+/// retirement.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct HierarchyDelta {
     /// The hierarchy's height changed: level numbering itself shifted, so
     /// nothing keyed on [`ClusterId`]s can be trusted.

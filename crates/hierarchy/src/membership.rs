@@ -12,9 +12,18 @@
 //! `max_cs` — recursively up the hierarchy, growing a new top level if the
 //! root itself splits. [`remove_node`] handles departures, including
 //! coordinator re-election and collapse of emptied clusters/levels.
+//!
+//! A change is the business of the clusters it touched: both operations
+//! re-elect only those clusters and their ancestor chains, bottom-up, and
+//! return the [`HierarchyDelta`] they caused — equal to diffing
+//! [`Hierarchy::snapshot`]s taken around the operation, without taking
+//! them. Only after the distances changed under the coordinators (see
+//! [`Hierarchy::refresh_statistics`]) does the same election run over every
+//! cluster.
 
-use crate::hierarchy::{Cluster, ClusterId, Hierarchy};
+use crate::hierarchy::{Cluster, ClusterId, Hierarchy, HierarchyDelta};
 use dsq_net::{DistanceMatrix, NodeId};
+use std::collections::HashMap;
 
 /// Why a membership operation could not be applied.
 ///
@@ -94,23 +103,31 @@ pub fn join_route(h: &Hierarchy, dm: &DistanceMatrix, node: NodeId, via: NodeId)
 }
 
 /// Add `node` to the overlay: route the join, insert into the chosen leaf
-/// cluster, split any cluster that overflows, refresh coordinators and
-/// statistics. Returns the routing outcome.
-pub fn add_node(h: &mut Hierarchy, dm: &DistanceMatrix, node: NodeId, via: NodeId) -> JoinOutcome {
+/// cluster, split any cluster that overflows, re-elect the touched
+/// clusters' coordinators and refresh the statistics. Returns the routing
+/// outcome and the clusters the join changed.
+pub fn add_node(
+    h: &mut Hierarchy,
+    dm: &DistanceMatrix,
+    node: NodeId,
+    via: NodeId,
+) -> (JoinOutcome, HierarchyDelta) {
     assert!(!h.is_active(node), "node is already an overlay member");
     let outcome = join_route(h, dm, node, via);
     let leaf_idx = outcome.leaf.index;
+    let mut t = Touched::new(h);
+    t.touch(h, 1, leaf_idx);
     h.level_mut(1)[leaf_idx].members.push(node);
     h.leaf_of_mut()[node.index()] = Some(leaf_idx);
-    split_overflowing(h, dm, 1, leaf_idx);
-    refresh(h, dm);
+    split_overflowing(h, &mut t, dm, 1, leaf_idx);
+    let delta = t.reelect(h, dm);
     #[cfg(debug_assertions)]
     h.check_invariants();
-    outcome
+    (outcome, delta)
 }
 
 /// Remove `node` from the overlay, re-electing coordinators and collapsing
-/// empty clusters/levels.
+/// empty clusters/levels. Returns the clusters the departure changed.
 ///
 /// Returns [`MembershipError::NotAMember`] if `node` is not active and
 /// [`MembershipError::LastMember`] if it is the only member left; in both
@@ -119,35 +136,121 @@ pub fn remove_node(
     h: &mut Hierarchy,
     dm: &DistanceMatrix,
     node: NodeId,
-) -> Result<(), MembershipError> {
+) -> Result<HierarchyDelta, MembershipError> {
     if !h.is_active(node) {
         return Err(MembershipError::NotAMember(node));
     }
-    if h.active_nodes().len() <= 1 {
+    if h.active_count() <= 1 {
         return Err(MembershipError::LastMember);
     }
     let leaf_idx = h.leaf_cluster(node).index;
+    let mut t = Touched::new(h);
+    t.touch(h, 1, leaf_idx);
     let members = &mut h.level_mut(1)[leaf_idx].members;
     members.retain(|&m| m != node);
     let now_empty = members.is_empty();
     h.leaf_of_mut()[node.index()] = None;
     if now_empty {
-        remove_cluster(h, 1, leaf_idx);
+        remove_cluster(h, &mut t, 1, leaf_idx);
     }
     collapse_redundant_top(h);
-    refresh(h, dm);
+    let delta = t.reelect(h, dm);
     #[cfg(debug_assertions)]
     h.check_invariants();
-    Ok(())
+    Ok(delta)
+}
+
+/// The cluster positions one membership operation changed, each with the
+/// content (members, coordinator) it held before the operation — `None`
+/// for a position the operation created.
+struct Touched {
+    height: usize,
+    before: HashMap<ClusterId, Option<(Vec<NodeId>, NodeId)>>,
+}
+
+impl Touched {
+    fn new(h: &Hierarchy) -> Self {
+        Touched {
+            height: h.height(),
+            before: HashMap::new(),
+        }
+    }
+
+    /// Record what position `(level, index)` holds, unless an earlier step
+    /// of this operation already did. Call before changing it.
+    fn touch(&mut self, h: &Hierarchy, level: usize, index: usize) {
+        let id = ClusterId { level, index };
+        self.before.entry(id).or_insert_with(|| h.content(id));
+    }
+
+    /// Re-elect the touched clusters that still exist and their ancestor
+    /// chains — every cluster, if the distances changed since the last
+    /// election — and return the delta: the positions whose content now
+    /// differs from what they held before the operation, or a full delta
+    /// if the height changed. Clusters left out hold the same members
+    /// under the same distances, so electing them again would change
+    /// nothing.
+    fn reelect(mut self, h: &mut Hierarchy, dm: &DistanceMatrix) -> HierarchyDelta {
+        let mut ids: Vec<(usize, usize)> = Vec::new();
+        if h.elected_against(dm) {
+            for id in self.before.keys() {
+                let (mut level, mut index) = (id.level, id.index);
+                if level > h.height() || index >= h.level(level).len() {
+                    continue;
+                }
+                loop {
+                    ids.push((level, index));
+                    match h.level(level)[index].parent {
+                        Some(p) => (level, index) = (level + 1, p),
+                        None => break,
+                    }
+                }
+            }
+            ids.sort_unstable();
+            ids.dedup();
+        } else {
+            for level in 1..=h.height() {
+                ids.extend((0..h.level(level).len()).map(|i| (level, i)));
+            }
+        }
+        for &(level, index) in &ids {
+            self.touch(h, level, index);
+        }
+        h.elect(dm, &ids);
+        if h.height() != self.height {
+            return HierarchyDelta {
+                full: true,
+                dirty: Default::default(),
+            };
+        }
+        let dirty = self
+            .before
+            .into_iter()
+            .filter(|(id, old)| h.content(*id) != *old)
+            .map(|(id, _)| id)
+            .collect();
+        HierarchyDelta { full: false, dirty }
+    }
 }
 
 /// Split cluster `index` at `level` while it exceeds `max_cs`, propagating
 /// overflow to the parent (growing a new top level if the root splits).
-fn split_overflowing(h: &mut Hierarchy, dm: &DistanceMatrix, level: usize, index: usize) {
+fn split_overflowing(
+    h: &mut Hierarchy,
+    t: &mut Touched,
+    dm: &DistanceMatrix,
+    level: usize,
+    index: usize,
+) {
     let max_cs = h.config().max_cs;
     if h.level(level)[index].members.len() <= max_cs {
         return;
     }
+    // The kept half, the split-off half's new position, and the parent
+    // (or the new root) that gains it.
+    t.touch(h, level, index);
+    t.touch(h, level, h.level(level).len());
+    t.touch(h, level + 1, h.level(level)[index].parent.unwrap_or(0));
     // Partition members around the farthest pair (complete-linkage style
     // 2-split on actual costs).
     let cluster = h.level(level)[index].clone();
@@ -193,6 +296,7 @@ fn split_overflowing(h: &mut Hierarchy, dm: &DistanceMatrix, level: usize, index
         children: new_children.clone(),
         coordinator: new_coord,
         parent,
+        diameter: 0.0,
     });
 
     // Fix downward references of the split-off half.
@@ -212,7 +316,7 @@ fn split_overflowing(h: &mut Hierarchy, dm: &DistanceMatrix, level: usize, index
             let pc = &mut h.level_mut(level + 1)[p];
             pc.members.push(new_coord);
             pc.children.push(new_index);
-            split_overflowing(h, dm, level + 1, p);
+            split_overflowing(h, t, dm, level + 1, p);
         }
         None => {
             // The root split: create a new top level over both halves.
@@ -226,6 +330,7 @@ fn split_overflowing(h: &mut Hierarchy, dm: &DistanceMatrix, level: usize, index
                 children: vec![index, new_index],
                 coordinator,
                 parent: None,
+                diameter: 0.0,
             };
             debug_assert_eq!(h.height() + 1, top_level, "root split grows one level");
             h.push_level(vec![new_top]);
@@ -256,7 +361,12 @@ fn farthest_pair(members: &[NodeId], dm: &DistanceMatrix) -> (NodeId, NodeId) {
 /// Remove cluster `index` from `level`, fixing all cross-references (the
 /// last cluster of the level is swapped into the hole). Recursively removes
 /// emptied parents.
-fn remove_cluster(h: &mut Hierarchy, level: usize, index: usize) {
+fn remove_cluster(h: &mut Hierarchy, t: &mut Touched, level: usize, index: usize) {
+    t.touch(h, level, index);
+    t.touch(h, level, h.level(level).len() - 1);
+    if let Some(p) = h.level(level)[index].parent {
+        t.touch(h, level + 1, p);
+    }
     let removed = h.level_mut(level).swap_remove(index);
 
     // The cluster that moved from the end into `index` (if any) must have
@@ -302,7 +412,7 @@ fn remove_cluster(h: &mut Hierarchy, level: usize, index: usize) {
             pc.children.remove(k);
         }
         if h.level(level + 1)[p].members.is_empty() {
-            remove_cluster(h, level + 1, p);
+            remove_cluster(h, t, level + 1, p);
         }
     }
 }
@@ -314,30 +424,6 @@ fn collapse_redundant_top(h: &mut Hierarchy) {
         let top = h.height();
         h.level_mut(top)[0].parent = None;
     }
-}
-
-/// Re-elect coordinators bottom-up and propagate them into parent member
-/// lists, then refresh the `d_i` statistics.
-fn refresh(h: &mut Hierarchy, dm: &DistanceMatrix) {
-    for level in 1..=h.height() {
-        let n = h.level(level).len();
-        dsq_obs::counter("hierarchy.coordinator_elections", n as u64);
-        for i in 0..n {
-            if level > 1 {
-                let children = h.level(level)[i].children.clone();
-                let members: Vec<NodeId> = children
-                    .iter()
-                    .map(|&c| h.level(level - 1)[c].coordinator)
-                    .collect();
-                h.level_mut(level)[i].members = members;
-            }
-            let members = h.level(level)[i].members.clone();
-            h.level_mut(level)[i].coordinator = dm
-                .medoid(&members, &members)
-                .expect("surgery never leaves an empty cluster");
-        }
-    }
-    h.recompute_d(dm);
 }
 
 impl Hierarchy {

@@ -105,6 +105,15 @@ pub struct DistanceMatrix {
     n: usize,
     dist: Vec<f64>,
     metric: Metric,
+    version: u64,
+}
+
+/// Source of [`DistanceMatrix::version`]s: process-wide, so two matrices
+/// share a version only when one is an unchanged copy of the other.
+static NEXT_VERSION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+
+fn next_version() -> u64 {
+    NEXT_VERSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Node count at or above which the all-pairs builders fan the per-source
@@ -362,7 +371,12 @@ impl DistanceMatrix {
                 );
             }
         }
-        DistanceMatrix { n, dist, metric }
+        DistanceMatrix {
+            n,
+            dist,
+            metric,
+            version: next_version(),
+        }
     }
 
     /// Compute the distance matrix *and* the route table from one all-pairs
@@ -421,7 +435,13 @@ impl DistanceMatrix {
                 );
             }
         }
-        (DistanceMatrix { n, dist, metric }, RouteTable { n, pred })
+        let dm = DistanceMatrix {
+            n,
+            dist,
+            metric,
+            version: next_version(),
+        };
+        (dm, RouteTable { n, pred })
     }
 
     /// Shortest-path distance between two nodes.
@@ -449,6 +469,15 @@ impl DistanceMatrix {
     /// Metric this matrix was built under.
     pub fn metric(&self) -> Metric {
         self.metric
+    }
+
+    /// Identity of this matrix's distances. Every build takes a fresh
+    /// version and every repair that changes an entry takes another; a
+    /// clone keeps its original's. Equal versions therefore mean equal
+    /// distances, which is how a structure derived from the matrix (the
+    /// hierarchy's coordinator elections) tells whether it is still current.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Largest finite distance between *distinct* nodes (the network
@@ -597,6 +626,9 @@ impl DistanceMatrix {
             );
             changed.close_row(s, start);
             rows += 1;
+        }
+        if !changed.is_empty() {
+            self.version = next_version();
         }
         (LinkRepair::Incremental { rows }, changed)
     }

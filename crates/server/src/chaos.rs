@@ -691,9 +691,9 @@ impl ChaosRunner {
 /// Park a planned slot whose new deployment failed to instantiate: it
 /// serves nothing, its adverts retire, and the next drain retries it.
 fn park(core: &mut ServiceCore, id: u32) {
+    core.unplace(id);
     let slot = core.slots.get_mut(&id).expect("a drained slot");
     slot.status = SlotStatus::Parked;
-    slot.deployment = None;
     slot.baseline_cost = 0.0;
     core.registry.retire_query(QueryId(id));
 }

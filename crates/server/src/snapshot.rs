@@ -209,7 +209,7 @@ pub fn restore(text: &str) -> Result<ServiceCore, String> {
 
     for line in slots {
         let (id, slot) = parse_slot(line.value, &core).map_err(|e| line.error(e))?;
-        core.slots.insert(id, slot);
+        core.insert_slot(id, slot);
     }
 
     for line in adverts {

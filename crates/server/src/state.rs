@@ -269,6 +269,89 @@ pub struct ServiceCore {
     /// drain). Pure function of the journal, like everything else here —
     /// its fingerprint is part of [`ServiceCore::fingerprint`].
     pub registry: ReuseRegistry,
+    /// Which slots touch each node. The methods that insert a slot or
+    /// change its deployment (`insert_slot`, `place`, `unplace`) and
+    /// unregistration keep it in step with `slots`; code outside this
+    /// module changes slots only through them.
+    node_slots: NodeSlots,
+}
+
+/// For each node, the slots that reference it — as the sink, as a source
+/// stream's origin, or as a host in the standing deployment: exactly the
+/// slots [`classify_crash`] can move when the node crashes. Each list holds
+/// a slot once, in no order; a slot's nodes come in two disjoint parts
+/// ([`query_nodes`], [`host_nodes`]) so a new deployment touches only its
+/// own hosts.
+#[derive(Debug, Default)]
+struct NodeSlots(Vec<Vec<u32>>);
+
+impl NodeSlots {
+    fn add(&mut self, id: u32, nodes: &[NodeId]) {
+        for n in nodes {
+            if self.0.len() <= n.index() {
+                self.0.resize_with(n.index() + 1, Vec::new);
+            }
+            self.0[n.index()].push(id);
+        }
+    }
+
+    fn remove(&mut self, id: u32, nodes: &[NodeId]) {
+        for n in nodes {
+            let at = &mut self.0[n.index()];
+            let i = at
+                .iter()
+                .position(|&x| x == id)
+                .expect("slot indexed under the node");
+            at.swap_remove(i);
+        }
+    }
+
+    /// The slots referencing `node`, in id order.
+    fn on(&self, node: NodeId) -> Vec<u32> {
+        let mut ids = self.0.get(node.index()).cloned().unwrap_or_default();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn add_slot(&mut self, id: u32, catalog: &Catalog, slot: &QuerySlot) {
+        let query = query_nodes(catalog, &slot.query);
+        self.add(id, &query);
+        if let Some(d) = &slot.deployment {
+            self.add(id, &host_nodes(&query, d));
+        }
+    }
+
+    fn remove_slot(&mut self, id: u32, catalog: &Catalog, slot: &QuerySlot) {
+        let query = query_nodes(catalog, &slot.query);
+        self.remove(id, &query);
+        if let Some(d) = &slot.deployment {
+            self.remove(id, &host_nodes(&query, d));
+        }
+    }
+}
+
+/// The nodes a query needs whatever its plan — its sink and its source
+/// streams' origins — sorted, each once.
+fn query_nodes(catalog: &Catalog, query: &Query) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = std::iter::once(query.sink)
+        .chain(query.sources.iter().map(|&s| catalog.stream(s).node))
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
+}
+
+/// The hosts of `d` outside `query` (a [`query_nodes`] list), each once.
+fn host_nodes(query: &[NodeId], d: &Deployment) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = d
+        .placement
+        .iter()
+        .copied()
+        .filter(|n| query.binary_search(n).is_err())
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
 }
 
 impl ServiceCore {
@@ -311,6 +394,7 @@ impl ServiceCore {
             catalog,
             registry,
             slots: BTreeMap::new(),
+            node_slots: NodeSlots::default(),
             epoch: 0,
             now_ms: 0,
             counters: ServiceCounters::default(),
@@ -421,7 +505,7 @@ impl ServiceCore {
                         sources.iter().map(|&s| StreamId(s)),
                         NodeId(*sink),
                     );
-                    self.slots.insert(
+                    self.insert_slot(
                         *id,
                         QuerySlot {
                             query,
@@ -435,7 +519,8 @@ impl ServiceCore {
                     );
                 }
                 JournalEntry::Unregister { id, .. } => {
-                    if self.slots.remove(id).is_some() {
+                    if let Some(slot) = self.slots.remove(id) {
+                        self.node_slots.remove_slot(*id, &self.catalog, &slot);
                         // The departing query's operators are torn down, so
                         // its adverts must stop being served (terminally —
                         // a re-registration publishes fresh ones).
@@ -572,10 +657,10 @@ impl ServiceCore {
                             .usable_for_live(query, |n| hierarchy.is_active(n));
                         self.registry.register_deployment(query, &d);
                         slot.baseline_cost = d.cost;
-                        slot.deployment = Some(d);
                         slot.status = SlotStatus::Planned;
                         slot.planned_epoch = self.epoch;
                         summary.adopted.push((id, stats));
+                        self.place(id, d);
                     }
                     None => {
                         slot.status = SlotStatus::Parked;
@@ -671,22 +756,80 @@ impl ServiceCore {
         }
     }
 
+    /// Put `slot` under `id`, replacing any slot there, and index the
+    /// nodes it references.
+    pub(crate) fn insert_slot(&mut self, id: u32, slot: QuerySlot) {
+        self.node_slots.add_slot(id, &self.catalog, &slot);
+        if let Some(old) = self.slots.insert(id, slot) {
+            self.node_slots.remove_slot(id, &self.catalog, &old);
+        }
+    }
+
+    /// Make `d` slot `id`'s deployment, replacing any it had (the caller
+    /// sets its status).
+    fn place(&mut self, id: u32, d: Deployment) {
+        self.unplace(id);
+        let slot = self.slots.get_mut(&id).expect("a registered slot");
+        let hosts = host_nodes(&query_nodes(&self.catalog, &slot.query), &d);
+        self.node_slots.add(id, &hosts);
+        slot.deployment = Some(d);
+    }
+
+    /// Take slot `id`'s deployment away (the caller sets its status).
+    pub(crate) fn unplace(&mut self, id: u32) {
+        let slot = self.slots.get_mut(&id).expect("a registered slot");
+        if let Some(d) = slot.deployment.take() {
+            let hosts = host_nodes(&query_nodes(&self.catalog, &slot.query), &d);
+            self.node_slots.remove(id, &hosts);
+        }
+    }
+
+    /// Panics unless the node → slot index is what rebuilding it from
+    /// `slots` gives.
+    pub fn check_slot_index(&self) {
+        let mut rebuilt = NodeSlots::default();
+        for (&id, slot) in &self.slots {
+            rebuilt.add_slot(id, &self.catalog, slot);
+        }
+        let lists = |index: &NodeSlots| -> Vec<Vec<u32>> {
+            let mut v: Vec<Vec<u32>> = (0..index.0.len())
+                .map(|n| index.on(NodeId(n as u32)))
+                .collect();
+            while v.last().is_some_and(Vec::is_empty) {
+                v.pop();
+            }
+            v
+        };
+        assert!(
+            lists(&self.node_slots) == lists(&rebuilt),
+            "node → slot index differs from the slots"
+        );
+    }
+
     /// Apply [`classify_crash`] for the crash of `node` to every slot not
-    /// already lost; with `forfeit` (the overlay floor) every touched slot
+    /// already lost that references the node (the others keep, whatever
+    /// their status); with `forfeit` (the overlay floor) every touched slot
     /// is lost. A slot losing its deployment has its adverts retired
-    /// outright: its surviving operators are torn down too.
+    /// outright: its surviving operators are torn down too. The candidates
+    /// come from the node → slot index in id order, so registry calls run
+    /// in the order a walk over every slot would make them.
     fn reclassify_crash(&mut self, node: NodeId, forfeit: bool) {
-        for (&id, slot) in self.slots.iter_mut() {
+        #[cfg(debug_assertions)]
+        self.check_slot_index();
+        let mut classified = 0;
+        for id in self.node_slots.on(node) {
+            let slot = &self.slots[&id];
             if slot.status == SlotStatus::Lost {
                 continue;
             }
+            classified += 1;
             let action =
                 match classify_crash(&self.catalog, &slot.query, slot.deployment.as_ref(), node) {
                     CrashAction::Keep => continue,
                     _ if forfeit => CrashAction::Lost,
                     action => action,
                 };
-            slot.status = match action {
+            let status = match action {
                 CrashAction::Keep => unreachable!("kept above"),
                 CrashAction::Lost => SlotStatus::Lost,
                 CrashAction::Park => SlotStatus::Parked,
@@ -694,11 +837,14 @@ impl ServiceCore {
                 // next drain wave.
                 CrashAction::Replan => SlotStatus::Pending,
             };
-            slot.deployment = None;
+            self.unplace(id);
+            let slot = self.slots.get_mut(&id).expect("indexed slots exist");
+            slot.status = status;
             slot.stale = false;
             slot.dirty = action == CrashAction::Replan;
             self.registry.retire_query(QueryId(id));
         }
+        dsq_obs::counter("server.crash_slots_classified", classified);
     }
 
     /// Apply one rate observation: set the stream's rate, retire the
@@ -854,8 +1000,8 @@ mod tests {
     fn stand(core: &mut ServiceCore, id: u32, d: Deployment) {
         let slot = core.slots.get_mut(&id).unwrap();
         slot.baseline_cost = d.cost;
-        slot.deployment = Some(d);
         slot.status = SlotStatus::Planned;
+        core.place(id, d);
     }
 
     #[test]

@@ -1,13 +1,21 @@
 //! A drain costs its wave — not the standing population, and not the
-//! service's age.
+//! service's age — and a crash costs what it touched, not the population.
 //!
-//! Both halves are checked on counts, not clocks: the registry reports how
+//! All three are checked on counts, not clocks: the registry reports how
 //! many advert slots its operations looked at (`advert.slots_visited`, an
-//! obs-only counter), and the planner's span reports how many queries it
-//! was handed.
+//! obs-only counter), the planner's span reports how many queries it was
+//! handed, and crash handling counts the cache entries it tested
+//! (`planner.cache_membership_visited`) and the slots it classified
+//! (`server.crash_slots_classified`).
 
+use dsq_core::Environment;
+use dsq_hierarchy::membership;
+use dsq_net::{NodeId, TransitStubConfig};
 use dsq_obs::{scoped, ClockMode, Sink};
-use dsq_server::{Journal, PlanningService, ServiceConfig, SlotStatus};
+use dsq_query::{Catalog, Schema};
+use dsq_server::{
+    FaultReq, Journal, JournalEntry, PlanningService, ServiceConfig, ServiceCore, SlotStatus,
+};
 
 /// Distinct (sources, sink) shapes a query id can take. The standing
 /// population and the cycle size are multiples of it, so every window of
@@ -173,4 +181,115 @@ fn a_drain_hands_the_planner_its_wave_and_leaves_standing_plans_alone() {
     let recovered = PlanningService::recover(Journal::load(&path).unwrap()).unwrap();
     assert_eq!(recovered.fingerprint(), live);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What crashing `victim` cost: cache entries tested and slots classified.
+fn crash_cost(core: &mut ServiceCore, victim: NodeId) -> (u64, u64) {
+    let sink = Sink::new(ClockMode::Virtual);
+    let _g = scoped(sink.clone());
+    let crash = JournalEntry::Fault {
+        fault: FaultReq::Crash(victim.0),
+        at_ms: 2,
+    };
+    core.drain(&[crash], 2);
+    let counters = sink.snapshot().counters;
+    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+    (
+        count("planner.cache_membership_visited"),
+        count("server.crash_slots_classified"),
+    )
+}
+
+#[test]
+fn a_crash_visits_what_it_touched_whatever_lives_in_another_domain() {
+    // Two transit domains; every stream and every sink of the queries that
+    // matter lives in domain A, the extra queries' in domain B.
+    let ts = TransitStubConfig {
+        transit_domains: 2,
+        transit_nodes_per_domain: 2,
+        stub_domains_per_transit_node: 2,
+        stub_nodes_per_domain: 6,
+        ..TransitStubConfig::default()
+    }
+    .generate(11);
+    let stubs_of = |domain: usize| -> Vec<NodeId> {
+        ts.stub_domains
+            .iter()
+            .filter(|(gateway, _)| ts.transit_domains[domain].contains(gateway))
+            .flat_map(|(_, nodes)| nodes.iter().copied())
+            .collect()
+    };
+    let (a_nodes, b_nodes) = (stubs_of(0), stubs_of(1));
+    let mut env = Environment::build(ts.network.clone(), 4);
+    env.isolate_cache(true);
+
+    // The victim: a domain-A node that coordinates nothing, whose leaf
+    // cluster holds only domain-A nodes, and whose departure changes that
+    // leaf alone.
+    let h = &env.hierarchy;
+    let victim = a_nodes
+        .iter()
+        .copied()
+        .find(|&n| {
+            let leaf = h.leaf_cluster(n);
+            let mut trial = h.clone();
+            h.coordinator_roles(n).is_empty()
+                && h.cluster(leaf).members.iter().all(|m| a_nodes.contains(m))
+                && membership::remove_node(&mut trial, &env.dm, n)
+                    .is_ok_and(|d| !d.full && d.dirty.len() == 1 && d.dirty.contains(&leaf))
+        })
+        .expect("some domain-A node leaves only its leaf changed");
+
+    let mut catalog = Catalog::new();
+    for (i, &n) in a_nodes.iter().chain(&b_nodes).step_by(3).enumerate() {
+        catalog.add_stream(format!("S{i}"), 1.0 + i as f64, n, Schema::default());
+    }
+    let in_a = |s: u32| a_nodes.contains(&catalog.stream(dsq_query::StreamId(s)).node);
+    let (a_streams, b_streams): (Vec<u32>, Vec<u32>) =
+        (0..catalog.len() as u32).partition(|&s| in_a(s));
+
+    // Queries over one domain's streams with sinks in that domain; the
+    // victim is the sink of the first domain-A query.
+    let register = |id: u32, streams: &[u32], sinks: &[NodeId]| JournalEntry::Register {
+        id,
+        sources: (0..3)
+            .map(|k| streams[(id as usize + k) % streams.len()])
+            .collect(),
+        sink: sinks[id as usize * 5 % sinks.len()].0,
+        deadline_ms: None,
+        at_ms: 1,
+    };
+    let mut a_sinks = vec![victim];
+    a_sinks.extend(a_nodes.iter().copied().filter(|&n| n != victim));
+    const QUERIES: u32 = 6;
+    let base: Vec<JournalEntry> = (0..QUERIES)
+        .map(|id| register(id, &a_streams, &a_sinks))
+        .collect();
+    let extra: Vec<JournalEntry> = (QUERIES..4 * QUERIES)
+        .map(|id| register(id, &b_streams, &b_nodes))
+        .collect();
+
+    let run = |batch: Vec<JournalEntry>| {
+        let mut core = ServiceCore::over(ServiceConfig::default(), env.clone(), catalog.clone());
+        core.drain(&batch, 1);
+        assert!(
+            core.slots.values().all(|s| s.status == SlotStatus::Planned),
+            "every query is planned before the crash"
+        );
+        let entries = core.env.plan_cache.len();
+        (crash_cost(&mut core, victim), entries)
+    };
+    let ((visited, classified), entries) = run(base.clone());
+    let ((visited_3x, classified_3x), entries_3x) = run(base.into_iter().chain(extra).collect());
+
+    assert!(entries_3x > entries, "the extra queries filled the cache");
+    assert!(
+        visited > 0 && classified > 0,
+        "the crash reached its own queries"
+    );
+    assert_eq!(
+        (visited_3x, classified_3x),
+        (visited, classified),
+        "entries visited and slots classified by the crash changed with the population of another domain"
+    );
 }

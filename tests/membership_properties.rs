@@ -1,6 +1,9 @@
 //! Property tests for runtime hierarchy membership: arbitrary join/leave
 //! sequences must preserve every structural invariant, keep the active set
-//! correct, and keep Theorem 1 valid on the evolved hierarchy.
+//! correct, and keep Theorem 1 valid on the evolved hierarchy. A join or
+//! leave re-elects only the clusters it touched, yet must leave the
+//! hierarchy exactly as re-electing every cluster would, and must report
+//! exactly the delta a snapshot diff finds.
 
 use dsq::prelude::*;
 use dsq_hierarchy::membership::{add_node, join_route, remove_node};
@@ -12,6 +15,20 @@ fn build_base(
 ) -> (
     dsq_hierarchy::Hierarchy,
     DistanceMatrix,
+    Vec<NodeId>,
+    Vec<NodeId>,
+) {
+    let (h, dm, _, active, inactive) = build_with_network(seed, max_cs);
+    (h, dm, active, inactive)
+}
+
+fn build_with_network(
+    seed: u64,
+    max_cs: usize,
+) -> (
+    dsq_hierarchy::Hierarchy,
+    DistanceMatrix,
+    Network,
     Vec<NodeId>,
     Vec<NodeId>,
 ) {
@@ -27,7 +44,56 @@ fn build_base(
         &cs,
         dsq_hierarchy::HierarchyConfig::new(max_cs),
     );
-    (h, dm, active, inactive)
+    (h, dm, ts.network, active, inactive)
+}
+
+fn max_pairwise(members: &[NodeId], dm: &DistanceMatrix) -> f64 {
+    let mut max = 0.0f64;
+    for (i, &a) in members.iter().enumerate() {
+        for &b in &members[i + 1..] {
+            max = max.max(dm.get(a, b));
+        }
+    }
+    max
+}
+
+/// The hierarchy as re-electing every cluster against `dm` would leave it,
+/// given its structure (leaf members, child lists): each level bottom-up,
+/// a cluster above level 1 takes its children's coordinators as members,
+/// its medoid is its coordinator, and `d_i` is the widest cluster of level
+/// `i`. Returns the differences from `h`, empty when they agree bit for
+/// bit.
+fn differs_from_full_refresh(h: &Hierarchy, dm: &DistanceMatrix) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut coords: Vec<Vec<NodeId>> = Vec::new();
+    for level in 1..=h.height() {
+        let mut level_coords = Vec::new();
+        let mut d = 0.0f64;
+        for (i, c) in h.level(level).iter().enumerate() {
+            let members: Vec<NodeId> = if level == 1 {
+                c.members.clone()
+            } else {
+                c.children.iter().map(|&k| coords[level - 2][k]).collect()
+            };
+            let coordinator = dm.medoid(&members, &members).unwrap();
+            if members != c.members || coordinator != c.coordinator {
+                out.push(format!(
+                    "cluster ({level}, {i}): {:?} led by {:?}, a full refresh gives {members:?} led by {coordinator:?}",
+                    c.members, c.coordinator
+                ));
+            }
+            d = d.max(max_pairwise(&members, dm));
+            level_coords.push(coordinator);
+        }
+        if d.to_bits() != h.d_at(level).to_bits() {
+            out.push(format!(
+                "d_{level} = {}, a full refresh gives {d}",
+                h.d_at(level)
+            ));
+        }
+        coords.push(level_coords);
+    }
+    out
 }
 
 proptest! {
@@ -52,7 +118,7 @@ proptest! {
                 }
                 let node = out_of_overlay.remove(pick % out_of_overlay.len());
                 let via = in_overlay[pick % in_overlay.len()];
-                let outcome = add_node(&mut h, &dm, node, via);
+                let (outcome, _) = add_node(&mut h, &dm, node, via);
                 prop_assert_eq!(outcome.leaf.level, 1);
                 in_overlay.push(node);
             } else {
@@ -98,6 +164,66 @@ proptest! {
         // Every routed coordinator is a real overlay member.
         for c in &out.route {
             prop_assert!(h.is_active(*c));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Joins and leaves interleaved with link repricings: after every
+    /// membership operation the touched-chain election must leave exactly
+    /// what re-electing every cluster would (coordinators, member lists in
+    /// order, `d_i` bits) — including after a repricing, when the next
+    /// operation must re-elect everything against the new distances — and
+    /// the delta it returns must be the snapshot diff.
+    #[test]
+    fn chain_local_election_matches_a_full_refresh(
+        seed in 0u64..20,
+        max_cs in 2usize..8,
+        ops in proptest::collection::vec((0u8..8, 0usize..1000, 0usize..1000), 1..60),
+    ) {
+        let (mut h, mut dm, mut net, active, inactive) = build_with_network(seed, max_cs);
+        let mut in_overlay: Vec<NodeId> = active;
+        let mut out_of_overlay: Vec<NodeId> = inactive;
+        for (step, (kind, pick, other)) in ops.into_iter().enumerate() {
+            if kind == 0 {
+                // Reprice a link: the distances move under the standing
+                // coordinators, as `Environment::reprice_link` leaves them.
+                let a = NodeId((pick % net.len()) as u32);
+                let links = net.neighbors(a);
+                let b = links[other % links.len()].to;
+                let link = net.find_link(a, b).unwrap();
+                let (old_w, cost) = (Metric::Cost.weight(link), link.cost);
+                let factor = [0.25, 0.5, 2.0, 5.0][other % 4];
+                net.set_link_cost(a, b, cost * factor);
+                dm.repair_link_change(&net, a, b, old_w);
+                h.refresh_statistics(&dm);
+                continue;
+            }
+            let before = h.snapshot();
+            let delta = if (kind % 2 == 1 && !out_of_overlay.is_empty()) || in_overlay.len() <= 2 {
+                if out_of_overlay.is_empty() {
+                    continue;
+                }
+                let node = out_of_overlay.remove(pick % out_of_overlay.len());
+                let via = in_overlay[other % in_overlay.len()];
+                in_overlay.push(node);
+                add_node(&mut h, &dm, node, via).1
+            } else {
+                let node = in_overlay.remove(pick % in_overlay.len());
+                out_of_overlay.push(node);
+                remove_node(&mut h, &dm, node).unwrap()
+            };
+            h.check_invariants();
+            let diffs = differs_from_full_refresh(&h, &dm);
+            prop_assert!(diffs.is_empty(), "step {}: {}", step, diffs.join("; "));
+            let want = before.diff(&h.snapshot());
+            prop_assert!(
+                delta == want,
+                "step {}: the operation reported {:?}, the snapshot diff finds {:?}",
+                step, delta, want
+            );
         }
     }
 }
