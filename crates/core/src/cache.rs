@@ -148,6 +148,12 @@ pub struct EntryDeps {
     /// destination. Sorted and deduplicated. A distance change between any
     /// two nodes outside this set cannot move the cached outcome.
     pub metric_nodes: Vec<NodeId>,
+    /// The [`metric_nodes`](Self::metric_nodes) that are not members of
+    /// the entry's cluster: representatives of inputs and of the
+    /// destination seen from outside it. Sorted and deduplicated. The
+    /// dependency index posts only these; the members are reached through
+    /// the cluster the entry is keyed at.
+    pub outside: Vec<NodeId>,
     /// Raw (pre-representative) locations the invocation referenced: input
     /// production sites plus the actual destination. Membership surgery
     /// invalidates the entry iff one of these went inactive or has a dirty
@@ -289,23 +295,46 @@ impl Hasher for AddrHasher {
 
 type Postings = HashSet<Handle, BuildHasherDefault<AddrHasher>>;
 
-/// Which committed entries a membership change can reach, posted from
-/// each entry's key and [`EntryDeps::locations`] and emptied as entries
-/// leave, whichever path retires them. Staged entries are not indexed:
-/// they are few, and membership retirement scans them.
+/// Which committed entries a membership or distance change can reach,
+/// posted from each entry's key, [`EntryDeps::locations`] and
+/// [`EntryDeps::outside`] and emptied as entries leave, whichever path
+/// retires them. Staged entries are not indexed: they are few, and the
+/// indexed retirements scan them.
 #[derive(Default)]
 struct DepIndex {
     /// By node id: the entries that reference the node as a raw location.
     by_location: Vec<Postings>,
+    /// By node id: the entries that consulted the node's distances from
+    /// outside their cluster. With `by_cluster` (the members' side) this
+    /// names every entry with the node among its metric nodes, at
+    /// O(inputs) postings an entry rather than O(members).
+    by_outside: Vec<Postings>,
     /// The entries keyed at each cluster.
     by_cluster: HashMap<ClusterId, Postings>,
     /// Changes not applied to the postings yet, oldest first: `true` to
     /// post an entry, `false` to drop its postings. Commits and scanning
-    /// retirements only append here, and the index's reader, membership
-    /// retirement, applies them first — so planning and repricing pay a
-    /// push per entry rather than five scattered hash updates. Applied
-    /// early once it outgrows the committed map.
+    /// retirements only append here, and the index's readers, membership
+    /// and changed-entry retirement, apply them first — so planning pays a
+    /// push per entry rather than a handful of scattered hash updates.
+    /// Applied early once it outgrows the committed map.
     pending: Vec<(bool, Handle, Arc<CacheEntry>)>,
+}
+
+/// Post `h` under each node of `nodes` in a by-node index.
+fn post(index: &mut Vec<Postings>, nodes: &[NodeId], h: &Handle) {
+    for n in nodes {
+        if index.len() <= n.index() {
+            index.resize_with(n.index() + 1, Postings::default);
+        }
+        index[n.index()].insert(h.clone());
+    }
+}
+
+/// Drop `h` from under each node of `nodes` in a by-node index.
+fn unpost(index: &mut [Postings], nodes: &[NodeId], h: &Handle) {
+    for n in nodes {
+        index[n.index()].remove(h);
+    }
 }
 
 impl DepIndex {
@@ -329,21 +358,15 @@ impl DepIndex {
 
     fn insert(&mut self, key: &Arc<PlanKey>, deps: &EntryDeps) {
         let h = Handle(Arc::clone(key));
-        for loc in &deps.locations {
-            if self.by_location.len() <= loc.index() {
-                self.by_location
-                    .resize_with(loc.index() + 1, Postings::default);
-            }
-            self.by_location[loc.index()].insert(h.clone());
-        }
+        post(&mut self.by_location, &deps.locations, &h);
+        post(&mut self.by_outside, &deps.outside, &h);
         self.by_cluster.entry(key.cluster).or_default().insert(h);
     }
 
     fn remove(&mut self, key: &Arc<PlanKey>, deps: &EntryDeps) {
         let h = Handle(Arc::clone(key));
-        for loc in &deps.locations {
-            self.by_location[loc.index()].remove(&h);
-        }
+        unpost(&mut self.by_location, &deps.locations, &h);
+        unpost(&mut self.by_outside, &deps.outside, &h);
         if let Entry::Occupied(mut at) = self.by_cluster.entry(key.cluster) {
             at.get_mut().remove(&h);
             if at.get().is_empty() {
@@ -380,6 +403,26 @@ impl DepIndex {
                     continue;
                 };
                 out.extend(at.iter().filter(|h| h.0.cluster.level >= id.level).cloned());
+            }
+        }
+        out
+    }
+
+    /// Every committed entry with a metric node in `cover`: those that
+    /// consulted a cover node from outside their cluster, and those keyed
+    /// at a cluster the node is a member of. An entry's cluster has the
+    /// members it was planned with — membership retirement drops an entry
+    /// once its cluster changes — so the current hierarchy names them.
+    fn metric_candidates(&self, hierarchy: &Hierarchy, cover: &[NodeId]) -> Postings {
+        let mut out = Postings::default();
+        for &node in cover {
+            if let Some(at) = self.by_outside.get(node.index()) {
+                out.extend(at.iter().cloned());
+            }
+            for id in hierarchy.member_clusters(node) {
+                if let Some(at) = self.by_cluster.get(&id) {
+                    out.extend(at.iter().cloned());
+                }
             }
         }
         out
@@ -528,20 +571,21 @@ impl PlanCache {
             rebuilt.insert(key, &entry.deps);
         }
         let held = &inner.deps;
-        let nonempty = |index: &DepIndex| -> Vec<(usize, Postings)> {
-            let mut out: Vec<(usize, Postings)> = index
-                .by_location
+        let nonempty = |by_node: &[Postings]| -> Vec<(usize, Postings)> {
+            by_node
                 .iter()
                 .enumerate()
                 .filter(|(_, at)| !at.is_empty())
                 .map(|(n, at)| (n, at.clone()))
-                .collect();
-            out.sort_by_key(|(n, _)| *n);
-            out
+                .collect()
         };
         assert!(
-            nonempty(held) == nonempty(&rebuilt),
+            nonempty(&held.by_location) == nonempty(&rebuilt.by_location),
             "location index differs from the committed entries"
+        );
+        assert!(
+            nonempty(&held.by_outside) == nonempty(&rebuilt.by_outside),
+            "outside-node index differs from the committed entries"
         );
         assert!(
             held.by_cluster == rebuilt.by_cluster,
@@ -656,49 +700,59 @@ impl PlanCache {
 
     /// Scoped retirement after a distance change: drop entries whose DP
     /// consulted a *pair* of nodes whose distance moved between `old` and
-    /// `new` (compared bit-exactly). The check is pair-wise within each
-    /// entry's [`EntryDeps::metric_nodes`], not node-wise: degrading a
-    /// degree-one node's only link changes its distance to *every* other
-    /// node — so every node is an endpoint of some changed pair — yet an
-    /// entry that never consulted a distance involving that node saw only
-    /// unchanged values and keeps hitting. Two identical matrices retire
-    /// nothing — a monitor round that rebuilt the matrix to the same values
-    /// keeps the whole cache. Returns the number of entries retired.
+    /// `new` (compared bit-exactly, in either direction). The check is
+    /// pair-wise within each entry's [`EntryDeps::metric_nodes`], not
+    /// node-wise: degrading a degree-one node's only link changes its
+    /// distance to *every* other node — so every node is an endpoint of
+    /// some changed pair — yet an entry that never consulted a distance
+    /// involving that node saw only unchanged values and keeps hitting. Two
+    /// identical matrices retire nothing — a monitor round that rebuilt the
+    /// matrix to the same values keeps the whole cache. Returns the number
+    /// of entries retired.
     ///
-    /// This arm scans both matrices, so it costs n² whatever changed; fault
-    /// surgery retires through [`retire_changed`](Self::retire_changed)
-    /// instead, and `tests/cache_props.rs` holds the two to the same keys.
+    /// This arm diffs both matrices and tests every entry, so it costs n²
+    /// whatever changed; fault surgery retires through
+    /// [`retire_changed`](Self::retire_changed) instead, and
+    /// `tests/cache_props.rs` holds the two to the same keys.
     pub fn retire_metric(&self, old: &DistanceMatrix, new: &DistanceMatrix) -> u64 {
-        let dirty = metric_dirty_nodes(old, new);
-        if dirty.is_empty() {
+        let changed = ChangedEntries::between(old, new);
+        if changed.is_empty() {
             return 0;
         }
-        self.retire_where(|_, entry| {
-            let m = &entry.deps.metric_nodes;
-            m.iter().enumerate().any(|(i, &u)| {
-                dirty.contains(&u)
-                    && m[i + 1..]
-                        .iter()
-                        .any(|&v| old.get(u, v).to_bits() != new.get(u, v).to_bits())
-            })
-        })
+        self.retire_where(|_, entry| changed.touches_pair(&entry.deps.metric_nodes))
     }
 
     /// [`retire_metric`](Self::retire_metric) driven by the repair's own
     /// record of the entries it changed instead of a scan of two matrices:
     /// the same rule — an entry goes iff two of its
-    /// [`EntryDeps::metric_nodes`] `u < v` have a changed `(u, v)` — at a
-    /// cost sized by the change. Returns the number of entries retired.
-    pub fn retire_changed(&self, changed: &ChangedEntries) -> u64 {
+    /// [`EntryDeps::metric_nodes`] form a changed pair
+    /// ([`ChangedEntries::pair_changed`]) — at a cost sized by the change.
+    /// Every changed pair has an endpoint in the record's
+    /// [cover](ChangedEntries::cover), so the dependency index (caught up
+    /// first) names the only candidates: the entries with a metric node in
+    /// the cover, found through `hierarchy`, the structure the entries were
+    /// planned against. Their count goes to the
+    /// `planner.cache_metric_visited` counter. Returns the number of
+    /// entries retired.
+    pub fn retire_changed(&self, hierarchy: &Hierarchy, changed: &ChangedEntries) -> u64 {
         if changed.is_empty() {
             return 0;
         }
-        self.retire_where(|_, entry| {
-            let m = &entry.deps.metric_nodes;
-            m.iter()
-                .enumerate()
-                .any(|(i, &u)| sorted_intersect(&m[i + 1..], changed.row(u)))
-        })
+        let stale = |entry: &CacheEntry| changed.touches_pair(&entry.deps.metric_nodes);
+        let mut inner = self.inner.lock().unwrap();
+        inner.deps.catch_up();
+        let candidates = inner.deps.metric_candidates(hierarchy, changed.cover());
+        dsq_obs::counter("planner.cache_metric_visited", candidates.len() as u64);
+        let before = inner.committed.len() + inner.staged.len();
+        for Handle(key) in candidates {
+            if stale(&inner.committed[&key]) {
+                inner.remove(&key);
+            }
+        }
+        inner.staged.retain(|(_, e)| !stale(e));
+        let retired = (before - inner.committed.len() - inner.staged.len()) as u64;
+        drop(inner);
+        self.count_retired(retired)
     }
 
     /// Scoped retirement after a catalog change: drop entries covering a
@@ -846,39 +900,17 @@ impl Drop for CommitHold<'_> {
     }
 }
 
-/// Whether two ascending id lists share an element. Leapfrogs: each side
-/// binary-searches past the run the other cannot match, so lists over
-/// disjoint id ranges — a cluster's nodes against the one stub domain a
-/// repair moved — part in a step or two.
-fn sorted_intersect(mut nodes: &[NodeId], mut cols: &[u32]) -> bool {
-    while let (Some(&x), Some(&y)) = (nodes.first(), cols.first()) {
-        match x.0.cmp(&y) {
-            std::cmp::Ordering::Equal => return true,
-            std::cmp::Ordering::Less => nodes = &nodes[nodes.partition_point(|v| v.0 < y)..],
-            std::cmp::Ordering::Greater => cols = &cols[cols.partition_point(|&c| c < x.0)..],
-        }
-    }
-    false
-}
-
 /// Nodes involved in at least one changed pairwise distance between two
-/// matrices (compared bit-exactly). By construction, the distance between
-/// two nodes *outside* the returned set is unchanged — which is what makes
-/// deployment-intersection a sound dirty test: an untouched deployment's
-/// edges all run between clean nodes, so its cost is bit-identical too.
+/// matrices (compared bit-exactly, in either direction). By construction,
+/// the distance between two nodes *outside* the returned set is unchanged —
+/// which is what makes deployment-intersection a sound dirty test: an
+/// untouched deployment's edges all run between clean nodes, so its cost is
+/// bit-identical too.
 pub fn metric_dirty_nodes(old: &DistanceMatrix, new: &DistanceMatrix) -> HashSet<NodeId> {
-    assert_eq!(old.len(), new.len(), "matrices must cover the same network");
     let mut dirty = HashSet::new();
-    let n = old.len();
-    for i in 0..n {
-        let a = NodeId(i as u32);
-        for j in (i + 1)..n {
-            let b = NodeId(j as u32);
-            if old.get(a, b).to_bits() != new.get(a, b).to_bits() {
-                dirty.insert(a);
-                dirty.insert(b);
-            }
-        }
+    for (a, b) in ChangedEntries::between(old, new).iter() {
+        dirty.insert(a);
+        dirty.insert(b);
     }
     dirty
 }
@@ -945,6 +977,52 @@ mod tests {
         new.set_selectivity(StreamId(5), StreamId(0), 0.5);
         let want: HashSet<StreamId> = [0, 1, 4, 5].into_iter().map(StreamId).collect();
         assert_eq!(catalog_dirty_streams(&old, &new), want);
+    }
+
+    #[test]
+    fn an_entry_whose_only_changed_pair_runs_backwards_is_retired() {
+        let net = dsq_net::TransitStubConfig::paper_64().generate(7).network;
+        let mut env = crate::Environment::build(net, 8);
+        env.isolate_cache(true);
+        let wl = dsq_workload::WorkloadGenerator::new(
+            dsq_workload::WorkloadConfig {
+                streams: 12,
+                queries: 6,
+                joins_per_query: 2..=3,
+                ..dsq_workload::WorkloadConfig::default()
+            },
+            3,
+        )
+        .generate(&env.network);
+        crate::optimize_all(
+            &env,
+            &crate::TopDown::new(&env),
+            &wl.catalog,
+            &wl.queries,
+            &dsq_query::ReuseRegistry::new(),
+            &crate::ParallelConfig::serial(),
+        );
+        let entries = env.plan_cache.entries();
+        let (key, entry) = entries
+            .iter()
+            .find(|(_, e)| e.deps.metric_nodes.len() >= 2)
+            .expect("planning cached a multi-node cell");
+        let m = &entry.deps.metric_nodes;
+        let (u, v) = (m[0], m[m.len() - 1]);
+        // Only the entry (v, u) moved, v > u: the row of the smaller node,
+        // which a test of `u < v` pairs reads, holds nothing.
+        let changed: ChangedEntries = [(v, u)].into_iter().collect();
+        assert!(u < v && changed.row(u).is_empty());
+        let both =
+            |e: &CacheEntry| e.deps.metric_nodes.contains(&u) && e.deps.metric_nodes.contains(&v);
+        let want = entries.iter().filter(|(_, e)| both(e)).count() as u64;
+        assert_eq!(
+            env.plan_cache.retire_changed(&env.hierarchy, &changed),
+            want
+        );
+        assert!(!env.plan_cache.keys().contains(key), "the entry survived");
+        assert_eq!(env.plan_cache.len() as u64, entries.len() as u64 - want);
+        env.plan_cache.check_index();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::load::LoadModel;
 use dsq_hierarchy::membership::{self, JoinOutcome};
 use dsq_hierarchy::{Hierarchy, HierarchyConfig, HierarchyDelta};
-use dsq_net::{CostSpace, DistanceMatrix, LinkRepair, Metric, Network, NodeId};
+use dsq_net::{ChangedEntries, CostSpace, DistanceMatrix, LinkRepair, Metric, Network, NodeId};
 use std::sync::{Arc, RwLock};
 
 /// Everything the optimizers need to know about the physical substrate,
@@ -194,8 +194,14 @@ impl Environment {
         if self.hierarchy.is_active(node) {
             return None;
         }
-        let via = self
-            .hierarchy
+        let via = self.rejoin_contact(node);
+        Some(self.membership_surgery(|h, dm| membership::add_node(h, dm, node, via)))
+    }
+
+    /// The member a node rejoining the overlay contacts: the active member
+    /// nearest to it, the lowest id among equals.
+    pub fn rejoin_contact(&self, node: NodeId) -> NodeId {
+        self.hierarchy
             .active()
             .min_by(|&a, &b| {
                 self.dm
@@ -203,18 +209,28 @@ impl Environment {
                     .total_cmp(&self.dm.get(b, node))
                     .then(a.0.cmp(&b.0))
             })
-            .expect("overlay is never empty");
-        Some(self.membership_surgery(|h, dm| membership::add_node(h, dm, node, via)))
+            .expect("overlay is never empty")
     }
 
     /// Set the cost of link `a`–`b` and bring the distance matrix (repaired
     /// in place under [`Self::metric`]; bit-identical to a fresh
     /// [`DistanceMatrix::build`]), the subplan cache and the hierarchy's
-    /// cost statistics up to date. Returns how the matrix was repaired, or
-    /// `None` (environment untouched) when there is no such link. A cost
-    /// that leaves the weight under [`Self::metric`] as it was — any cost, to
-    /// a latency environment — changes the network's price and nothing else.
-    pub fn reprice_link(&mut self, a: NodeId, b: NodeId, new_cost: f64) -> Option<LinkRepair> {
+    /// cost statistics up to date. Returns how the matrix was repaired and
+    /// the entries it changed, or `None` (environment untouched) when there
+    /// is no such link. A cost that leaves the weight under [`Self::metric`]
+    /// as it was — any cost, to a latency environment — changes the
+    /// network's price and nothing else.
+    ///
+    /// Past the repair, the work is sized by the change: every changed
+    /// distance pair has an endpoint in the record's
+    /// [cover](ChangedEntries::cover), so only the subplans and the
+    /// clusters with a node in it are looked at.
+    pub fn reprice_link(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        new_cost: f64,
+    ) -> Option<(LinkRepair, ChangedEntries)> {
         let old_w = self.metric.weight(self.network.find_link(a, b)?);
         self.network.set_link_cost(a, b, new_cost);
         let (repair, changed) = self.dm.repair_link_change(&self.network, a, b, old_w);
@@ -222,10 +238,11 @@ impl Environment {
         if !changed.is_empty() {
             // Pair-aware: an entry goes only if two nodes it consulted moved
             // apart, so a drift on a far-away link leaves the cache intact.
-            self.plan_cache.retire_changed(&changed);
-            self.hierarchy.refresh_statistics(&self.dm);
+            self.plan_cache.retire_changed(&self.hierarchy, &changed);
+            self.hierarchy
+                .refresh_statistics_near(&self.dm, changed.cover());
         }
-        Some(repair)
+        Some((repair, changed))
     }
 }
 

@@ -126,21 +126,26 @@ impl<'a> TopDown<'a> {
 
     /// Dependency record for a cacheable invocation: the nodes whose
     /// distances the DP can consult (members + seen inputs + seen
-    /// destination), the raw locations the representatives were derived
+    /// destination, and apart the seen nodes outside the members), the raw locations the representatives were derived
     /// from, and the covered base streams. Consumed by the cache's scoped
     /// retirement (`PlanCache::retire_*`).
     fn entry_deps(&self, cluster: ClusterId, inputs: &[PlannerInput], dest: NodeId) -> EntryDeps {
         let c = self.env.hierarchy.cluster(cluster);
-        let mut metric_nodes = c.members.clone();
         let mut locations = Vec::with_capacity(inputs.len() + 1);
+        let mut outside = Vec::with_capacity(inputs.len() + 1);
         let mut streams = Vec::new();
         for i in inputs {
             locations.push(i.location);
-            metric_nodes.push(self.seen_in(cluster, i.location));
+            outside.push(self.seen_in(cluster, i.location));
             streams.extend(i.covered.iter());
         }
         locations.push(dest);
-        metric_nodes.push(self.seen_in(cluster, dest));
+        outside.push(self.seen_in(cluster, dest));
+        outside.retain(|n| !c.members.contains(n));
+        outside.sort_unstable();
+        outside.dedup();
+        let mut metric_nodes = c.members.clone();
+        metric_nodes.extend(&outside);
         metric_nodes.sort_unstable();
         metric_nodes.dedup();
         locations.sort_unstable();
@@ -149,6 +154,7 @@ impl<'a> TopDown<'a> {
         streams.dedup();
         EntryDeps {
             metric_nodes,
+            outside,
             locations,
             streams,
         }
@@ -397,6 +403,17 @@ impl Optimizer for TopDown<'_> {
         stats: &mut SearchStats,
     ) -> Option<Deployment> {
         let _span = dsq_obs::span("topdown.optimize", || vec![("query", query.id.0.into())]);
+        // A sink or source origin outside the overlay has no cluster to be
+        // planned in: no plan, like any other infeasible query.
+        let h = &self.env.hierarchy;
+        if !h.is_active(query.sink)
+            || query
+                .sources
+                .iter()
+                .any(|&s| !h.is_active(catalog.stream(s).node))
+        {
+            return None;
+        }
         let load = self.env.load_snapshot();
         let planner = ClusterPlanner::new(catalog, query).with_load(load.as_ref());
         let mut inputs: Vec<PlannerInput> = query
@@ -465,6 +482,35 @@ mod tests {
             // Events must start at the top level and descend.
             assert_eq!(stats.events[0].level, env.hierarchy.height());
         }
+    }
+
+    #[test]
+    fn a_crashed_sink_or_origin_gets_no_plan_instead_of_a_panic() {
+        let mut env = env(8);
+        let wl = workload(&env, 4, 4);
+        let q = &wl.queries[0];
+        let origin = wl.catalog.stream(q.sources[0]).node;
+        for down in [q.sink, origin] {
+            let mut crashed = env.clone();
+            assert!(crashed.crash_node(down));
+            let plan = TopDown::new(&crashed).optimize(
+                &wl.catalog,
+                q,
+                &ReuseRegistry::new(),
+                &mut SearchStats::new(),
+            );
+            assert!(plan.is_none(), "planned around crashed node {down:?}");
+        }
+        // With both up again the query plans.
+        env.isolate_cache(true);
+        assert!(TopDown::new(&env)
+            .optimize(
+                &wl.catalog,
+                q,
+                &ReuseRegistry::new(),
+                &mut SearchStats::new()
+            )
+            .is_some());
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! ignore tag labels (and nothing else), and a cache hit whose tags are
 //! remapped must rebuild the same deployment a cold miss computes. And the
 //! retirement a link repair drives from its own changed-entry record must
-//! match the matrix-diffing reference, key for key, as membership
-//! retirement through the dependency index must match a scan of every
-//! entry.
+//! match the matrix-diffing reference, key for key, and both retirements
+//! through the dependency index — membership and changed-entry — must
+//! match a scan of every entry.
 
 use dsq_core::cache::{external_tags, retag, CacheEntry, PlanCache, PlanKey};
 use dsq_core::engine::{ClusterPlanner, PlannerInput};
 use dsq_core::placed::PlacedTree;
 use dsq_core::{optimize_all, Environment, ParallelConfig};
 use dsq_hierarchy::{ClusterId, Hierarchy, HierarchyDelta};
-use dsq_net::{NodeId, TransitStubConfig};
+use dsq_net::{DistanceMatrix, LinkRepair, NodeId, TransitStubConfig};
 use dsq_query::{Catalog, Query, QueryId, ReuseRegistry, Schema, StreamId, StreamSet};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -430,6 +430,115 @@ fn indexed_membership_retirement_matches_a_scan() {
         assert!(
             retired_some > 0,
             "seed {seed}: no membership change retired anything"
+        );
+    }
+}
+
+/// Whether two distinct nodes of `nodes` have a distance that differs
+/// between `old` and `new` in its bits, read either way — the changed-pair
+/// rule, applied by comparing the matrices.
+fn scan_changed(old: &DistanceMatrix, new: &DistanceMatrix, nodes: &[NodeId]) -> bool {
+    let moved = |u: NodeId, v: NodeId| old.get(u, v).to_bits() != new.get(u, v).to_bits();
+    nodes
+        .iter()
+        .enumerate()
+        .any(|(i, &u)| nodes[i + 1..].iter().any(|&v| moved(u, v) || moved(v, u)))
+}
+
+/// Link repricings — increases (the in-place repair), decreases (the
+/// rebuild) and factors that change nothing — interleaved with crashes and
+/// rejoins and re-planning: the retirement a repricing drives through the
+/// cover of its changed entries, which tests only the entries the
+/// dependency index names, must keep exactly the entries a scan of every
+/// entry against the two matrices keeps, and the index must stay equal to
+/// a rebuild after every step.
+#[test]
+fn cover_driven_metric_retirement_matches_a_scan() {
+    for seed in 0..4u64 {
+        let net = TransitStubConfig::paper_128().generate(seed + 21).network;
+        let mut env = Environment::build(net, 6);
+        let wl = dsq_workload::WorkloadGenerator::new(
+            dsq_workload::WorkloadConfig {
+                streams: 16,
+                queries: 24,
+                joins_per_query: 2..=3,
+                source_skew: Some(1.0),
+                ..dsq_workload::WorkloadConfig::default()
+            },
+            seed,
+        )
+        .generate(&env.network);
+        env.isolate_cache(true);
+        let mut rng = ChaCha8Rng::seed_from_u64(0xC0BE + seed);
+        let mut down: Vec<NodeId> = Vec::new();
+        let (mut partial, mut rebuilt, mut unchanged) = (0, 0, 0);
+        for step in 0..32 {
+            // Plan what can be planned; Top-Down declines the rest.
+            optimize_all(
+                &env,
+                &dsq_core::TopDown::new(&env),
+                &wl.catalog,
+                &wl.queries,
+                &ReuseRegistry::new(),
+                &ParallelConfig::serial(),
+            );
+            env.plan_cache.check_index();
+            let entries = env.plan_cache.entries();
+            assert!(
+                !entries.is_empty(),
+                "seed {seed} step {step}: planning warmed the cache"
+            );
+
+            if step % 4 == 3 {
+                let rejoin = !down.is_empty() && rng.gen_bool(0.5);
+                if rejoin {
+                    let n = down.swap_remove(rng.gen_range(0..down.len()));
+                    assert!(env.rejoin_node(n).is_some());
+                } else {
+                    let active = env.hierarchy.active_nodes();
+                    let n = active[rng.gen_range(0..active.len())];
+                    if env.crash_node(n) {
+                        down.push(n);
+                    }
+                }
+                env.plan_cache.check_index();
+                continue;
+            }
+
+            let a = NodeId(rng.gen_range(0..env.network.len() as u32));
+            let b = env.network.neighbors(a)[rng.gen_range(0..env.network.degree(a))].to;
+            let factor = [1.5, 4.0, 10.0, 0.5, 1.0][rng.gen_range(0..5usize)];
+            let cost = env.network.find_link(a, b).unwrap().cost * factor;
+            let old_dm = env.dm.clone();
+            let (repair, changed) = env.reprice_link(a, b, cost).expect("a real link");
+            let want: HashSet<PlanKey> = entries
+                .iter()
+                .filter(|(_, e)| !scan_changed(&old_dm, &env.dm, &e.deps.metric_nodes))
+                .map(|(k, _)| k.clone())
+                .collect();
+            let got: HashSet<PlanKey> = env.plan_cache.keys().into_iter().collect();
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "seed {seed} step {step}: survivors differ from the scan's"
+            );
+            assert!(
+                got == want,
+                "seed {seed} step {step}: survivors differ from the scan's"
+            );
+            env.plan_cache.check_index();
+            partial += usize::from(!want.is_empty() && want.len() < entries.len());
+            rebuilt += usize::from(repair == LinkRepair::Rebuilt);
+            unchanged += usize::from(changed.is_empty());
+        }
+        assert!(
+            partial > 0,
+            "seed {seed}: no repricing kept part of the cache"
+        );
+        assert!(rebuilt > 0, "seed {seed}: no repricing rebuilt the matrix");
+        assert!(
+            unchanged > 0,
+            "seed {seed}: every repricing moved a distance"
         );
     }
 }

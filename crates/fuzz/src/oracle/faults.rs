@@ -6,8 +6,9 @@ use super::planner::fingerprint_deployments;
 use super::Ctx;
 use dsq_core::{
     metric_dirty_nodes, optimize_all, optimize_dirty, Environment, InvalidationMode,
-    ParallelConfig, TopDown,
+    ParallelConfig, TopDown, OVERLAY_FLOOR,
 };
+use dsq_hierarchy::{membership, HierarchyDelta};
 use dsq_net::{DistanceMatrix, NodeId};
 use dsq_query::ReuseRegistry;
 use dsq_server::{ChaosReport, ChaosRunner, ServiceConfig};
@@ -45,8 +46,74 @@ fn drift_link(env: &mut Environment, pick: u64) -> Option<(NodeId, NodeId)> {
     Some((a, b))
 }
 
-/// Incremental-vs-full equivalence after one seeded link-cost drift.
+/// Incremental-vs-full equivalence after one seeded link-cost drift, and
+/// the membership deltas scoped retirement trusts (see
+/// [`membership_deltas`]).
 pub(super) fn incremental(ctx: &Ctx) -> Vec<String> {
+    let mut out = membership_deltas(ctx);
+    out.extend(drift_equivalence(ctx));
+    out
+}
+
+/// The case's fault schedule, in order, on a copy of its environment:
+/// degrades through [`Environment::reprice_link`], and every crash and
+/// rejoin through the membership operation the fault surgery runs. Each
+/// operation returns the clusters it changed, and the plan cache retires
+/// from that delta alone, so it must be exactly what diffing hierarchy
+/// snapshots taken around the operation finds.
+fn membership_deltas(ctx: &Ctx) -> Vec<String> {
+    let mut env = ctx.env().clone();
+    let mut out = Vec::new();
+    for (idx, tf) in ctx.inst().schedule.faults.iter().enumerate() {
+        let (nodes, rejoin) = match &tf.fault {
+            Fault::Crash(n) => (vec![*n], false),
+            Fault::CrashCluster(ns) => (ns.clone(), false),
+            Fault::Rejoin(n) => (vec![*n], true),
+            Fault::DegradeLink { a, b, factor } => {
+                if let Some(link) = env.network.find_link(*a, *b) {
+                    env.reprice_link(*a, *b, link.cost * factor);
+                }
+                continue;
+            }
+        };
+        for node in nodes {
+            let h = &env.hierarchy;
+            let before = h.snapshot();
+            let delta = if rejoin {
+                if h.is_active(node) {
+                    continue;
+                }
+                let via = env.rejoin_contact(node);
+                membership::add_node(&mut env.hierarchy, &env.dm, node, via).1
+            } else {
+                if !h.is_active(node) || h.active_count() <= OVERLAY_FLOOR {
+                    continue;
+                }
+                membership::remove_node(&mut env.hierarchy, &env.dm, node)
+                    .expect("guarded: node active, above floor")
+            };
+            let want = before.diff(&env.hierarchy.snapshot());
+            if delta != want {
+                let ids = |d: &HierarchyDelta| {
+                    let mut ids: Vec<(usize, usize)> =
+                        d.dirty.iter().map(|c| (c.level, c.index)).collect();
+                    ids.sort_unstable();
+                    format!("full {} dirty {ids:?}", d.full)
+                };
+                let op = if rejoin { "rejoin" } else { "crash" };
+                out.push(format!(
+                    "fault event {idx}: the {op} of {node} reported {}, the snapshot diff finds {}",
+                    ids(&delta),
+                    ids(&want)
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Incremental-vs-full equivalence after one seeded link-cost drift.
+fn drift_equivalence(ctx: &Ctx) -> Vec<String> {
     let (catalog, queries) = (ctx.catalog(), ctx.queries());
     // Warm a private cache with the standing deployments.
     let mut warm_env = ctx.env().clone();

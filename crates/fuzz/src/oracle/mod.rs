@@ -43,7 +43,8 @@
 //!     with the advertisement registry never costs more than without it.
 //! 11. **Incremental equivalence** — after a seeded link drift, scoped
 //!     retirement + `optimize_dirty` matches a from-scratch full replan
-//!     bit-for-bit.
+//!     bit-for-bit; and over the fault schedule, every crash and rejoin
+//!     returns the delta that diffing hierarchy snapshots around it finds.
 //! 12. **Protocol accounting** — a zero-drop [`dsq_sim::emulab::LossyProtocol`]
 //!     reproduces the reliable model bit-for-bit, per-send waits follow the
 //!     exponential-backoff schedule exactly for the observed retry count,
@@ -116,7 +117,8 @@ pub enum CheckId {
     /// unbounded budget changed planner output. Enabling reuse must also
     /// never raise the exact optimum.
     Reuse,
-    /// Incremental replanning diverged from the full replan.
+    /// Incremental replanning diverged from the full replan, or a
+    /// membership operation returned a delta other than the snapshot diff.
     Incremental,
     /// Lossy-protocol retry accounting broke: a zero-drop protocol diverged
     /// from the reliable model, waits disagreed with the retry count and

@@ -191,7 +191,37 @@ impl Hierarchy {
     /// The cluster structure and the coordinators are kept; the next
     /// membership operation re-elects every coordinator against `dm`.
     pub fn refresh_statistics(&mut self, dm: &DistanceMatrix) {
-        for c in self.levels.iter_mut().flatten() {
+        let all: Vec<(usize, usize)> = (1..=self.height())
+            .flat_map(|level| (0..self.level(level).len()).map(move |i| (level, i)))
+            .collect();
+        self.remeasure(dm, &all);
+    }
+
+    /// [`refresh_statistics`](Self::refresh_statistics) after a change that
+    /// moved only distance pairs with an endpoint in `cover` (a
+    /// [`dsq_net::ChangedEntries::cover`]): only the clusters with a member
+    /// in the cover are measured again — any other cluster's member pairs
+    /// all kept their distances, so its diameter would come out the same.
+    pub fn refresh_statistics_near(&mut self, dm: &DistanceMatrix, cover: &[NodeId]) {
+        let mut ids: Vec<(usize, usize)> = cover
+            .iter()
+            .flat_map(|&node| self.member_clusters(node))
+            .map(|id| (id.level, id.index))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        self.remeasure(dm, &ids);
+    }
+
+    /// Measure the diameters of the clusters `ids` — `(level, index)`
+    /// pairs — against `dm`, keeping members and coordinators, then
+    /// refresh `d_i` from the cached diameters. Unless the coordinators
+    /// were elected against `dm`, the next membership operation re-elects
+    /// every cluster.
+    fn remeasure(&mut self, dm: &DistanceMatrix, ids: &[(usize, usize)]) {
+        dsq_obs::counter("hierarchy.clusters_remeasured", ids.len() as u64);
+        for &(level, i) in ids {
+            let c = &mut self.levels[level - 1][i];
             c.diameter = max_pairwise(&c.members, dm);
         }
         self.recompute_d();
@@ -330,6 +360,29 @@ impl Hierarchy {
             level: 1,
             index: self.leaf_of[node.index()].expect("node is not an active overlay member"),
         }
+    }
+
+    /// The clusters `node` is a member of, lowest first: its leaf cluster,
+    /// then each parent while `node` coordinates the cluster below (a
+    /// level's members are its children's coordinators). Empty when `node`
+    /// is not an active overlay member.
+    pub fn member_clusters(&self, node: NodeId) -> Vec<ClusterId> {
+        let Some(mut index) = self.leaf_of.get(node.index()).copied().flatten() else {
+            return Vec::new();
+        };
+        let mut out = vec![ClusterId { level: 1, index }];
+        for level in 1..self.height() {
+            let c = &self.levels[level - 1][index];
+            match c.parent {
+                Some(p) if c.coordinator == node => index = p,
+                _ => break,
+            }
+            out.push(ClusterId {
+                level: level + 1,
+                index,
+            });
+        }
+        out
     }
 
     /// The cluster at `level` whose subtree contains `node`.
@@ -685,6 +738,40 @@ mod tests {
         let active: Vec<NodeId> = ts.network.nodes().collect();
         let h = Hierarchy::build(&active, &dm, &cs, HierarchyConfig::new(max_cs));
         (h, dm)
+    }
+
+    #[test]
+    fn a_refresh_near_the_cover_measures_what_a_full_refresh_does() {
+        let mut net = TransitStubConfig::paper_64().generate(1).network;
+        let (mut near, mut dm) = build(4);
+        let mut full = near.clone();
+        for (step, factor) in [4.0, 0.25, 3.0, 0.5, 10.0].into_iter().enumerate() {
+            let a = NodeId((step * 13 % net.len()) as u32);
+            let link = net.neighbors(a)[0];
+            let old_w = Metric::Cost.weight(&link);
+            net.set_link_cost(a, link.to, link.cost * factor);
+            let (_, changed) = dm.repair_link_change(&net, a, link.to, old_w);
+            full.refresh_statistics(&dm);
+            near.refresh_statistics_near(&dm, changed.cover());
+            for level in 1..=full.height() {
+                assert_eq!(near.d_at(level).to_bits(), full.d_at(level).to_bits());
+                for (n, f) in near.level(level).iter().zip(full.level(level)) {
+                    assert_eq!(n.diameter.to_bits(), f.diameter.to_bits(), "step {step}");
+                }
+            }
+        }
+        // The member side the refresh walks: every cluster listing the node.
+        for node in near.active_nodes() {
+            let mut listing = Vec::new();
+            for level in 1..=near.height() {
+                for (index, c) in near.level(level).iter().enumerate() {
+                    if c.members.contains(&node) {
+                        listing.push(ClusterId { level, index });
+                    }
+                }
+            }
+            assert_eq!(near.member_clusters(node), listing);
+        }
     }
 
     #[test]

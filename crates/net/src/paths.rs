@@ -141,8 +141,13 @@ pub enum LinkRepair {
 
 /// The `(row, column)` entries whose bits one
 /// [`DistanceMatrix::repair_link_change`] changed — no entry missing, none
-/// spurious — so what a repair costs downstream (subplan retirement) is
-/// sized by the change, not by n².
+/// spurious — so what a repair costs downstream (subplan retirement,
+/// cluster diameters, deployment costs) is sized by the change, not by n².
+///
+/// The matrix is symmetric in value but not in bits (`(u, v)` and `(v, u)`
+/// are summed along different paths), and readers consult both
+/// directions, so a pair counts as changed when either of its entries did
+/// ([`pair_changed`](Self::pair_changed)).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChangedEntries {
     /// `ends[r]` is where row `r`'s run in `cols` ends (it starts where row
@@ -151,9 +156,46 @@ pub struct ChangedEntries {
     /// Changed columns, ascending within each row's run.
     cols: Vec<u32>,
     settled: u64,
+    /// Ascending nodes holding an endpoint of every changed entry.
+    cover: Vec<NodeId>,
+}
+
+impl FromIterator<(NodeId, NodeId)> for ChangedEntries {
+    /// A record of the given `(row, column)` entries, in any order.
+    fn from_iter<I: IntoIterator<Item = (NodeId, NodeId)>>(entries: I) -> Self {
+        let mut entries: Vec<(NodeId, NodeId)> = entries.into_iter().collect();
+        entries.sort_unstable();
+        entries.dedup();
+        let mut out = ChangedEntries::default();
+        let mut at = 0;
+        while at < entries.len() {
+            let row = entries[at].0;
+            let start = out.cols.len();
+            while at < entries.len() && entries[at].0 == row {
+                out.cols.push(entries[at].1 .0);
+                at += 1;
+            }
+            out.close_row(row.index(), start);
+        }
+        out.finish();
+        out
+    }
 }
 
 impl ChangedEntries {
+    /// The entries whose bits differ between two matrices over the same
+    /// nodes, found by comparing every entry.
+    pub fn between(old: &DistanceMatrix, new: &DistanceMatrix) -> Self {
+        assert_eq!(old.len(), new.len(), "matrices must cover the same network");
+        let n = old.len().max(1);
+        let mut out = ChangedEntries::default();
+        for (s, (o, w)) in old.dist.chunks(n).zip(new.dist.chunks(n)).enumerate() {
+            out.record_row_diff(s, o, w);
+        }
+        out.finish();
+        out
+    }
+
     /// True when the repair left every distance bit as it was.
     pub fn is_empty(&self) -> bool {
         self.cols.is_empty()
@@ -188,6 +230,58 @@ impl ChangedEntries {
         self.settled
     }
 
+    /// Whether the distance between `u` and `v` changed, read either way.
+    /// The one changed-pair test: subplan retirement, the diameter refresh
+    /// and deployment re-costing all decide through it, and the
+    /// [`cover`](Self::cover) holds an endpoint of every pair it accepts.
+    pub fn pair_changed(&self, u: NodeId, v: NodeId) -> bool {
+        self.row(u).binary_search(&v.0).is_ok() || self.row(v).binary_search(&u.0).is_ok()
+    }
+
+    /// Whether two distinct nodes of the ascending list `nodes` form a
+    /// changed pair ([`pair_changed`](Self::pair_changed)), found by
+    /// intersecting each node's changed row with the list.
+    pub fn touches_pair(&self, nodes: &[NodeId]) -> bool {
+        nodes
+            .iter()
+            .any(|&u| intersects_except(nodes, self.row(u), u))
+    }
+
+    /// Ascending nodes holding an endpoint of every changed entry, so a
+    /// changed pair always has one in the cover: a reader of distances
+    /// between nodes outside it only read values that did not change. Picked
+    /// greedily, rows with the most changed entries first; a link repair's
+    /// cover is typically the few nodes on the link's far side.
+    pub fn cover(&self) -> &[NodeId] {
+        &self.cover
+    }
+
+    /// Pick [`cover`](Self::cover): visit the rows with the most changed
+    /// entries first, and take a row into the cover unless every column it
+    /// changed already is. O(entries) after sorting the rows.
+    fn finish(&mut self) {
+        let mut rows: Vec<(usize, u32)> = (0..self.ends.len() as u32)
+            .map(|r| (self.row(NodeId(r)).len(), r))
+            .filter(|&(len, _)| len > 0)
+            .collect();
+        rows.sort_unstable_by_key(|&(len, r)| (std::cmp::Reverse(len), r));
+        // Only rows enter the cover, so a column past the rows is outside.
+        let mut taken = vec![false; self.ends.len()];
+        for (_, r) in rows {
+            let row = self.row(NodeId(r));
+            if row
+                .iter()
+                .any(|&c| !taken.get(c as usize).copied().unwrap_or(false))
+            {
+                taken[r as usize] = true;
+            }
+        }
+        self.cover = (0..taken.len() as u32)
+            .filter(|&r| taken[r as usize])
+            .map(NodeId)
+            .collect();
+    }
+
     /// Close row `s`, whose changed columns are `cols[start..]` in any order.
     /// Rows close in ascending order; the ones skipped changed nothing.
     fn close_row(&mut self, s: usize, start: usize) {
@@ -208,6 +302,25 @@ impl ChangedEntries {
         }
         self.close_row(s, start);
     }
+}
+
+/// Whether two ascending id lists share an element other than `skip`.
+/// Leapfrogs: each side binary-searches past the run the other cannot
+/// match, so lists over disjoint id ranges — a cluster's nodes against the
+/// one stub domain a repair moved — part in a step or two.
+fn intersects_except(mut nodes: &[NodeId], mut cols: &[u32], skip: NodeId) -> bool {
+    while let (Some(&x), Some(&y)) = (nodes.first(), cols.first()) {
+        match x.0.cmp(&y) {
+            Ordering::Equal if x == skip => {
+                nodes = &nodes[1..];
+                cols = &cols[1..];
+            }
+            Ordering::Equal => return true,
+            Ordering::Less => nodes = &nodes[nodes.partition_point(|v| v.0 < y)..],
+            Ordering::Greater => cols = &cols[cols.partition_point(|&c| c < x.0)..],
+        }
+    }
+    false
 }
 
 /// Per-row scratch of [`DistanceMatrix::repair_link_change`], reused across
@@ -574,6 +687,7 @@ impl DistanceMatrix {
                 changed.record_row_diff(s, old, new);
             }
             changed.settled = (n * n) as u64;
+            changed.finish();
             *self = rebuilt;
             return (LinkRepair::Rebuilt, changed);
         }
@@ -630,6 +744,7 @@ impl DistanceMatrix {
         if !changed.is_empty() {
             self.version = next_version();
         }
+        changed.finish();
         (LinkRepair::Incremental { rows }, changed)
     }
 
@@ -1056,6 +1171,42 @@ mod tests {
         }
         assert!(!moved.is_empty());
         assert_eq!(changed.iter().collect::<Vec<_>>(), moved);
+    }
+
+    #[test]
+    fn a_pair_changed_in_one_direction_counts_both_ways() {
+        let (u, v, w) = (NodeId(1), NodeId(4), NodeId(6));
+        // Only the entry (v, u) moved, as when the two directions of a
+        // distance are summed along different paths.
+        let changed: ChangedEntries = [(v, u)].into_iter().collect();
+        assert!(changed.row(u).is_empty());
+        assert!(changed.pair_changed(u, v) && changed.pair_changed(v, u));
+        assert!(!changed.pair_changed(u, w));
+        assert!(changed.touches_pair(&[u, v]));
+        assert!(changed.touches_pair(&[NodeId(0), u, v, w]));
+        assert!(!changed.touches_pair(&[u, w]) && !changed.touches_pair(&[v]));
+        assert_eq!(changed.cover(), &[v]);
+    }
+
+    #[test]
+    fn the_cover_takes_the_widest_rows_and_covers_every_entry() {
+        // A star of changes around 2 and 5 (rows of five and four), plus
+        // the rows of their leaves pointing back at them.
+        let mut entries = Vec::new();
+        for c in [0, 1, 3, 4, 7] {
+            entries.push((NodeId(2), NodeId(c)));
+            entries.push((NodeId(c), NodeId(2)));
+        }
+        for c in [0, 6, 8, 9] {
+            entries.push((NodeId(5), NodeId(c)));
+        }
+        let changed: ChangedEntries = entries.iter().copied().collect();
+        assert_eq!(changed.len(), entries.len());
+        assert_eq!(changed.cover(), &[NodeId(2), NodeId(5)]);
+        for (x, y) in changed.iter() {
+            assert!(changed.cover().contains(&x) || changed.cover().contains(&y));
+        }
+        assert!(ChangedEntries::default().cover().is_empty());
     }
 
     #[test]

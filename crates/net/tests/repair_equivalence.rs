@@ -9,7 +9,10 @@
 //! CI runs this suite in `--release` so the schedules are long enough to
 //! exercise real topologies, not toys.
 
-use dsq_net::{DistanceMatrix, LinkKind, LinkRepair, Metric, Network, NodeId, TransitStubConfig};
+use dsq_net::{
+    ChangedEntries, DistanceMatrix, LinkKind, LinkRepair, Metric, Network, NodeId,
+    TransitStubConfig,
+};
 
 /// Deterministic xorshift step — the schedule driver's only randomness.
 fn next(state: &mut u64) -> u64 {
@@ -146,6 +149,19 @@ fn run_schedule_over(
         for &(x, y) in &expected {
             assert!(changed.row(x).binary_search(&y.0).is_ok());
         }
+        // The cover holds an endpoint of every changed entry, and the
+        // record is what diffing the two matrices gives.
+        let cover = changed.cover();
+        for &(x, y) in &expected {
+            assert!(
+                cover.binary_search(&x).is_ok() || cover.binary_search(&y).is_ok(),
+                "seed {seed} event {ev}: ({x:?},{y:?}) has no endpoint in the cover"
+            );
+        }
+        assert!(cover.len() <= changed.len());
+        assert!(ChangedEntries::between(&dm, &full)
+            .iter()
+            .eq(changed.iter()));
 
         // The repair path taken must match the weight delta: only a strict
         // weight decrease (or a vanished link) may pay a full rebuild.

@@ -222,7 +222,9 @@ mod tests {
             env.reprice_link(a, b, old * 3.0)
         };
 
-        assert_eq!(repair, Some(dsq_net::LinkRepair::Incremental { rows: 0 }));
+        let (repair, changed) = repair.expect("a real link");
+        assert_eq!(repair, dsq_net::LinkRepair::Incremental { rows: 0 });
+        assert!(changed.is_empty() && changed.cover().is_empty());
         assert_eq!(
             sink.snapshot().counters.get("net.repair.nodes_settled"),
             Some(&0),

@@ -22,7 +22,7 @@ use std::str::FromStr;
 use dsq_core::{
     catalog_dirty_streams, optimize_all, Environment, ParallelConfig, SearchStats, TopDown,
 };
-use dsq_net::{LinkRepair, NodeId};
+use dsq_net::{ChangedEntries, LinkRepair, NodeId};
 use dsq_obs::kv::{self, Bits, Field, Flag, List, RecordWriter};
 use dsq_obs::Value;
 use dsq_query::{Catalog, Deployment, Query, QueryId, ReuseRegistry, StreamId};
@@ -171,7 +171,7 @@ pub struct DrainSummary {
 }
 
 /// What a fault report did to the environment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Surgery {
     /// Nothing (inactive node crash, active node rejoin, unknown link,
     /// overlay floor, zero factor). A crash refused at the overlay floor
@@ -181,8 +181,9 @@ pub enum Surgery {
     Crashed(NodeId),
     /// Node re-added to the overlay.
     Rejoined(NodeId),
-    /// Link cost changed, distance matrix repaired.
-    Degraded,
+    /// Link cost changed, distance matrix repaired; the entries the repair
+    /// changed.
+    Degraded(ChangedEntries),
 }
 
 /// Apply one fault report to the environment only (no query bookkeeping):
@@ -207,13 +208,14 @@ pub fn apply_fault_surgery(env: &mut Environment, fault: &FaultReq) -> Surgery {
                 // Obs-only accounting (not `ServiceCounters`): the matrix
                 // is repaired incrementally, and pays a full APSP only when
                 // the weight decreased past its alternatives.
-                match env.reprice_link(a, b, new_cost).expect("link found above") {
+                let (repair, changed) = env.reprice_link(a, b, new_cost).expect("link found above");
+                match repair {
                     LinkRepair::Incremental { rows } => {
                         dsq_obs::counter("server.degrade_rows_repaired", rows as u64);
                     }
                     LinkRepair::Rebuilt => dsq_obs::counter("server.degrade_rebuilds", 1),
                 }
-                return Surgery::Degraded;
+                return Surgery::Degraded(changed);
             }
         }
         _ => {}
@@ -741,14 +743,19 @@ impl ServiceCore {
                 // servable again.
                 self.registry.host_rejoined(node);
             }
-            Surgery::Degraded => {
+            Surgery::Degraded(changed) => {
+                // A slot with no changed edge would re-cost to the bits it
+                // holds (`recompute_cost` sums the edges in the order
+                // `Deployment::evaluate` did), so its verdict cannot move.
                 let threshold = self.threshold();
-                for slot in self.slots.values_mut() {
-                    if let Some(d) = slot.deployment.as_mut() {
-                        d.recompute_cost(&self.env.dm);
-                        if degraded(d.cost, slot.baseline_cost, threshold) {
-                            slot.dirty = true;
-                        }
+                let ids = self.slots_on_changed_edges(&changed);
+                dsq_obs::counter("server.degrade_slots_recosted", ids.len() as u64);
+                for id in ids {
+                    let slot = self.slots.get_mut(&id).expect("indexed slots exist");
+                    let d = slot.deployment.as_mut().expect("only planned slots");
+                    d.recompute_cost(&self.env.dm);
+                    if degraded(d.cost, slot.baseline_cost, threshold) {
+                        slot.dirty = true;
                     }
                 }
             }
@@ -804,6 +811,39 @@ impl ServiceCore {
             lists(&self.node_slots) == lists(&rebuilt),
             "node → slot index differs from the slots"
         );
+    }
+
+    /// The slots whose deployment has an edge over a changed distance
+    /// pair, in id order: each such edge has an endpoint in the record's
+    /// cover, and the node → slot index lists the slot on every endpoint,
+    /// so only the slots on cover nodes are examined. Debug builds check
+    /// the answer against a walk over every slot.
+    fn slots_on_changed_edges(&self, changed: &ChangedEntries) -> Vec<u32> {
+        let moved = |slot: &QuerySlot| {
+            slot.deployment
+                .as_ref()
+                .is_some_and(|d| d.edges.iter().any(|e| changed.pair_changed(e.from, e.to)))
+        };
+        let mut ids: Vec<u32> = changed
+            .cover()
+            .iter()
+            .flat_map(|&n| self.node_slots.on(n))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.retain(|id| moved(&self.slots[id]));
+        #[cfg(debug_assertions)]
+        {
+            self.check_slot_index();
+            let walked: Vec<u32> = self
+                .slots
+                .iter()
+                .filter(|(_, slot)| moved(slot))
+                .map(|(&id, _)| id)
+                .collect();
+            assert_eq!(ids, walked, "the cover missed a slot with a changed edge");
+        }
+        ids
     }
 
     /// Apply [`classify_crash`] for the crash of `node` to every slot not

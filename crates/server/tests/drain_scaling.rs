@@ -1,12 +1,16 @@
 //! A drain costs its wave — not the standing population, and not the
-//! service's age — and a crash costs what it touched, not the population.
+//! service's age — and a crash or a link degrade costs what it touched,
+//! not the population.
 //!
-//! All three are checked on counts, not clocks: the registry reports how
-//! many advert slots its operations looked at (`advert.slots_visited`, an
+//! All are checked on counts, not clocks: the registry reports how many
+//! advert slots its operations looked at (`advert.slots_visited`, an
 //! obs-only counter), the planner's span reports how many queries it was
-//! handed, and crash handling counts the cache entries it tested
+//! handed, crash handling counts the cache entries it tested
 //! (`planner.cache_membership_visited`) and the slots it classified
-//! (`server.crash_slots_classified`).
+//! (`server.crash_slots_classified`), and a degrade counts the cache
+//! entries it tested (`planner.cache_metric_visited`), the slots it
+//! re-costed (`server.degrade_slots_recosted`) and the clusters whose
+//! diameter it measured again (`hierarchy.clusters_remeasured`).
 
 use dsq_core::Environment;
 use dsq_hierarchy::membership;
@@ -200,28 +204,125 @@ fn crash_cost(core: &mut ServiceCore, victim: NodeId) -> (u64, u64) {
     )
 }
 
+/// Two transit domains with the streams and sinks of a few queries in
+/// domain A and of three times as many in domain B: what a fault in
+/// domain A costs must not depend on the queries living in domain B.
+struct TwoDomains {
+    env: Environment,
+    catalog: Catalog,
+    a_nodes: Vec<NodeId>,
+    a_streams: Vec<u32>,
+    b_nodes: Vec<NodeId>,
+    b_streams: Vec<u32>,
+    /// Domain A's transit and stub nodes.
+    a_side: Vec<NodeId>,
+    /// Domain A's stub domains, each with its gateway link.
+    a_stubs: Vec<((NodeId, NodeId), Vec<NodeId>)>,
+}
+
+const QUERIES: u32 = 6;
+
+impl TwoDomains {
+    fn new() -> Self {
+        let ts = TransitStubConfig {
+            transit_domains: 2,
+            transit_nodes_per_domain: 2,
+            stub_domains_per_transit_node: 2,
+            stub_nodes_per_domain: 6,
+            ..TransitStubConfig::default()
+        }
+        .generate(11);
+        let stubs_of = |domain: usize| -> Vec<NodeId> {
+            ts.stub_domains
+                .iter()
+                .filter(|(gateway, _)| ts.transit_domains[domain].contains(gateway))
+                .flat_map(|(_, nodes)| nodes.iter().copied())
+                .collect()
+        };
+        let (a_nodes, b_nodes) = (stubs_of(0), stubs_of(1));
+        let a_stubs = ts
+            .stub_domains
+            .iter()
+            .filter(|(gateway, _)| ts.transit_domains[0].contains(gateway))
+            .map(|(gateway, nodes)| {
+                let inside = ts
+                    .network
+                    .neighbors(*gateway)
+                    .iter()
+                    .map(|l| l.to)
+                    .find(|n| nodes.contains(n))
+                    .expect("a gateway links into its stub domain");
+                ((*gateway, inside), nodes.clone())
+            })
+            .collect();
+        let mut a_side = ts.transit_domains[0].clone();
+        a_side.extend(&a_nodes);
+        let mut env = Environment::build(ts.network.clone(), 4);
+        env.isolate_cache(true);
+        let mut catalog = Catalog::new();
+        for (i, &n) in a_nodes.iter().chain(&b_nodes).step_by(3).enumerate() {
+            catalog.add_stream(format!("S{i}"), 1.0 + i as f64, n, Schema::default());
+        }
+        let in_a = |s: u32| a_nodes.contains(&catalog.stream(dsq_query::StreamId(s)).node);
+        let (a_streams, b_streams): (Vec<u32>, Vec<u32>) =
+            (0..catalog.len() as u32).partition(|&s| in_a(s));
+        TwoDomains {
+            env,
+            catalog,
+            a_nodes,
+            a_streams,
+            b_nodes,
+            b_streams,
+            a_side,
+            a_stubs,
+        }
+    }
+
+    /// The registrations: `QUERIES` over domain A's streams with sinks
+    /// drawn from `a_sinks`, then, with `extra`, `2 * QUERIES` more over
+    /// domain B's.
+    fn registrations(&self, a_sinks: &[NodeId], extra: bool) -> Vec<JournalEntry> {
+        let register = |id: u32, streams: &[u32], sinks: &[NodeId]| JournalEntry::Register {
+            id,
+            sources: (0..3)
+                .map(|k| streams[(id as usize + k) % streams.len()])
+                .collect(),
+            sink: sinks[id as usize * 5 % sinks.len()].0,
+            deadline_ms: None,
+            at_ms: 1,
+        };
+        let mut batch: Vec<JournalEntry> = (0..QUERIES)
+            .map(|id| register(id, &self.a_streams, a_sinks))
+            .collect();
+        if extra {
+            batch.extend(
+                (QUERIES..4 * QUERIES).map(|id| register(id, &self.b_streams, &self.b_nodes)),
+            );
+        }
+        batch
+    }
+
+    /// A core with `batch` drained and every query planned.
+    fn planned(&self, batch: &[JournalEntry]) -> ServiceCore {
+        let mut core = ServiceCore::over(
+            ServiceConfig::default(),
+            self.env.clone(),
+            self.catalog.clone(),
+        );
+        core.drain(batch, 1);
+        assert!(
+            core.slots.values().all(|s| s.status == SlotStatus::Planned),
+            "every query is planned before the fault"
+        );
+        core
+    }
+}
+
 #[test]
 fn a_crash_visits_what_it_touched_whatever_lives_in_another_domain() {
-    // Two transit domains; every stream and every sink of the queries that
-    // matter lives in domain A, the extra queries' in domain B.
-    let ts = TransitStubConfig {
-        transit_domains: 2,
-        transit_nodes_per_domain: 2,
-        stub_domains_per_transit_node: 2,
-        stub_nodes_per_domain: 6,
-        ..TransitStubConfig::default()
-    }
-    .generate(11);
-    let stubs_of = |domain: usize| -> Vec<NodeId> {
-        ts.stub_domains
-            .iter()
-            .filter(|(gateway, _)| ts.transit_domains[domain].contains(gateway))
-            .flat_map(|(_, nodes)| nodes.iter().copied())
-            .collect()
-    };
-    let (a_nodes, b_nodes) = (stubs_of(0), stubs_of(1));
-    let mut env = Environment::build(ts.network.clone(), 4);
-    env.isolate_cache(true);
+    let world = TwoDomains::new();
+    let env = &world.env;
+    let a_nodes = &world.a_nodes;
 
     // The victim: a domain-A node that coordinates nothing, whose leaf
     // cluster holds only domain-A nodes, and whose departure changes that
@@ -240,47 +341,16 @@ fn a_crash_visits_what_it_touched_whatever_lives_in_another_domain() {
         })
         .expect("some domain-A node leaves only its leaf changed");
 
-    let mut catalog = Catalog::new();
-    for (i, &n) in a_nodes.iter().chain(&b_nodes).step_by(3).enumerate() {
-        catalog.add_stream(format!("S{i}"), 1.0 + i as f64, n, Schema::default());
-    }
-    let in_a = |s: u32| a_nodes.contains(&catalog.stream(dsq_query::StreamId(s)).node);
-    let (a_streams, b_streams): (Vec<u32>, Vec<u32>) =
-        (0..catalog.len() as u32).partition(|&s| in_a(s));
-
-    // Queries over one domain's streams with sinks in that domain; the
-    // victim is the sink of the first domain-A query.
-    let register = |id: u32, streams: &[u32], sinks: &[NodeId]| JournalEntry::Register {
-        id,
-        sources: (0..3)
-            .map(|k| streams[(id as usize + k) % streams.len()])
-            .collect(),
-        sink: sinks[id as usize * 5 % sinks.len()].0,
-        deadline_ms: None,
-        at_ms: 1,
-    };
+    // The victim is the sink of the first domain-A query.
     let mut a_sinks = vec![victim];
     a_sinks.extend(a_nodes.iter().copied().filter(|&n| n != victim));
-    const QUERIES: u32 = 6;
-    let base: Vec<JournalEntry> = (0..QUERIES)
-        .map(|id| register(id, &a_streams, &a_sinks))
-        .collect();
-    let extra: Vec<JournalEntry> = (QUERIES..4 * QUERIES)
-        .map(|id| register(id, &b_streams, &b_nodes))
-        .collect();
-
-    let run = |batch: Vec<JournalEntry>| {
-        let mut core = ServiceCore::over(ServiceConfig::default(), env.clone(), catalog.clone());
-        core.drain(&batch, 1);
-        assert!(
-            core.slots.values().all(|s| s.status == SlotStatus::Planned),
-            "every query is planned before the crash"
-        );
+    let run = |extra: bool| {
+        let mut core = world.planned(&world.registrations(&a_sinks, extra));
         let entries = core.env.plan_cache.len();
         (crash_cost(&mut core, victim), entries)
     };
-    let ((visited, classified), entries) = run(base.clone());
-    let ((visited_3x, classified_3x), entries_3x) = run(base.into_iter().chain(extra).collect());
+    let ((visited, classified), entries) = run(false);
+    let ((visited_3x, classified_3x), entries_3x) = run(true);
 
     assert!(entries_3x > entries, "the extra queries filled the cache");
     assert!(
@@ -291,5 +361,71 @@ fn a_crash_visits_what_it_touched_whatever_lives_in_another_domain() {
         (visited_3x, classified_3x),
         (visited, classified),
         "entries visited and slots classified by the crash changed with the population of another domain"
+    );
+}
+
+/// What degrading link `a`–`b` fourfold cost: cache entries tested, slots
+/// re-costed and clusters measured again.
+fn degrade_cost(core: &mut ServiceCore, (a, b): (NodeId, NodeId)) -> (u64, u64, u64) {
+    let sink = Sink::new(ClockMode::Virtual);
+    let _g = scoped(sink.clone());
+    let degrade = JournalEntry::Fault {
+        fault: FaultReq::Degrade {
+            a: a.0,
+            b: b.0,
+            factor_milli: 4000,
+        },
+        at_ms: 2,
+    };
+    core.drain(&[degrade], 2);
+    let counters = sink.snapshot().counters;
+    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+    (
+        count("planner.cache_metric_visited"),
+        count("server.degrade_slots_recosted"),
+        count("hierarchy.clusters_remeasured"),
+    )
+}
+
+#[test]
+fn a_gateway_degrade_visits_what_it_touched_whatever_lives_in_another_domain() {
+    let world = TwoDomains::new();
+    let h = &world.env.hierarchy;
+    // The link: the gateway of a domain-A stub domain every cluster of
+    // whose nodes holds domain-A nodes alone below it, so domain B's plans never consult
+    // a distance into it. The domain's nodes host the domain-A sinks.
+    let ((a, b), stub) = world
+        .a_stubs
+        .iter()
+        .find(|(_, nodes)| {
+            nodes.iter().all(|&n| {
+                h.member_clusters(n)
+                    .iter()
+                    .all(|&c| h.subtree_nodes(c).iter().all(|m| world.a_side.contains(m)))
+            })
+        })
+        .expect("some domain-A stub domain clusters with domain A alone");
+    let run = |extra: bool| {
+        let mut core = world.planned(&world.registrations(stub, extra));
+        let entries = core.env.plan_cache.len();
+        (degrade_cost(&mut core, (*a, *b)), entries)
+    };
+    let (cost, entries) = run(false);
+    let (cost_3x, entries_3x) = run(true);
+
+    assert!(entries_3x > entries, "the extra queries filled the cache");
+    let (visited, recosted, remeasured) = cost;
+    assert!(
+        visited > 0 && recosted > 0 && remeasured > 0,
+        "the degrade reached its own queries: {cost:?}"
+    );
+    assert!(
+        (visited as usize) < entries,
+        "the degrade tested every cache entry"
+    );
+    assert_eq!(
+        cost_3x, cost,
+        "entries visited, slots re-costed and clusters measured by the degrade \
+         changed with the population of another domain"
     );
 }
