@@ -12,8 +12,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsq_bench::{small_env, Table};
+use dsq_server::chaos::{FaultConfig, FaultSchedule};
 use dsq_server::ChaosRunner;
-use dsq_sim::chaos::{FaultConfig, FaultSchedule};
 use dsq_sim::emulab::RetryPolicy;
 use dsq_workload::{WorkloadConfig, WorkloadGenerator};
 

@@ -66,11 +66,11 @@ fn driver_experiment() -> (Vec<(&'static str, f64)>, u64) {
     let replanning_ms = timed(&ParallelConfig::default());
 
     // Adaptation-after-change scenario: one stub access link drifts 40x,
-    // the way `sim::adapt` sees metric drift. Full replan flushes the cache
-    // and replans every query; incremental replanning retires only the
-    // entries whose DP consulted a drifted distance (`retire_metric`) and
-    // replans only the queries whose standing deployment touches the dirty
-    // set (`optimize_dirty`).
+    // as a `Degrade` fault report to the service would. Full replan
+    // flushes the cache and replans every query; incremental replanning
+    // retires only the entries whose DP consulted a drifted distance
+    // (`retire_metric`) and replans only the queries whose standing
+    // deployment touches the dirty set (`optimize_dirty`).
     let drift = dsq_bench::localized_drift(&env);
     let cfg = ParallelConfig::default();
 

@@ -7,6 +7,9 @@
 //!
 //! Scale control: benches run at the paper's parameters by default; set
 //! `DSQ_BENCH_QUICK=1` to shrink workload counts for smoke runs.
+//!
+//! [`adverts`] accounts the advertisement protocol's traffic, the number
+//! behind the paper's "negligible" claim of Section 3.2.
 
 use dsq_baselines::{InNetwork, InNetworkRunner, PlanThenDeploy, RandomPlace, Relaxation};
 use dsq_core::{consolidate, BottomUp, Environment, Optimal, Optimizer, SearchStats, TopDown};
@@ -16,6 +19,8 @@ use dsq_workload::{Workload, WorkloadConfig, WorkloadGenerator};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+
+pub mod adverts;
 
 pub use dsq_obs::mini_json;
 

@@ -11,7 +11,7 @@
 use dsq_core::Environment;
 use dsq_net::TransitStubConfig;
 use dsq_obs::kv::{self, Field};
-use dsq_sim::chaos::{FaultConfig, FaultSchedule};
+use dsq_server::chaos::{FaultConfig, FaultSchedule};
 use dsq_workload::{Workload, WorkloadConfig, WorkloadGenerator};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;

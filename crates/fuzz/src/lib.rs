@@ -1,6 +1,7 @@
 //! `dsq-fuzz` — deterministic differential fuzzer for the planner stack.
 //!
-//! Three pieces, composed by [`run_campaign`]:
+//! Three pieces, composed by [`run_campaign`], plus a value-level
+//! executor ([`exec`]) that checks what deployed plans compute:
 //!
 //! * [`case`] — seeded, self-contained instance recipes ([`FuzzCase`]):
 //!   transit-stub topologies across parameter ranges, hierarchies at
@@ -10,8 +11,8 @@
 //! * [`oracle`] — one invariant oracle ([`run_oracle`]) through which every
 //!   planner arm runs: Top-Down / Bottom-Up / Optimal, serial / parallel,
 //!   cache on / off, scoped / flush invalidation, incremental / full, plus
-//!   the service, protocol and migration differentials. Each of the
-//!   fourteen [`CheckId`]s is one function of a per-case context, run in
+//!   the service and protocol differentials. Each of the thirteen
+//!   [`CheckId`]s is one function of a per-case context, run in
 //!   [`CheckId::ALL`] order by one loop.
 //! * [`shrink`] — a greedy minimizer ([`shrink`](shrink::shrink)) that
 //!   reduces any violation to a minimal repro (drop queries → drop fault
@@ -21,6 +22,7 @@
 //! with the same seed reproduces the same findings in the same order.
 
 pub mod case;
+pub mod exec;
 pub mod oracle;
 pub mod shrink;
 

@@ -1,6 +1,6 @@
 //! Checks that apply faults to the case's environment: incremental
-//! replanning after a link drift, migration across one, and the chaos
-//! runner's arms over the fault schedule.
+//! replanning after a link drift and the chaos runner's arms over the
+//! fault schedule.
 
 use super::planner::fingerprint_deployments;
 use super::Ctx;
@@ -11,10 +11,9 @@ use dsq_core::{
 use dsq_hierarchy::{membership, HierarchyDelta};
 use dsq_net::{DistanceMatrix, NodeId};
 use dsq_query::ReuseRegistry;
+use dsq_server::chaos::Fault;
 use dsq_server::{ChaosReport, ChaosRunner, ServiceConfig};
-use dsq_sim::chaos::Fault;
 use dsq_sim::emulab::RetryPolicy;
-use dsq_sim::migrate::plan_migration;
 
 /// Multiply the cost of one physical link — the `pick`-th in node order,
 /// modulo the link count — by 8 through [`Environment::reprice_link`], the
@@ -172,149 +171,6 @@ fn drift_equivalence(ctx: &Ctx) -> Vec<String> {
         )];
     }
     Vec::new()
-}
-
-/// Migration break-even consistency: self-migrations are free, and for a
-/// replan after a seeded link drift every priced migration keeps its
-/// arithmetic straight — moves actually move, the transfer cost re-prices
-/// from its own moves, the break-even time exists iff the saving is
-/// positive (and equals transfer/saving), and `worthwhile` is monotone in
-/// the horizon.
-pub(super) fn migration(ctx: &Ctx) -> Vec<String> {
-    let reference = ctx.reference();
-    let mut out = Vec::new();
-    let window = 0.5;
-
-    // Self-migration is free for every standing deployment.
-    for d in reference.deployments.iter().flatten() {
-        let m = plan_migration(d, d, &ctx.env().dm, window);
-        if !m.moves.is_empty()
-            || m.fresh_operators != 0
-            || m.retired_operators != 0
-            || m.state_transfer_cost != 0.0
-            || m.steady_state_saving != 0.0
-            || m.breakeven_time().is_some()
-            || m.worthwhile(1e18)
-        {
-            out.push(format!(
-                "self-migration of query {:?} is not free: {} moves, {} fresh, {} retired, \
-                 transfer {}, saving {}",
-                d.query,
-                m.moves.len(),
-                m.fresh_operators,
-                m.retired_operators,
-                m.state_transfer_cost,
-                m.steady_state_saving
-            ));
-        }
-    }
-
-    // Drift one link 8x (a different link than the incremental check picks)
-    // and fully replan: migrating old -> new exercises non-trivial plans.
-    let mut drift_env = ctx.env().clone();
-    drift_env.isolate_cache(true);
-    if drift_link(&mut drift_env, ctx.case.seed.rotate_left(17)).is_none() {
-        return out;
-    }
-    let td = TopDown::new(&drift_env);
-    let cfg = ParallelConfig::serial();
-    let drifted = optimize_all(
-        &drift_env,
-        &td,
-        ctx.catalog(),
-        ctx.queries(),
-        &ReuseRegistry::new(),
-        &cfg,
-    );
-
-    for (old, new) in reference.deployments.iter().zip(&drifted.deployments) {
-        let (Some(old), Some(new)) = (old, new) else {
-            continue;
-        };
-        let m = plan_migration(old, new, &drift_env.dm, window);
-        let mut priced = 0.0;
-        for mv in &m.moves {
-            if mv.from == mv.to {
-                out.push(format!(
-                    "query {:?}: migration move stays in place at {}",
-                    old.query, mv.from
-                ));
-            }
-            if !mv.state_size.is_finite() || mv.state_size < 0.0 {
-                out.push(format!(
-                    "query {:?}: bad moved-state size {}",
-                    old.query, mv.state_size
-                ));
-            }
-            priced += mv.state_size * drift_env.dm.get(mv.from, mv.to);
-        }
-        if !m.state_transfer_cost.is_finite() || m.state_transfer_cost < 0.0 {
-            out.push(format!(
-                "query {:?}: bad state-transfer cost {}",
-                old.query, m.state_transfer_cost
-            ));
-        }
-        if (priced - m.state_transfer_cost).abs() > 1e-9 * priced.max(1.0) {
-            out.push(format!(
-                "query {:?}: transfer cost {} does not re-price from its moves ({priced})",
-                old.query, m.state_transfer_cost
-            ));
-        }
-        match m.breakeven_time() {
-            Some(t) => {
-                if m.steady_state_saving <= 0.0 {
-                    out.push(format!(
-                        "query {:?}: break-even {t} with non-positive saving {}",
-                        old.query, m.steady_state_saving
-                    ));
-                }
-                if !t.is_finite() || t < 0.0 {
-                    out.push(format!("query {:?}: bad break-even time {t}", old.query));
-                } else {
-                    let paid = t * m.steady_state_saving;
-                    if (paid - m.state_transfer_cost).abs() > 1e-9 * m.state_transfer_cost.max(1.0)
-                    {
-                        out.push(format!(
-                            "query {:?}: break-even {t} x saving {} != transfer {}",
-                            old.query, m.steady_state_saving, m.state_transfer_cost
-                        ));
-                    }
-                    if !m.worthwhile(t) {
-                        out.push(format!(
-                            "query {:?}: migration not worthwhile at its own break-even {t}",
-                            old.query
-                        ));
-                    }
-                    let mut last = None;
-                    for h in [0.0, t * 0.5, t, t * 2.0, 1e15] {
-                        let w = m.worthwhile(h);
-                        if last == Some(true) && !w {
-                            out.push(format!(
-                                "query {:?}: worthwhile flipped back off at horizon {h}",
-                                old.query
-                            ));
-                        }
-                        last = Some(w);
-                    }
-                }
-            }
-            None => {
-                if m.steady_state_saving > 0.0 {
-                    out.push(format!(
-                        "query {:?}: positive saving {} but no break-even time",
-                        old.query, m.steady_state_saving
-                    ));
-                }
-                if m.worthwhile(1e18) {
-                    out.push(format!(
-                        "query {:?}: worthwhile without a break-even time",
-                        old.query
-                    ));
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Chaos arms over the fault schedule: every degrade event repairs

@@ -2,7 +2,7 @@
 //! every result is checked against the others and against the paper's
 //! analytical bounds.
 //!
-//! [`run_oracle`] builds one context per case and runs the fourteen checks
+//! [`run_oracle`] builds one context per case and runs the thirteen checks
 //! of [`CheckId::ALL`], in that order, each as one function of the context:
 //!
 //! 1. **Generation** — the case materializes.
@@ -49,11 +49,7 @@
 //!     reproduces the reliable model bit-for-bit, per-send waits follow the
 //!     exponential-backoff schedule exactly for the observed retry count,
 //!     and certain loss exhausts the whole retry budget.
-//! 13. **Migration break-even** — [`dsq_sim::migrate::plan_migration`] keeps
-//!     its arithmetic consistent: a self-migration is free, the break-even
-//!     time exists iff the steady-state saving is positive and equals
-//!     transfer/saving, and `worthwhile` is monotone in the horizon.
-//! 14. **Chaos equivalence** — every degrade event's matrix repair matches
+//! 13. **Chaos equivalence** — every degrade event's matrix repair matches
 //!     a rebuild, and the scoped, flush and cache-off arms of the service's
 //!     chaos runner agree on every report field that is
 //!     schedule-determined.
@@ -125,10 +121,6 @@ pub enum CheckId {
     /// backoff schedule, or a certain-loss send failed to exhaust the
     /// budget exactly.
     Protocol,
-    /// A migration plan's break-even arithmetic was inconsistent: moves in
-    /// place, negative transfer cost, a break-even time that contradicts
-    /// the saving sign, or a non-monotone `worthwhile` horizon.
-    Migration,
     /// Chaos arms (scoped/flush/cache-off) diverged, a degrade event's
     /// matrix repair disagreed with a rebuild, or a chaos-run invariant
     /// fired.
@@ -137,7 +129,7 @@ pub enum CheckId {
 
 impl CheckId {
     /// Every check, in the order [`run_oracle`] runs them.
-    pub const ALL: [CheckId; 14] = [
+    pub const ALL: [CheckId; 13] = [
         CheckId::Generation,
         CheckId::Hierarchy,
         CheckId::Service,
@@ -150,7 +142,6 @@ impl CheckId {
         CheckId::Reuse,
         CheckId::Incremental,
         CheckId::Protocol,
-        CheckId::Migration,
         CheckId::Chaos,
     ];
 
@@ -169,7 +160,6 @@ impl CheckId {
             CheckId::Reuse => "reuse",
             CheckId::Incremental => "incremental",
             CheckId::Protocol => "protocol",
-            CheckId::Migration => "migration",
             CheckId::Chaos => "chaos",
         }
     }
@@ -198,7 +188,6 @@ impl CheckId {
             CheckId::Reuse => (planned, reuse::reuse),
             CheckId::Incremental => (planned, faults::incremental),
             CheckId::Protocol => (planned, protocol::protocol),
-            CheckId::Migration => (planned, faults::migration),
             CheckId::Chaos => (
                 planned && !ctx.inst().schedule.faults.is_empty() && ctx.reference().planned() > 0,
                 faults::chaos,
@@ -345,4 +334,18 @@ pub fn run_oracle(case: &FuzzCase) -> Vec<Violation> {
         );
     }
     violations
+}
+
+#[cfg(test)]
+mod tests {
+    use super::CheckId;
+
+    #[test]
+    fn check_slugs_are_unique_and_round_trip() {
+        // `from_slug` returns the first check with the slug, so a slug
+        // taken twice fails the round trip of its second holder.
+        for c in CheckId::ALL {
+            assert_eq!(CheckId::from_slug(c.slug()), Some(c), "{}", c.slug());
+        }
+    }
 }

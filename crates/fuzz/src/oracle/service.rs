@@ -6,10 +6,10 @@ use dsq_net::NodeId;
 use dsq_obs::mini_json::{self, Json};
 use dsq_obs::{scoped, ClockMode, Sink};
 use dsq_query::{Deployment, Query};
+use dsq_server::failures::{classify_crash, CrashAction};
 use dsq_server::{
     run_with_crashes, FaultReq, JournalEntry, PlanningService, Request, ServiceConfig, ServiceCore,
 };
-use dsq_sim::failures::{classify_crash, CrashAction};
 
 /// Stats responses embed the `recovery_replayed` counter, which
 /// legitimately differs between an uncrashed run and one that crashed and

@@ -501,7 +501,7 @@ mod tests {
         // ladders, drive the seed to 0 and turn on statistic rounding.
         let needs_knobs = |case: &FuzzCase| -> Vec<CheckId> {
             if case.skew_milli > 0 && case.drop_milli > 0 {
-                vec![CheckId::Migration]
+                vec![CheckId::Protocol]
             } else {
                 Vec::new()
             }
@@ -513,13 +513,13 @@ mod tests {
         case.drop_milli = 170;
         case.queries = 2;
         case.events = 1;
-        let report = shrink_with(&needs_knobs, &case, CheckId::Migration, 1_000);
+        let report = shrink_with(&needs_knobs, &case, CheckId::Protocol, 1_000);
         assert!(!report.budget_exhausted);
         assert_eq!(report.case.seed, 0);
         assert_eq!(report.case.skew_milli, 1000);
         assert_eq!(report.case.drop_milli, 100);
         assert!(report.case.round_stats);
-        assert!(needs_knobs(&report.case).contains(&CheckId::Migration));
+        assert!(needs_knobs(&report.case).contains(&CheckId::Protocol));
         // The canonical form round-trips through the .case text.
         let parsed = FuzzCase::parse(&report.case.to_text("canon")).unwrap();
         assert_eq!(parsed, report.case);

@@ -28,12 +28,17 @@
 //!   replan budget, still-valid queries keep serving their last valid
 //!   epoch's plan, flagged `stale` in responses, and catch up once the
 //!   storm passes. Plans invalidated by a crash are *never* served stale.
-//! * **Fault injection** ([`chaos`]) — seeded request scripts built on the
-//!   sim crate's [`dsq_sim::chaos::FaultSchedule`], seeded crash/restart
-//!   schedules that kill the service mid-run and recover it through the
-//!   journal, and the chaos runner, which replays a fault schedule against
-//!   an in-memory core with every new deployment instantiated over a lossy
-//!   protocol.
+//! * **Query lifecycle** ([`failures`]) — the per-query rules for a fault:
+//!   a crashed sink loses the query, a crashed source origin parks it, a
+//!   crashed operator host replans it, and a re-costed deployment that
+//!   drifts past its baseline is replanned. [`ServiceCore`] is their one
+//!   scheduler.
+//! * **Fault injection** ([`chaos`]) — seeded fault timelines
+//!   ([`chaos::FaultSchedule`]), request scripts built on them, seeded
+//!   crash/restart schedules that kill the service mid-run and recover it
+//!   through the journal, and the chaos runner, which replays a fault
+//!   schedule against an in-memory core with every new deployment
+//!   instantiated over a lossy protocol.
 //!
 //! Observability: the service emits `server.*` counters
 //! (`requests_admitted` / `requests_shed` / `requests_timed_out`,
@@ -41,10 +46,9 @@
 //! `recovery_replayed`) and a `server.drain` span per wave, all on the
 //! deterministic virtual clock of [`dsq_obs`].
 
-#[cfg(test)]
-mod adapt;
 pub mod chaos;
 pub mod config;
+pub mod failures;
 pub mod journal;
 pub mod net;
 pub mod protocol;

@@ -26,9 +26,9 @@ use dsq_net::{ChangedEntries, LinkRepair, NodeId};
 use dsq_obs::kv::{self, Bits, Field, Flag, List, RecordWriter};
 use dsq_obs::Value;
 use dsq_query::{Catalog, Deployment, Query, QueryId, ReuseRegistry, StreamId};
-use dsq_sim::failures::{classify_crash, data_available, degraded, CrashAction};
 
 use crate::config::ServiceConfig;
+use crate::failures::{classify_crash, data_available, degraded, CrashAction};
 use crate::journal::JournalEntry;
 use crate::protocol::FaultReq;
 

@@ -7,11 +7,11 @@
 use std::path::{Path, PathBuf};
 
 use dsq_obs::{scoped, ClockMode, Sink};
+use dsq_server::chaos::FaultConfig;
 use dsq_server::{
     generate_script, run_plain, run_with_crashes, CrashSchedule, PlanningService, ScriptConfig,
     ServiceConfig,
 };
-use dsq_sim::chaos::FaultConfig;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dsq-recovery-{tag}-{}", std::process::id()));

@@ -4,8 +4,8 @@
 //! mutating prefix of every script is drain-terminated, and registrations
 //! pass the catalog/topology validation a live service would apply.
 
+use dsq_server::chaos::FaultConfig;
 use dsq_server::{generate_script, Request, ScriptConfig, ServiceConfig};
-use dsq_sim::chaos::FaultConfig;
 
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]

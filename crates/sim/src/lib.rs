@@ -15,30 +15,15 @@
 //!   1–6 ms links and every coordinator pays search time proportional to
 //!   the plans it examines (replayed from
 //!   [`SearchStats`](dsq_core::SearchStats) events).
-//! * [`failures`] — the query-lifecycle rules: what a crash, a rejoin or a
-//!   degradation means for one registered query. The planning service
-//!   (`dsq-server`'s `ServiceCore`) is the one scheduler of the lifecycle:
-//!   it applies these rules over the environment surgery on
-//!   [`dsq_core::Environment`], and re-triggers optimization when network
-//!   or data conditions change (the Middleware Layer of IFLOW \[13\]).
-//! * [`chaos`] — seeded fault schedules, which the service's chaos runner
-//!   replays.
+//!
+//! The crate is the evaluation substrate only. The self-adaptivity loop —
+//! the query-lifecycle rules, the seeded fault schedules and `ServiceCore`,
+//! their one scheduler — lives in `dsq-server`.
 
-pub mod adverts;
-pub mod chaos;
 pub mod emulab;
-pub mod exec;
-pub mod failures;
 pub mod flow;
-pub mod migrate;
-pub mod monitor;
 pub mod tuple_sim;
 
-pub use adverts::{advertisement_traffic, AdvertTraffic};
-pub use chaos::{Fault, FaultConfig, FaultSchedule, TimedFault};
 pub use emulab::{DeploymentTime, EmulabModel, LossyProtocol, RetryPolicy};
-pub use exec::{execute_deployment, generate_tables, reference_result, same_result, Row, Tables};
 pub use flow::{FlowReport, FlowSimulator, UtilizationSummary};
-pub use migrate::{plan_migration, MigrationPlan, OperatorMove};
-pub use monitor::{RateEstimator, SelectivityEstimator, StatsMonitor};
 pub use tuple_sim::{TupleSimConfig, TupleSimReport, TupleSimulator};

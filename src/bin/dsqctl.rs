@@ -98,7 +98,7 @@ const USAGE: &str =
                  soak campaigns raise this for deeper minimization)
   --out DIR      write minimized fuzz repros to DIR (default target/fuzz)
   --check SLUG   when replaying a .case file, report only this oracle
-                 check's violations (e.g. protocol, migration, chaos)
+                 check's violations (e.g. protocol, reuse, chaos)
   --journal FILE write-ahead journal for `serve` (enables crash recovery)
   --recover      recover `serve` state from --journal instead of starting fresh
   --script FILE  run `serve` against a JSONL request script, then exit
@@ -510,8 +510,8 @@ fn simulate(o: &Opts) -> ExitCode {
 }
 
 fn chaos(o: &Opts) -> ExitCode {
+    use dsq::server::chaos::{FaultConfig, FaultSchedule};
     use dsq::server::{ChaosRunner, ServiceConfig};
-    use dsq::sim::chaos::{FaultConfig, FaultSchedule};
     use dsq::sim::emulab::RetryPolicy;
     let env = Environment::build(o.network(), o.max_cs);
     let wl = o.workload(&env.network);

@@ -19,15 +19,18 @@
 //!   bounds (Lemma 1, β, Theorems 2–4).
 //! * [`baselines`] — Relaxation (ICDE'06), In-network (VLDB'04),
 //!   plan-then-deploy and random placement comparators.
-//! * [`sim`] — flow-level and tuple-level simulators, the Emulab-style
-//!   deployment-time model and the self-adaptivity middleware.
+//! * [`sim`] — flow-level and tuple-level simulators and the Emulab-style
+//!   deployment-time model.
 //! * [`obs`] — zero-dependency structured observability: event traces,
 //!   counters and histograms behind a no-op default (see `dsqctl trace`).
 //! * [`workload`] — the seeded uniformly-random workload generator and the
 //!   airline OIS scenario from the paper's Section 1.1.
 //! * [`server`] — the resident planning service (`dsqctl serve`): JSONL
 //!   request protocol, write-ahead journal with snapshot + replay crash
-//!   recovery, admission control and stale-serve degradation.
+//!   recovery, admission control and stale-serve degradation. Its
+//!   `ServiceCore` is the self-adaptivity middleware: it applies the
+//!   query-lifecycle rules and replans what a fault or a rate change
+//!   degraded.
 //!
 //! ## Quickstart
 //!

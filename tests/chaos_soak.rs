@@ -6,8 +6,8 @@
 //! this test checks the end-to-end outcome and the determinism guarantee.
 
 use dsq::prelude::*;
+use dsq::server::chaos::{Fault, FaultConfig, FaultSchedule};
 use dsq::server::ChaosRunner;
-use dsq::sim::chaos::{Fault, FaultConfig, FaultSchedule};
 use dsq::sim::emulab::RetryPolicy;
 
 fn soak_setup() -> (Environment, Workload, FaultSchedule) {

@@ -21,9 +21,8 @@
 use dsq::core::consolidate;
 use dsq::obs::fnv64;
 use dsq::prelude::*;
-use dsq::server::chaos::run_plain;
+use dsq::server::chaos::{run_plain, Fault, FaultConfig, FaultSchedule, TimedFault};
 use dsq::server::{generate_script, ChaosRunner, PlanningService, ScriptConfig, ServiceConfig};
-use dsq::sim::chaos::{Fault, FaultConfig, FaultSchedule, TimedFault};
 use dsq_fuzz::FuzzCase;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

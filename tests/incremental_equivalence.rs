@@ -19,9 +19,8 @@
 use dsq::core::{metric_dirty_nodes, optimize_dirty, InvalidationMode};
 use dsq::obs;
 use dsq::prelude::*;
-use dsq::server::chaos::{fault_reports, install};
+use dsq::server::chaos::{fault_reports, install, Fault, FaultConfig, FaultSchedule};
 use dsq::server::{FaultReq, JournalEntry, ServiceConfig, ServiceCore, SlotStatus};
-use dsq::sim::chaos::{Fault, FaultConfig, FaultSchedule};
 use std::collections::HashSet;
 
 fn build_env(seed: u64) -> Environment {

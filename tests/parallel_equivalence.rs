@@ -111,7 +111,8 @@ fn cache_never_changes_answers() {
 fn epoch_bump_keeps_replanning_correct() {
     ensure_pool();
     // Plan, warm the cache, then change the world (link costs) the way
-    // `sim::adapt` does — rebuild distances and invalidate. Replanning
+    // the cache's `InvalidationMode::Flush` reference does — rebuild
+    // distances and bump the epoch. Replanning
     // against the warmed-but-invalidated cache must match a cold planner
     // over the same mutated environment.
     let wl_env = fresh_env(9);
