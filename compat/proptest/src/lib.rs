@@ -218,7 +218,7 @@ pub mod collection {
     use crate::test_runner::TestRunner;
     use rand::Rng;
 
-    /// Length bounds for [`vec`]: an exact count or a half-open range.
+    /// Length bounds for [`vec()`]: an exact count or a half-open range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -249,7 +249,7 @@ pub mod collection {
         }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -1,7 +1,7 @@
 //! Shared memoized subplan cache (multi-query planning).
 //!
 //! Hierarchical planning decomposes every query into within-cluster DP
-//! invocations ([`crate::topdown::TopDown::plan_in_cluster`]). Across a
+//! invocations (`TopDown::plan_in_cluster`, [`crate::topdown`]). Across a
 //! workload those invocations repeat heavily: queries that share source
 //! streams resolve to the *same* (cluster, inputs, destination) subproblem
 //! again and again — the common case with operator reuse and overlapping

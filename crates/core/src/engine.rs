@@ -8,16 +8,22 @@
 //!
 //! * [`ClusterPlanner::plan`] — a subset/placement dynamic program that
 //!   returns the *same optimum* as literal enumeration for the sum-of-edge
-//!   costs metric, in `O(3^A·M + 2^A·M²)` instead of `O((2A−3)!!·M^(A−1))`
-//!   (A = atoms, M = candidate nodes). The recurrence — the `prod`/`deliv`
-//!   tables, the final selection and the tree reconstruction — exists once,
-//!   over numbered *states*; what a state is and how it splits comes from
-//!   an enumeration chosen by universe width. Up to `DENSE_MAX_ATOMS`
-//!   atoms every one-word mask is a state and splits by a sub-mask walk
-//!   (nothing to discover, but `2^A` rows whether reachable or not). Wider
-//!   universes number the *reachable* sets only (disjoint unions of input
-//!   coverages, as word-array bitsets) and find a set's splits by scanning
-//!   them, so there is no 32-atom overflow cliff — only a typed
+//!   costs metric, instead of `O((2A−3)!!·M^(A−1))` (A = atoms, M =
+//!   candidate nodes). Only *reachable* states — disjoint unions of input
+//!   coverages — are solved: with R of them and P splits of one into two
+//!   reachable halves, the fill costs `O(P·M + R·M²)` (at most
+//!   `O(3^A·M + 2^A·M²)`, all-singleton inputs), each state's `deliv` row
+//!   read source by source along the distance matrix's rows. The
+//!   recurrence — the `prod`/`deliv` tables, the final selection and the
+//!   tree reconstruction — exists once, over numbered *states*; what a
+//!   state is and how it splits comes from an enumeration chosen by
+//!   universe width. Up to `DENSE_MAX_ATOMS` atoms a state is a one-word
+//!   mask: an `O(2^A · inputs)` pass marks the reachable ones, and a
+//!   reachable mask splits by a sub-mask walk that skips unreachable
+//!   halves (the tables keep `2^A` rows; unreachable ones stay `+∞`). Wider
+//!   universes number the reachable sets only (as word-array bitsets) and
+//!   find a set's splits by scanning them, so there is no 32-atom overflow
+//!   cliff — only a typed
 //!   [`PlacementError::UniverseTooLarge`] budget. The scan is what keeps
 //!   the sparse enumeration off narrow universes: over all-singleton
 //!   inputs it is several times slower at 6 atoms and tens of times by 12
@@ -47,8 +53,9 @@ use std::collections::HashMap;
 
 /// Widest atom universe the dense enumeration allocates full `2^a · m`
 /// tables for; beyond this the sparse reachable-set enumeration takes over.
-/// The dense sweep visits every (cover, partition) pair — `O(3^a)` work —
-/// so 14 keeps the worst case under ~5M partition visits; past that the
+/// The dense sweep walks every reachable mask's sub-masks — `O(3^a)` work
+/// when every mask is reachable (all-singleton inputs) — so 14 keeps the
+/// worst case under ~5M partition visits; past that the
 /// sparse enumeration is exact and either cheaper (coarse inputs) or a
 /// fast typed refusal (fine-grained ones).
 const DENSE_MAX_ATOMS: usize = 14;
@@ -270,11 +277,12 @@ impl<'a> ClusterPlanner<'a> {
     /// `Err(PlacementError::UniverseTooLarge)` when the universe is too
     /// wide even for the sparse enumeration — never a shift overflow.
     ///
-    /// Universes up to [`DENSE_MAX_ATOMS`] atoms are enumerated densely, as
-    /// one-word masks; wider universes run the same recurrence over the
-    /// *reachable* sets only (disjoint unions of input coverages, as
-    /// [`InputSet`] bitsets), which handles e.g. a 40-atom universe tiled
-    /// by 8 coarse derived inputs exactly.
+    /// Either way the recurrence runs over the *reachable* sets only
+    /// (disjoint unions of input coverages). Universes up to
+    /// `DENSE_MAX_ATOMS` (14) atoms find them in a table over every
+    /// one-word mask; wider ones enumerate them as [`InputSet`] bitsets,
+    /// which handles e.g. a 40-atom universe tiled by 8 coarse derived
+    /// inputs exactly.
     pub fn plan(
         &self,
         inputs: &[PlannerInput],
@@ -302,10 +310,12 @@ impl<'a> ClusterPlanner<'a> {
         }
     }
 
-    /// Dense enumeration: every one-word atom mask is a state, visited in
-    /// ascending order (a sub-mask is numerically smaller than its mask, so
-    /// it is final before any partition reads it); a mask's partitions are
-    /// its proper sub-masks holding the lowest atom, walked downwards.
+    /// Dense enumeration: a state is a one-word atom mask, and the
+    /// reachable ones are visited in ascending order (a sub-mask is
+    /// numerically smaller than its mask, so it is final before any
+    /// partition reads it); a mask's partitions are its proper sub-masks
+    /// holding the lowest atom, walked downwards, whose two halves are
+    /// both reachable.
     fn plan_dense(
         &self,
         step: &Step<'_>,
@@ -325,11 +335,26 @@ impl<'a> ClusterPlanner<'a> {
             input_state: &input_state,
             full,
         };
-        self.solve("engine.plan", step, &states, stats, 1..=full, |mask| {
+        // A mask is reachable iff it is a disjoint union of input coverages:
+        // some coverage holds its lowest atom, lies inside it, and leaves a
+        // reachable rest. An unreachable mask's cells stay `+∞` (no input
+        // is it, and every partition of it has an unreachable half), so
+        // skipping those masks and those partitions changes no cell.
+        let mut reach = vec![false; full + 1];
+        reach[0] = true;
+        for mask in 1..=full {
+            let low = mask & mask.wrapping_neg();
+            reach[mask] = input_state
+                .iter()
+                .any(|&c| c & low != 0 && c & !mask == 0 && reach[mask ^ c]);
+        }
+        let reach = &reach;
+        let order = (1..=full).filter(|&mask| reach[mask]);
+        self.solve("engine.plan", step, &states, stats, order, |mask| {
             let low = mask & mask.wrapping_neg();
             let below = move |s: usize| Some((s - 1) & mask).filter(|&t| t > 0);
             std::iter::successors(below(mask), move |&s| below(s))
-                .filter(move |s| s & low != 0)
+                .filter(move |&s| s & low != 0 && reach[s] && reach[mask ^ s])
                 .map(move |s| (s, mask ^ s))
         })
     }
@@ -485,34 +510,37 @@ impl<'a> ClusterPlanner<'a> {
         let mut prod = vec![f64::INFINITY; deliv.len()];
         let mut prod_back = vec![[0u32; 2]; deliv.len()];
 
-        // Cheapest way to have `state`'s result at `target`: an input
-        // streamed there directly, or the result produced at some candidate
-        // and shipped over.
-        let deliver_to = |prod: &[f64], state: usize, target: NodeId| {
-            let mut best = f64::INFINITY;
-            let mut back = DelivBack::None;
+        // Cheapest way to have `state`'s result at each of `targets`, into
+        // `best`/`back` (which start at `+∞`/`None`): an input streamed
+        // there directly, or the result produced at some candidate and
+        // shipped over. Sources go in a fixed order — the state's own
+        // inputs by index, then producing candidates ascending — each
+        // reading its one distance row across all targets; a strictly
+        // cheaper source replaces the incumbent, so the earlier one keeps
+        // a tie.
+        let deliver = |prod_row: &[f64],
+                       state: usize,
+                       targets: &[NodeId],
+                       best: &mut [f64],
+                       back: &mut [DelivBack]| {
+            let r = rate[state];
             for (ii, input) in inputs.iter().enumerate() {
                 if input_state[ii] == state {
-                    let v = rate[state] * dm.get(input.seen, target);
-                    if v < best {
-                        best = v;
-                        back = DelivBack::Input(ii);
-                    }
+                    let from = dm.row(input.seen);
+                    relax(targets, best, back, DelivBack::Input(ii), |t| r * from[t]);
                 }
             }
-            for mj in 0..m {
-                let p = prod[idx(state, mj)];
+            for (mj, &p) in prod_row.iter().enumerate() {
                 if p.is_finite() {
-                    let v = p + rate[state] * dm.get(candidates[mj], target);
-                    if v < best {
-                        best = v;
-                        back = DelivBack::From(mj);
-                    }
+                    let from = dm.row(candidates[mj]);
+                    relax(targets, best, back, DelivBack::From(mj), |t| {
+                        p + r * from[t]
+                    });
                 }
             }
-            (best, back)
         };
 
+        let mut solved = 0u64;
         for state in order {
             // prod[state][mi]: a join at candidate mi combines a partition
             // of `state`, each side delivered to mi. A single-atom state
@@ -536,12 +564,16 @@ impl<'a> ClusterPlanner<'a> {
                     }
                 }
             }
-            for mi in 0..m {
-                let (cost, back) = deliver_to(&prod, state, candidates[mi]);
-                deliv[idx(state, mi)] = cost;
-                deliv_back[idx(state, mi)] = back;
-            }
+            deliver(
+                &prod[idx(state, 0)..][..m],
+                state,
+                candidates,
+                &mut deliv[idx(state, 0)..][..m],
+                &mut deliv_back[idx(state, 0)..][..m],
+            );
+            solved += 1;
         }
+        dsq_obs::counter("engine.states_solved", solved);
 
         // Final selection.
         let rec = Reconstructor {
@@ -554,13 +586,23 @@ impl<'a> ClusterPlanner<'a> {
         match dest {
             // Delivery to the destination is one more `deliv` cell; only
             // the winning tree is ever reconstructed.
-            Some(d) => match deliver_to(&prod, full, d) {
-                (_, DelivBack::None) => None,
-                (est_cost, back) => Some(PlannerOutput {
-                    tree: rec.follow(back, full),
-                    est_cost,
-                }),
-            },
+            Some(d) => {
+                let (mut est_cost, mut back) = ([f64::INFINITY], [DelivBack::None]);
+                deliver(
+                    &prod[idx(full, 0)..][..m],
+                    full,
+                    &[d],
+                    &mut est_cost,
+                    &mut back,
+                );
+                match back {
+                    [DelivBack::None] => None,
+                    [back] => Some(PlannerOutput {
+                        tree: rec.follow(back, full),
+                        est_cost: est_cost[0],
+                    }),
+                }
+            }
             None => {
                 // Result stays at the producing operator (or input).
                 if let Some(ii) = (0..inputs.len()).find(|&ii| input_state[ii] == full) {
@@ -826,6 +868,25 @@ impl PlanArena {
                 right: Box::new(self.materialize(*right, inputs)),
                 node: *node,
             },
+        }
+    }
+}
+
+/// Offer one delivery source to every target: `cost(t)` is its price at
+/// target column `t`, and it replaces the incumbent where strictly cheaper.
+#[inline]
+fn relax(
+    targets: &[NodeId],
+    best: &mut [f64],
+    back: &mut [DelivBack],
+    how: DelivBack,
+    cost: impl Fn(usize) -> f64,
+) {
+    for (t, target) in targets.iter().enumerate() {
+        let v = cost(target.index());
+        if v < best[t] {
+            best[t] = v;
+            back[t] = how;
         }
     }
 }
@@ -1276,22 +1337,41 @@ mod tests {
                 }));
             }
             let candidates: Vec<NodeId> = (0..n).map(NodeId).collect();
-            for (dest, anchor) in [(Some(sink), None), (None, Some(sink))] {
+            // The same instance with its last two streams arriving as one
+            // coarse fragment output (Top-Down refinement's shape), so the
+            // masks holding only one of them are unreachable.
+            let mut variants = vec![inputs];
+            if k >= 3 {
+                let fragment = StreamSet::from_iter(ids[k - 2..].iter().copied());
+                let mut coarse: Vec<PlannerInput> = variants[0]
+                    .iter()
+                    .filter(|i| !i.covered.is_subset_of(&fragment))
+                    .cloned()
+                    .collect();
+                let at = c.stream(ids[k - 1]).node;
+                coarse.push(PlannerInput::external(3, fragment, at));
+                variants.push(coarse);
+            }
+            for (inputs, (dest, anchor)) in variants
+                .iter()
+                .flat_map(|v| [(v, (Some(sink), None)), (v, (None, Some(sink)))])
+            {
                 let mut s1 = SearchStats::new();
                 let mut s2 = SearchStats::new();
                 let dense = planner
-                    .plan(&inputs, &candidates, &dm, dest, anchor, &mut s1)
+                    .plan(inputs, &candidates, &dm, dest, anchor, &mut s1)
                     .unwrap()
                     .unwrap();
                 let sparse = planner
                     .with_dense_limit(1)
-                    .plan(&inputs, &candidates, &dm, dest, anchor, &mut s2)
+                    .plan(inputs, &candidates, &dm, dest, anchor, &mut s2)
                     .unwrap()
                     .unwrap();
                 assert_eq!(
                     dense.est_cost.to_bits(),
                     sparse.est_cost.to_bits(),
-                    "case {case} dest {dest:?}: dense {} vs sparse {}",
+                    "case {case} inputs {} dest {dest:?}: dense {} vs sparse {}",
+                    inputs.len(),
                     dense.est_cost,
                     sparse.est_cost
                 );
@@ -1335,10 +1415,22 @@ mod tests {
         for (dest, anchor) in [(Some(NodeId(4)), None), (None, Some(NodeId(4)))] {
             let mut s1 = SearchStats::new();
             let mut s2 = SearchStats::new();
-            let dense = planner
-                .plan(&inputs, &candidates, &dm, dest, anchor, &mut s1)
-                .unwrap()
-                .unwrap();
+            let sink = dsq_obs::Sink::new(dsq_obs::ClockMode::Virtual);
+            let dense = {
+                let _scope = dsq_obs::scoped(sink.clone());
+                planner
+                    .plan(&inputs, &candidates, &dm, dest, anchor, &mut s1)
+                    .unwrap()
+                    .unwrap()
+            };
+            // The dense fill visits only the fifteen non-empty reachable
+            // masks, not all 1,023.
+            let solved = sink
+                .snapshot()
+                .counters
+                .get("engine.states_solved")
+                .copied();
+            assert_eq!(solved, Some(15));
             let sparse = planner
                 .with_dense_limit(1)
                 .plan(&inputs, &candidates, &dm, dest, anchor, &mut s2)
@@ -1355,6 +1447,141 @@ mod tests {
             assert_eq!(s1.dp_states, (1 << 10) * 6 * 2);
             assert_eq!(s2.dp_states, (1 << 4) * 6 * 2);
         }
+    }
+
+    /// `tree`'s result delivered to `to`, priced with the recurrence's own
+    /// association: an input pays `rate · d(seen, to)`, a join's result
+    /// `prod + rate · d(node, to)` (no load model, so no penalty term).
+    fn recost_deliv(
+        tree: &PlacedTree,
+        to: NodeId,
+        rate: &[f64],
+        atoms: &[StreamId],
+        c: &Catalog,
+        dm: &DistanceMatrix,
+    ) -> f64 {
+        let r = rate[mask_of(&tree.covered(), atoms) as usize];
+        let from = tree.output_location(c);
+        match tree {
+            PlacedTree::Join { .. } => recost_prod(tree, rate, atoms, c, dm) + r * dm.get(from, to),
+            _ => r * dm.get(from, to),
+        }
+    }
+
+    /// A join's `prod`: both halves delivered to its node, left first.
+    fn recost_prod(
+        tree: &PlacedTree,
+        rate: &[f64],
+        atoms: &[StreamId],
+        c: &Catalog,
+        dm: &DistanceMatrix,
+    ) -> f64 {
+        let PlacedTree::Join { left, right, node } = tree else {
+            panic!("prod of an input");
+        };
+        recost_deliv(left, *node, rate, atoms, c, dm)
+            + recost_deliv(right, *node, rate, atoms, c, dm)
+    }
+
+    #[test]
+    fn est_cost_is_the_exact_recost_of_the_tree_on_an_asymmetric_matrix() {
+        // The matrix is symmetric in value but not in bits: a path's cost
+        // summed from either end rounds differently. So a delivery that
+        // read `d(target, source)` instead of `d(source, target)` prices
+        // the same tree a few ulps off, and only an exact re-cost of the
+        // returned tree in the true direction can see it.
+        let mut rng = ChaCha8Rng::seed_from_u64(49);
+        let mut asymmetric_reads = 0usize;
+        for case in 0..40 {
+            let n = rng.gen_range(30..40u32);
+            let mut net = Network::new(n as usize);
+            for i in 0..n - 1 {
+                let cost = rng.gen_range(0.1..3.0);
+                net.add_link(NodeId(i), NodeId(i + 1), cost, 1.0, LinkKind::Stub);
+            }
+            for _ in 0..n {
+                let a = NodeId(rng.gen_range(0..n));
+                let b = NodeId(rng.gen_range(0..n));
+                if a != b && net.find_link(a, b).is_none() {
+                    net.add_link(a, b, rng.gen_range(0.1..6.0), 1.0, LinkKind::Stub);
+                }
+            }
+            let dm = DistanceMatrix::build(&net, Metric::Cost);
+            let k = rng.gen_range(3..=5usize);
+            let mut c = Catalog::new();
+            let ids: Vec<StreamId> = (0..k)
+                .map(|i| {
+                    let node = NodeId(rng.gen_range(0..n));
+                    c.add_stream(
+                        format!("S{i}"),
+                        rng.gen_range(1.0..20.0),
+                        node,
+                        Schema::default(),
+                    )
+                })
+                .collect();
+            for i in 0..k {
+                for j in (i + 1)..k {
+                    c.set_selectivity(ids[i], ids[j], rng.gen_range(0.01..0.5));
+                }
+            }
+            let sink = NodeId(rng.gen_range(0..n));
+            let q = Query::join(QueryId(case), ids.clone(), sink);
+            let planner = ClusterPlanner::new(&c, &q);
+            let mut inputs: Vec<PlannerInput> =
+                ids.iter().map(|&id| PlannerInput::base(&c, id)).collect();
+            if rng.gen_bool(0.5) {
+                inputs.push(PlannerInput::derived(LeafSource::Derived {
+                    id: DerivedId(9),
+                    covered: StreamSet::from_iter([ids[0], ids[1]]),
+                    rate: 1.0,
+                    host: NodeId(rng.gen_range(0..n)),
+                }));
+            }
+            let candidates: Vec<NodeId> = (0..n).map(NodeId).collect();
+            let atoms = atom_universe(&inputs);
+            let rate = planner.rate_table(&atoms);
+            asymmetric_reads += inputs
+                .iter()
+                .map(|i| i.seen)
+                .chain(candidates.iter().copied())
+                .flat_map(|a| candidates.iter().map(move |&b| (a, b)))
+                .filter(|&(a, b)| dm.get(a, b).to_bits() != dm.get(b, a).to_bits())
+                .count();
+            for limit in [DENSE_MAX_ATOMS, 1] {
+                for (dest, anchor) in [(Some(sink), None), (None, Some(sink))] {
+                    let out = planner
+                        .with_dense_limit(limit)
+                        .plan(
+                            &inputs,
+                            &candidates,
+                            &dm,
+                            dest,
+                            anchor,
+                            &mut SearchStats::new(),
+                        )
+                        .unwrap()
+                        .unwrap();
+                    let recost = match (dest, &out.tree) {
+                        (Some(d), tree) => recost_deliv(tree, d, &rate, &atoms, &c, &dm),
+                        (None, tree @ PlacedTree::Join { .. }) => {
+                            recost_prod(tree, &rate, &atoms, &c, &dm)
+                        }
+                        (None, _) => 0.0,
+                    };
+                    assert_eq!(
+                        out.est_cost.to_bits(),
+                        recost.to_bits(),
+                        "case {case}, dense limit {limit}, dest {dest:?}: planned {} vs re-cost {recost}",
+                        out.est_cost
+                    );
+                }
+            }
+        }
+        assert!(
+            asymmetric_reads > 0,
+            "no pair the planner read is asymmetric in bits"
+        );
     }
 
     #[test]

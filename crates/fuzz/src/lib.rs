@@ -14,7 +14,7 @@
 //!   the service and protocol differentials. Each of the thirteen
 //!   [`CheckId`]s is one function of a per-case context, run in
 //!   [`CheckId::ALL`] order by one loop.
-//! * [`shrink`] — a greedy minimizer ([`shrink`](shrink::shrink)) that
+//! * [`shrink`](mod@shrink) — a greedy minimizer ([`shrink`](shrink::shrink)) that
 //!   reduces any violation to a minimal repro (drop queries → drop fault
 //!   events → shrink topology) suitable for `tests/regressions/`.
 //!

@@ -6,7 +6,7 @@
 //! flow simulator additionally needs the concrete routes to attribute traffic
 //! to individual links, which the [`RouteTable`] provides.
 //!
-//! All-pairs construction runs over the flat [`CsrGraph`][crate::csr::CsrGraph]
+//! All-pairs construction runs over the flat [`CsrGraph`]
 //! layout ([`crate::csr::sssp_into`]), whose packed-key queue pops in the
 //! same `(dist, node id)` order as the adjacency-list [`dijkstra`] kept here
 //! as the independent reference, so the two are bit-identical. The in-place

@@ -1,7 +1,7 @@
 //! Word-array bitset over small non-negative indices (stream ids, atom
 //! indices).
 //!
-//! [`StreamSet`](crate::StreamSet) is the planner's *reference* set type: a
+//! [`StreamSet`] is the planner's *reference* set type: a
 //! sorted, deduplicated id vector that is pleasant to debug and cheap for
 //! the handful of streams a single query touches. The planning hot paths —
 //! the subset/placement dynamic program, subplan-cache keys, and the reuse

@@ -148,7 +148,7 @@ fn unseal(text: &str) -> Result<&str, String> {
     Ok(body)
 }
 
-/// Rebuild a core from [`write`]'s output.
+/// Rebuild a core from [`write()`]'s output.
 pub fn restore(text: &str) -> Result<ServiceCore, String> {
     let text = unseal(text)?;
     let mut config = ServiceConfig::default();
